@@ -43,6 +43,8 @@ for row in shown:
 
 rot, trans = pose_difference(T, scene.T_gt)
 print()
-print(f"converged in {trace[-1].iteration} iterations to {rot:.2e} deg / {trans:.2e} m")
+print(f"stopped after {trace[-1].iteration} iterations at {rot:.2e} deg / {trans:.2e} m")
 print("each iteration freezes nearest-neighbor assignments, takes a damped")
-print("Gauss-Newton step in the twist, and backtracks on the reassigned cost")
+print("Gauss-Newton step in the twist, and backtracks on the reassigned cost;")
+print("the solve stops once the cost drops below cost_tol (as on this clean")
+print("scene) or once an accepted step no longer lowers it")

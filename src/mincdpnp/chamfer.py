@@ -23,6 +23,7 @@ from scipy.spatial.distance import cdist
 from .errors import AllPointsBehindCamera, Divergence, EmptySet, NonFiniteInput
 from .features import KeypointSet2D, KeypointSet3D
 from .geometry import (
+    Z_MIN,
     CameraIntrinsics,
     Pose,
     Twist,
@@ -168,6 +169,21 @@ def _frozen_terms(xi_vec, T0, image_set, cloud_set, K):
     return report, image_set.pixels[q_idx], x0[p_idx]
 
 
+def _pair_residuals(xi_vec, pixels, x0, K):
+    """Residuals pixel - pi(exp(xi) x0) (n, 2) and their twist Jacobians
+    (n, 2, 6), over the pairs whose point is in front of the camera."""
+    y, J_exp = exp_action_jacobian(xi_vec, x0)
+    in_front = y[:, 2] > Z_MIN
+    if not in_front.any():
+        raise AllPointsBehindCamera("no paired point is in front of the camera")
+    y = y[in_front]
+    J_pi = projection_jacobian(y, K)
+    pix = np.column_stack(
+        [K.fu * y[:, 0] / y[:, 2] + K.cu, K.fv * y[:, 1] / y[:, 2] + K.cv]
+    )
+    return pixels[in_front] - pix, np.einsum("nij,njk->nik", J_pi, J_exp[in_front])
+
+
 def chamfer_grad_twist(
     xi: Twist,
     T0: Pose,
@@ -183,30 +199,98 @@ def chamfer_grad_twist(
     """
     xi_vec = xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=np.float64)
     _, q, x0 = _frozen_terms(xi_vec, T0, image_set, cloud_set, K)
-    y, J_exp = exp_action_jacobian(xi_vec, x0)
-    J_pi = projection_jacobian(y, K)
-    pix = np.column_stack(
-        [K.fu * y[:, 0] / y[:, 2] + K.cu, K.fv * y[:, 1] / y[:, 2] + K.cv]
-    )
-    residuals = q - pix
+    residuals, J = _pair_residuals(xi_vec, q, x0, K)
     # d/dxi sum ||q - pi(y)||^2 = -2 sum r^T J_pi J_exp
-    J_term = np.einsum("nij,njk->nik", J_pi, J_exp)
-    return -2.0 * np.einsum("ni,nik->k", residuals, J_term)
+    return -2.0 * np.einsum("ni,nik->k", residuals, J)
 
 
-def _gn_step(xi_vec, T0, image_set, cloud_set, K, damping):
-    """Damped normal-equation step on the frozen-assignment residuals."""
-    _, q, x0 = _frozen_terms(xi_vec, T0, image_set, cloud_set, K)
-    y, J_exp = exp_action_jacobian(xi_vec, x0)
-    J_pi = projection_jacobian(y, K)
-    pix = np.column_stack(
-        [K.fu * y[:, 0] / y[:, 2] + K.cu, K.fv * y[:, 1] / y[:, 2] + K.cv]
+# An accepted step that lowers the cost by at most this fraction of it
+# ends the solve. Without it, steps whose decrease rounds to zero pass
+# the Armijo test (cost + c*alpha*decrease rounds back to cost), reset
+# the stall count and keep a noisy solve running until max_iters.
+CONVERGED_RTOL = 1e-12
+
+
+def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
+    """Damped Gauss-Newton (or gradient descent) with Armijo backtracking.
+
+    cost_fn(T) is the summed squared residual at pose T; at a trial pose
+    it may raise AllPointsBehindCamera, which shrinks the step.
+    residual_fn(T) gives the residuals (n, 2) and their twist Jacobians
+    (n, 2, 6) at T. Steps T <- exp(alpha * direction) o T are accepted
+    only when the cost passes the Armijo test, so the trace is monotone
+    nonincreasing. Returns (pose, trace, reason), reason being one of
+    "cost_tol", "grad_tol", "converged" (an accepted step lowered the
+    cost by at most CONVERGED_RTOL of it), "stalled" (five fruitless line
+    searches in a row at a near-stationary point; away from one they
+    raise Divergence) or "max_iters". With T_gt the trace rows carry
+    the pose error against it.
+    """
+    T = T_init
+    cost = cost_fn(T)
+
+    def row(it, step_size):
+        rot, trans = (None, None) if T_gt is None else pose_difference(T, T_gt)
+        return TraceRow(it, cost, step_size, rot, trans)
+
+    trace = [row(0, 0.0)]
+    stalls = 0
+    for it in range(1, cfg.max_iters + 1):
+        if cost <= cfg.cost_tol:
+            return T, trace, "cost_tol"
+        residuals, J = residual_fn(T)
+        Jf = J.reshape(-1, 6)
+        g = Jf.T @ residuals.reshape(-1)
+        grad = -2.0 * g
+        if cfg.method == "gn":
+            direction = np.linalg.solve(Jf.T @ Jf + cfg.damping * np.eye(6), g)
+        else:
+            direction = -grad
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= cfg.grad_tol:
+            return T, trace, "grad_tol"
+
+        alpha = cfg.step_init
+        decrease = float(grad @ direction)  # negative along a descent direction
+        cost_before = cost
+        accepted = False
+        for _ in range(cfg.max_backtracks):
+            T_try = se3_exp(Twist.from_vector(alpha * direction)).compose(T)
+            try:
+                trial = cost_fn(T_try)
+            except AllPointsBehindCamera:
+                alpha *= cfg.backtrack_factor
+                continue
+            if trial <= cost + cfg.armijo_c * alpha * decrease:
+                T, cost, accepted = T_try, trial, True
+                break
+            alpha *= cfg.backtrack_factor
+        trace.append(row(it, alpha if accepted else 0.0))
+        if accepted:
+            if cost_before - cost <= CONVERGED_RTOL * cost_before:
+                return T, trace, "converged"
+            stalls = 0
+            continue
+        stalls += 1
+        if stalls >= 5:
+            if grad_norm > cfg.grad_tol * 10:
+                raise Divergence(
+                    f"line search stalled 5 times with gradient norm {grad_norm:.3e}"
+                )
+            return T, trace, "stalled"
+    return T, trace, "cost_tol" if cost <= cfg.cost_tol else "max_iters"
+
+
+def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
+    """solve_pose_chamfer that also returns _minimize's stop reason."""
+    zero = np.zeros(6)
+    return _minimize(
+        lambda T: chamfer_cost(T, image_set, cloud_set, K).value,
+        lambda T: _pair_residuals(
+            zero, *_frozen_terms(zero, T, image_set, cloud_set, K)[1:], K
+        ),
+        T_init, cfg, T_gt,
     )
-    residuals = (q - pix).reshape(-1)
-    J = np.einsum("nij,njk->nik", J_pi, J_exp).reshape(-1, 6)
-    H = J.T @ J + damping * np.eye(6)
-    g = J.T @ residuals
-    return np.linalg.solve(H, g), -2.0 * g
 
 
 def solve_pose_chamfer(
@@ -222,63 +306,14 @@ def solve_pose_chamfer(
     Each iteration freezes the nearest-neighbor assignments, takes a
     damped Gauss-Newton or gradient step in the local twist, and
     backtracks until the true (re-assigned) cost decreases, so the cost
-    trace is monotone nonincreasing. Iterations where the line search
-    finds no decrease leave the pose in place; five such stalls in a row
-    end the solve, raising Divergence only if the gradient says the
-    iterate is not a stationary point.
+    trace is monotone nonincreasing. The loop, shared with pnp_refine,
+    stops at cfg.cost_tol, at cfg.grad_tol, once an accepted step lowers
+    the cost by no more than a 1e-12 fraction, or at cfg.max_iters. Five
+    fruitless line searches in a row end the solve, raising Divergence
+    only if the gradient says the iterate is not a stationary point.
+    With T_gt, trace rows also hold the pose error against it.
     """
-    T = T_init
-    report = chamfer_cost(T, image_set, cloud_set, K)
-    cost = report.value
-
-    def errs(pose):
-        if T_gt is None:
-            return None, None
-        return pose_difference(pose, T_gt)
-
-    rot, trans = errs(T)
-    trace = [TraceRow(0, cost, 0.0, rot, trans)]
-    stalls = 0
-    for it in range(1, cfg.max_iters + 1):
-        if cost <= cfg.cost_tol:
-            break
-        zero = np.zeros(6)
-        if cfg.method == "gn":
-            direction, grad = _gn_step(zero, T, image_set, cloud_set, K, cfg.damping)
-        else:
-            grad = chamfer_grad_twist(Twist.zero(), T, image_set, cloud_set, K)
-            direction = -grad
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.grad_tol:
-            break
-
-        alpha = cfg.step_init
-        decrease = float(grad @ direction)  # negative along a descent direction
-        accepted = False
-        for _ in range(cfg.max_backtracks):
-            T_try = se3_exp(Twist.from_vector(alpha * direction)).compose(T)
-            try:
-                trial = chamfer_cost(T_try, image_set, cloud_set, K).value
-            except AllPointsBehindCamera:
-                alpha *= cfg.backtrack_factor
-                continue
-            if trial <= cost + cfg.armijo_c * alpha * decrease:
-                T, cost, accepted = T_try, trial, True
-                break
-            alpha *= cfg.backtrack_factor
-        rot, trans = errs(T)
-        trace.append(TraceRow(it, cost, alpha if accepted else 0.0, rot, trans))
-        if accepted:
-            stalls = 0
-            continue
-        stalls += 1
-        if stalls >= 5:
-            if grad_norm > cfg.grad_tol * 10:
-                raise Divergence(
-                    f"line search stalled 5 times with gradient norm {grad_norm:.3e}"
-                )
-            break
-    return T, trace
+    return _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt)[:2]
 
 
 def save_trace_csv(path, trace: list[TraceRow]) -> None:

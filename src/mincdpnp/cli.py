@@ -160,14 +160,17 @@ def cmd_solve_pnp(args) -> int:
 
 
 def _scan_scene_dirs(root: Path):
-    """Scenes plus per-directory load failures, never a scan abort."""
+    """Scenes plus per-directory load failures; a bad scene file never
+    aborts the scan."""
     out, failures = [], []
     if root.is_dir():
         for d in sorted(root.iterdir()):
             if d.is_dir() and (d / "meta.json").exists():
+                # a missing, malformed or incomplete file fails its scene
+                # alone; any other exception is a bug and propagates
                 try:
                     out.append((d.name, ScenePair.load_dir(d)))
-                except Exception as exc:  # noqa: BLE001 - per-scene isolation
+                except (MinCDError, OSError, ValueError, KeyError) as exc:
                     failures.append((d.name, f"load: {type(exc).__name__}: {exc}"))
     return out, failures
 

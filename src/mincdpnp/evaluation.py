@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .chamfer import SolverConfig, solve_pose_chamfer
-from .errors import EmptySet, MissingDepth
+from .errors import EmptySet, MinCDError, MissingDepth
 from .features import CorrespondenceSet, MatchConfig, feature_distance_matrix
 from .geometry import Pose, pose_difference
 from .pnp import RansacConfig, pnp_ransac
@@ -176,10 +176,12 @@ def run_pipeline(
 ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
     """match -> solve -> metrics over a batch of (scene_id, scene).
 
-    solver is "pnp", "chamfer", or "both". Scene failures are collected
-    as (scene_id, message) instead of aborting the batch. Records come
-    back sorted by (scene_id, solver), whatever order scenes arrive or
-    complete in, so output is canonical.
+    solver is "pnp", "chamfer", or "both". Scene failures (the package's
+    MinCDError family) are collected as (scene_id, message naming the
+    exception class) instead of aborting the batch; any other exception
+    is a bug and propagates. Records come back sorted by (scene_id,
+    solver), whatever order scenes arrive or complete in, so output is
+    canonical.
     """
     if solver not in ("pnp", "chamfer", "both"):
         raise ValueError("solver must be 'pnp', 'chamfer', or 'both'")
@@ -200,7 +202,7 @@ def run_pipeline(
                 rmse, success = registration_success(T_est, scene, metric)
                 rot, trans = pose_difference(T_est, scene.T_gt)
                 timings["metrics_s"] = time.perf_counter() - t0
-            except Exception as exc:  # noqa: BLE001 - per-scene isolation
+            except MinCDError as exc:  # per-scene isolation; bugs propagate
                 errors.append((scene_id, f"{name}: {type(exc).__name__}: {exc}"))
                 continue
             records.append(

@@ -3,10 +3,11 @@
 Given explicit 2D-3D pairs this module recovers the camera pose three
 ways: a direct linear initializer, damped Gauss-Newton refinement of
 the summed squared reprojection error, and a consensus wrapper that
-tolerates outlier pairs. The refinement shares its twist
-parameterization and line-search discipline with the Chamfer solver;
-the difference is that correspondences here are fixed inputs rather
-than nearest-neighbor assignments.
+tolerates outlier pairs. The refinement runs the Chamfer solver's loop,
+chamfer._minimize, so both share the twist parameterization, the Armijo
+line search and the stop reasons (cost_tol, grad_tol, converged,
+stalled, max_iters); here correspondences are fixed inputs rather than
+nearest-neighbor assignments.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chamfer import SolverConfig, TraceRow
+from .chamfer import SolverConfig, TraceRow, _minimize, _pair_residuals
 from .errors import (
     AllPointsBehindCamera,
     DegenerateConfiguration,
@@ -28,10 +29,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     Twist,
-    exp_action_jacobian,
     project_points,
-    projection_jacobian,
-    se3_exp,
 )
 
 MIN_PNP_POINTS = 6
@@ -84,7 +82,7 @@ def _linear_from_arrays(pixels: np.ndarray, points: np.ndarray, K: CameraIntrins
     A[0::2, 8:12] = -xn[:, None] * Xh
     A[1::2, 4:8] = Xh
     A[1::2, 8:12] = -yn[:, None] * Xh
-    _, S, Vt = np.linalg.svd(A)
+    _, S, Vt = np.linalg.svd(A, full_matrices=False)
     # a second near-zero singular value means the pose is not unique
     if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
         raise DegenerateConfiguration("linear system is rank deficient")
@@ -143,23 +141,6 @@ def _cost_from_arrays(T, pixels, points, K) -> float:
     return float(np.einsum("nd,nd->", r, r))
 
 
-def _residual_terms(xi_vec, T0, pixels, points, K):
-    """Residuals and Jacobian of the visible terms at exp(xi) o T0."""
-    x0 = points @ T0.R.T + T0.t
-    y, J_exp = exp_action_jacobian(xi_vec, x0)
-    in_front = y[:, 2] > 1e-6
-    if not in_front.any():
-        raise AllPointsBehindCamera("no corresponded point is in front of the camera")
-    y = y[in_front]
-    J_pi = projection_jacobian(y, K)
-    pix = np.column_stack(
-        [K.fu * y[:, 0] / y[:, 2] + K.cu, K.fv * y[:, 1] / y[:, 2] + K.cv]
-    )
-    residuals = pixels[in_front] - pix
-    J = np.einsum("nij,njk->nik", J_pi, J_exp[in_front])
-    return residuals, J
-
-
 def reprojection_grad_twist(
     xi: Twist,
     T0: Pose,
@@ -173,59 +154,18 @@ def reprojection_grad_twist(
         xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=np.float64)
     )
     pixels, points = _gather(C, image_set, cloud_set)
-    residuals, J = _residual_terms(xi_vec, T0, pixels, points, K)
+    residuals, J = _pair_residuals(xi_vec, pixels, points @ T0.R.T + T0.t, K)
     return -2.0 * np.einsum("ni,nik->k", residuals, J)
 
 
-def _refine_from_arrays(T_init, pixels, points, K, cfg, trace):
-    T = T_init
-    cost = _cost_from_arrays(T, pixels, points, K)
-    if trace is not None:
-        trace.append(TraceRow(0, cost, 0.0))
-    stalls = 0
-    for it in range(1, cfg.max_iters + 1):
-        if cost <= cfg.cost_tol:
-            break
-        residuals, J = _residual_terms(np.zeros(6), T, pixels, points, K)
-        r = residuals.reshape(-1)
-        Jf = J.reshape(-1, 6)
-        grad = -2.0 * (Jf.T @ r)
-        if cfg.method == "gn":
-            H = Jf.T @ Jf + cfg.damping * np.eye(6)
-            direction = np.linalg.solve(H, Jf.T @ r)
-        else:
-            direction = -grad
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.grad_tol:
-            break
-
-        alpha = cfg.step_init
-        decrease = float(grad @ direction)
-        accepted = False
-        for _ in range(cfg.max_backtracks):
-            T_try = se3_exp(Twist.from_vector(alpha * direction)).compose(T)
-            try:
-                trial = _cost_from_arrays(T_try, pixels, points, K)
-            except AllPointsBehindCamera:
-                alpha *= cfg.backtrack_factor
-                continue
-            if trial <= cost + cfg.armijo_c * alpha * decrease:
-                T, cost, accepted = T_try, trial, True
-                break
-            alpha *= cfg.backtrack_factor
-        if trace is not None:
-            trace.append(TraceRow(it, cost, alpha if accepted else 0.0))
-        if accepted:
-            stalls = 0
-            continue
-        stalls += 1
-        if stalls >= 5:
-            if grad_norm > cfg.grad_tol * 10:
-                raise Divergence(
-                    f"line search stalled 5 times with gradient norm {grad_norm:.3e}"
-                )
-            break
-    return T
+def _refine_from_arrays(T_init, pixels, points, K, cfg):
+    """pnp_refine on gathered pairs: (pose, trace, stop reason)."""
+    zero = np.zeros(6)
+    return _minimize(
+        lambda T: _cost_from_arrays(T, pixels, points, K),
+        lambda T: _pair_residuals(zero, pixels, points @ T.R.T + T.t, K),
+        T_init, cfg,
+    )
 
 
 def pnp_refine(
@@ -241,14 +181,19 @@ def pnp_refine(
 
     Damped Gauss-Newton (or plain gradient descent) in the local twist
     with Armijo backtracking, so the cost trace is monotone
-    nonincreasing; pass a list as trace to capture it. Stall handling
-    matches the Chamfer solver: five fruitless line searches end the
-    solve, raising Divergence only away from a stationary point.
+    nonincreasing; pass a list as trace to have its rows appended. The
+    loop and its stops are solve_pose_chamfer's: cost_tol, grad_tol, an
+    accepted step that lowers the cost by no more than a 1e-12 fraction,
+    max_iters, and five fruitless line searches in a row, which raise
+    Divergence only away from a stationary point.
     """
     pixels, points = _gather(C, image_set, cloud_set)
     if len(pixels) < 3:
         raise TooFewPoints("refinement needs at least 3 pairs")
-    return _refine_from_arrays(T_init, pixels, points, K, cfg, trace)
+    T, rows, _ = _refine_from_arrays(T_init, pixels, points, K, cfg)
+    if trace is not None:
+        trace.extend(rows)
+    return T
 
 
 def _score(T, pixels, points, K, threshold):
@@ -325,8 +270,8 @@ def pnp_ransac(
     try:
         candidates.append(
             _refine_from_arrays(
-                candidates[-1], pixels[inl], points[inl], K, SolverConfig(), None
-            )
+                candidates[-1], pixels[inl], points[inl], K, SolverConfig()
+            )[0]
         )
     except (AllPointsBehindCamera, Divergence):
         pass

@@ -237,3 +237,30 @@ def inlier_ratio_bruteforce(
         if dist <= threshold_m:
             hits += 1
     return hits / len(idx2d)
+
+
+def linear_pnp_full_svd(pixels, points, fu, fv, cu, cv):
+    """Linear PnP with the system built row by row and the full SVD.
+
+    np.linalg.svd's default full_matrices=True also builds the 2n x 2n
+    left factor. The nullspace vector gives the 3x4 projection matrix;
+    its sign is fixed so most depths come out positive, and its left
+    block is projected onto SO(3), whose mean singular value sets the
+    scale. Returns (R, t).
+    """
+    rows = []
+    for (u, v), X in zip(pixels, points):
+        xn = (u - cu) / fu
+        yn = (v - cv) / fv
+        Xh = [X[0], X[1], X[2], 1.0]
+        rows.append(Xh + [0.0] * 4 + [-xn * c for c in Xh])
+        rows.append([0.0] * 4 + Xh + [-yn * c for c in Xh])
+    _, _, Vt = np.linalg.svd(np.array(rows))
+    G = Vt[-1].reshape(3, 4)
+    positive = sum(1 for X in points if G[2, :3] @ X + G[2, 3] > 0)
+    if positive * 2 < len(points):
+        G = -G
+    U, S, Wt = np.linalg.svd(G[:, :3])
+    d = np.sign(np.linalg.det(U @ Wt))
+    R = U @ np.diag([1.0, 1.0, d]) @ Wt
+    return R, G[:, 3] / (S.sum() / 3.0)

@@ -24,7 +24,7 @@ from mincdpnp import (
     se3_exp,
     solve_pose_chamfer,
 )
-from mincdpnp.chamfer import _frozen_terms
+from mincdpnp.chamfer import _frozen_terms, _solve_chamfer
 from mincdpnp.synth import DEFAULT_INTRINSICS as K
 
 from oracles import chamfer_cost_bruteforce
@@ -239,6 +239,32 @@ class TestSolver:
         )
         costs = [row.cost for row in trace]
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+        # only the last accepted step may leave the cost where it was
+        for prev, row in zip(trace, trace[1:-1]):
+            if row.step_size > 0:
+                assert row.cost < prev.cost
+
+    def test_noisy_solve_stops_well_below_max_iters(self):
+        cfg = SolverConfig()
+        for seed in range(5):
+            scene = generate_scene(
+                200, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5)
+            )
+            T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed=3000 + seed)
+            _, trace, reason = _solve_chamfer(T0, scene.pixels, scene.cloud, K, cfg)
+            assert reason == "converged"
+            assert trace[-1].iteration <= cfg.max_iters // 4
+
+    def test_clean_solve_stops_at_cost_tol_on_the_truth(self):
+        for seed in range(5):
+            scene = generate_scene(200, noise=NoiseSpec(seed=seed))
+            T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed=1000 + seed)
+            T_hat, _, reason = _solve_chamfer(
+                T0, scene.pixels, scene.cloud, K, SolverConfig()
+            )
+            assert reason == "cost_tol"
+            np.testing.assert_allclose(T_hat.R, scene.T_gt.R, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(T_hat.t, scene.T_gt.t, rtol=0, atol=1e-9)
 
     def test_gradient_descent_mode_decreases_cost(self):
         scene = generate_scene(100, noise=NoiseSpec(seed=39))

@@ -136,18 +136,35 @@ class TestEval:
 
     def test_scene_failures_keep_batch_alive(self, tmp_path, capsys):
         scenes = tmp_path / "scenes"
-        for i in range(2):
+        for i in range(3):
             generate_scene(50, noise=NoiseSpec(seed=i)).save_dir(
                 scenes / f"scene_{i:04d}"
             )
         (scenes / "scene_0000" / "pixels.csv").unlink()
+        (scenes / "scene_0001" / "pose_gt.json").write_text("{}")
         records = tmp_path / "records.jsonl"
         assert run(["eval", "--scenes", scenes, "--out", records]) == 1
         rows = [json.loads(l) for l in records.read_text().splitlines()]
         good = [r for r in rows if "error" not in r]
         bad = [r for r in rows if "error" in r]
-        assert [r["scene_id"] for r in good] == ["scene_0001"]
-        assert [r["scene_id"] for r in bad] == ["scene_0000"]
+        assert [r["scene_id"] for r in good] == ["scene_0002"]
+        assert [r["scene_id"] for r in bad] == ["scene_0000", "scene_0001"]
+        assert "FileNotFoundError" in bad[0]["error"]
+        assert "KeyError" in bad[1]["error"]
+
+    def test_noisy_outlier_batch_has_no_divergence(self, tmp_path):
+        # the second scene of this batch used to end its Chamfer solve in
+        # Divergence after hundreds of zero-decrease steps
+        records = tmp_path / "records.jsonl"
+        code = run(
+            ["eval", "--gen", 2, "--solver", "both", "--n-points", 100,
+             "--pixel-noise", 0.5, "--outlier-rate", 0.2, "--seed", 4000002,
+             "--out", records]
+        )
+        assert code == 0
+        rows = [json.loads(l) for l in records.read_text().splitlines()]
+        assert len(rows) == 4
+        assert not any("error" in r for r in rows)
 
     def test_unmatchable_scenes_error_per_scene(self, tmp_path):
         records = tmp_path / "records.jsonl"

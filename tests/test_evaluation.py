@@ -6,6 +6,7 @@ import pytest
 
 from mincdpnp import (
     CorrespondenceSet,
+    Divergence,
     EmptySet,
     EvalRecord,
     KeypointSet3D,
@@ -23,6 +24,8 @@ from mincdpnp import (
     summary_markdown,
     write_records_jsonl,
 )
+
+from mincdpnp import evaluation
 
 from oracles import inlier_ratio_bruteforce, nearest_match_bruteforce
 
@@ -211,6 +214,27 @@ class TestRunPipeline:
         assert len(errs) == 1
         assert errs[0][0] == "scene_0001"
         assert "MissingFeatures" in errs[0][1]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a scene failure")
+
+        monkeypatch.setattr(evaluation, "_solve_one", broken)
+        with pytest.raises(TypeError):
+            run_pipeline(batch(range(2)))
+
+    def test_solver_divergence_becomes_error_row(self, monkeypatch, tmp_path):
+        def diverge(*args, **kwargs):
+            raise Divergence("line search stalled")
+
+        monkeypatch.setattr(evaluation, "_solve_one", diverge)
+        recs, errs = run_pipeline(batch(range(2)))
+        assert recs == []
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(path, recs, errs)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["scene_id"] for r in rows] == ["scene_0000", "scene_0001"]
+        assert all(r["error"] == "pnp: Divergence: line search stalled" for r in rows)
 
     def test_empty_batch(self):
         recs, errs = run_pipeline([])

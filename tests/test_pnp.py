@@ -26,7 +26,9 @@ from mincdpnp import (
     se3_exp,
 )
 
-from oracles import numeric_jacobian, reprojection_error_scalar
+from mincdpnp.pnp import _refine_from_arrays
+
+from oracles import linear_pnp_full_svd, numeric_jacobian, reprojection_error_scalar
 
 
 def scene_instance(seed, n=30, **noise):
@@ -70,6 +72,19 @@ class TestPnpLinear:
         C = CorrespondenceSet(np.arange(8), np.arange(8))
         with pytest.raises(DegenerateConfiguration):
             pnp_linear(C, kp2d, kp3d, K)
+
+    def test_thin_svd_matches_full_svd_oracle(self):
+        # up to the 992 x 12 system of a refit on 496 consensus pairs
+        for seed, n, sigma in ((60, 6, 0.0), (61, 50, 0.5), (62, 496, 0.5)):
+            s = generate_scene(n, noise=NoiseSpec(seed=seed, pixel_noise_sigma=sigma))
+            C = s.gt_pairs
+            T = pnp_linear(C, s.pixels, s.cloud, s.K)
+            R, t = linear_pnp_full_svd(
+                s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d],
+                s.K.fu, s.K.fv, s.K.cu, s.K.cv,
+            )
+            np.testing.assert_allclose(T.R, R, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(T.t, t, rtol=0, atol=1e-12)
 
     def test_index_out_of_range(self):
         s, _ = scene_instance(7, n=8)
@@ -156,6 +171,35 @@ class TestPnpRefine:
             costs = [r.cost for r in rows]
             assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
             assert len(rows) >= 2
+            # only the last accepted step may leave the cost where it was
+            for prev, row in zip(rows, rows[1:-1]):
+                if row.step_size > 0:
+                    assert row.cost < prev.cost
+
+    def test_noisy_refine_converges_within_ten_iterations(self):
+        for seed in range(10):
+            s = generate_scene(100, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5))
+            C = s.gt_pairs
+            T0 = pnp_linear(C, s.pixels, s.cloud, s.K)
+            _, rows, reason = _refine_from_arrays(
+                T0, s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d], s.K,
+                SolverConfig(),
+            )
+            assert reason == "converged"
+            assert rows[-1].iteration <= 10
+
+    def test_clean_refine_stops_at_cost_tol_on_the_truth(self):
+        for seed in range(5):
+            s = generate_scene(100, noise=NoiseSpec(seed=seed))
+            C = s.gt_pairs
+            T0 = perturb_pose(s.T_gt, rot_deg=5.0, trans_m=0.1, seed=2000 + seed)
+            T, _, reason = _refine_from_arrays(
+                T0, s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d], s.K,
+                SolverConfig(),
+            )
+            assert reason == "cost_tol"
+            np.testing.assert_allclose(T.R, s.T_gt.R, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(T.t, s.T_gt.t, rtol=0, atol=1e-9)
 
     def test_gradient_descent_mode_also_descends(self):
         s = generate_scene(40, noise=NoiseSpec(seed=23, pixel_noise_sigma=0.5))
