@@ -28,6 +28,7 @@ from .geometry import (
     Pose,
     Twist,
     exp_action_jacobian,
+    pinhole,
     pose_difference,
     project_points,
     projection_jacobian,
@@ -178,10 +179,7 @@ def _pair_residuals(xi_vec, pixels, x0, K):
         raise AllPointsBehindCamera("no paired point is in front of the camera")
     y = y[in_front]
     J_pi = projection_jacobian(y, K)
-    pix = np.column_stack(
-        [K.fu * y[:, 0] / y[:, 2] + K.cu, K.fv * y[:, 1] / y[:, 2] + K.cv]
-    )
-    return pixels[in_front] - pix, np.einsum("nij,njk->nik", J_pi, J_exp[in_front])
+    return pixels[in_front] - pinhole(y, K), np.einsum("nij,njk->nik", J_pi, J_exp[in_front])
 
 
 def chamfer_grad_twist(

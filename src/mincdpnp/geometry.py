@@ -154,6 +154,20 @@ class Pose:
         return f"Pose(R={self.R.tolist()}, t={self.t.tolist()})"
 
 
+def _poses_pass_checks(R, t) -> np.ndarray:
+    """Pose's checks over a stack: True where Pose(R[b], t[b]) does not raise.
+
+    R is (B, 3, 3) and t (B, 3); the tests and tolerances are the
+    constructor's (finite entries, R R^T allclose to I, det R near +1).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+        RRt = R @ R.transpose(0, 2, 1)
+        ortho = np.isclose(RRt, np.eye(3), atol=_ORTHONORMALITY_TOL).all(axis=(1, 2))
+        det_off = np.abs(np.linalg.det(R) - 1.0) > _ORTHONORMALITY_TOL
+    return finite & ortho & ~det_off
+
+
 @dataclass(frozen=True)
 class Twist:
     """se(3) element, rotation part first: (omega, v)."""
@@ -194,16 +208,29 @@ def skew(w) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def pinhole(cam, K: CameraIntrinsics, z=None) -> np.ndarray:
+    """Pixels (..., 2) of camera-frame points (..., 3): (fu x/z + cu, fv y/z + cv).
+
+    z defaults to the points' own depth; callers that must not divide by
+    a depth at or behind the camera pass a safe one instead. Every
+    projection in the package goes through this expression, so the same
+    point and pose give the same bits wherever they are projected.
+    """
+    if z is None:
+        z = cam[..., 2]
+    return np.stack([K.fu * cam[..., 0] / z + K.cu, K.fv * cam[..., 1] / z + K.cv], axis=-1)
+
+
 def project(p, T: Pose, K: CameraIntrinsics, z_min: float = Z_MIN) -> np.ndarray:
     """Project one 3D point through pose T onto the image plane.
 
     Raises NotInFrontOfCamera when the transformed depth is at or below
     z_min; callers decide whether to skip the point or fail.
     """
-    x, y, z = T.apply(np.asarray(p, dtype=np.float64))
-    if z <= z_min:
-        raise NotInFrontOfCamera(f"depth {z:.3e} <= z_min {z_min:.3e}")
-    return np.array([K.fu * x / z + K.cu, K.fv * y / z + K.cv])
+    cam = T.apply(np.asarray(p, dtype=np.float64))
+    if cam[2] <= z_min:
+        raise NotInFrontOfCamera(f"depth {cam[2]:.3e} <= z_min {z_min:.3e}")
+    return pinhole(cam, K)
 
 
 def project_points(
@@ -217,10 +244,7 @@ def project_points(
     cam = np.atleast_2d(np.asarray(points, dtype=np.float64)) @ T.R.T + T.t
     z = cam[:, 2]
     in_front = z > z_min
-    pixels = np.full((cam.shape[0], 2), np.nan)
-    safe_z = np.where(in_front, z, 1.0)
-    pixels[:, 0] = np.where(in_front, K.fu * cam[:, 0] / safe_z + K.cu, np.nan)
-    pixels[:, 1] = np.where(in_front, K.fv * cam[:, 1] / safe_z + K.cv, np.nan)
+    pixels = np.where(in_front[:, None], pinhole(cam, K, np.where(in_front, z, 1.0)), np.nan)
     return pixels, in_front
 
 

@@ -8,6 +8,13 @@ chamfer._minimize, so both share the twist parameterization, the Armijo
 line search and the stop reasons (cost_tol, grad_tol, converged,
 stalled, max_iters); here correspondences are fixed inputs rather than
 nearest-neighbor assignments.
+
+The linear fit and the inlier scoring work on stacks of poses, so the
+consensus loop fits and scores a whole block of hypotheses with one
+batched SVD and one broadcast projection, then replays its best-count
+update and adaptive stop over the block in hypothesis order. A single
+fit or score is the stack of one, so every path shares the arithmetic
+and the result does not depend on the block sizes.
 """
 
 from __future__ import annotations
@@ -26,13 +33,23 @@ from .errors import (
 )
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
 from .geometry import (
+    Z_MIN,
     CameraIntrinsics,
     Pose,
     Twist,
+    _poses_pass_checks,
+    pinhole,
     project_points,
 )
 
 MIN_PNP_POINTS = 6
+
+# Hypotheses per block: the first block holds RANSAC_BLOCK_START and
+# each next one twice as many, up to RANSAC_BLOCK_PAIRS // n for n
+# pairs, so an early stop wastes about as many fits as it used and a
+# block's (B, n) temporaries stay at a few MB.
+RANSAC_BLOCK_START = 8
+RANSAC_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,34 +87,53 @@ def _gather(C: CorrespondenceSet, image_set: KeypointSet2D, cloud_set: KeypointS
     return image_set.pixels[C.idx2d], cloud_set.points[C.idx3d]
 
 
+_DEGENERATE = (None, "linear system is rank deficient", "projection matrix has no usable scale")
+
+
+def _linear_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
+    """Linear PnP on B samples of m pairs each, pixels (B, m, 2), points (B, m, 3).
+
+    Returns R (B, 3, 3), t (B, 3) and why (B,): 0 for a usable fit, else
+    the index of its _DEGENERATE message, in which case R and t are
+    meaningless.
+    """
+    B, m = pixels.shape[:2]
+    xn = (pixels[..., 0] - K.cu) / K.fu
+    yn = (pixels[..., 1] - K.cv) / K.fv
+    Xh = np.concatenate([points, np.ones((B, m, 1))], axis=-1)
+    A = np.zeros((B, 2 * m, 12))
+    A[:, 0::2, 0:4] = Xh
+    A[:, 0::2, 8:12] = -xn[..., None] * Xh
+    A[:, 1::2, 4:8] = Xh
+    A[:, 1::2, 8:12] = -yn[..., None] * Xh
+    _, S, Vt = np.linalg.svd(A, full_matrices=False)
+    # a second near-zero singular value means the pose is not unique
+    rank_deficient = (S[:, 0] <= 0) | (S[:, -2] < 1e-8 * S[:, 0])
+    G = Vt[:, -1].reshape(B, 3, 4)
+    depths = (points @ G[:, 2, :3, None])[..., 0] + G[:, 2, 3, None]
+    flip = np.count_nonzero(depths > 0, axis=1) * 2 < m
+    G = np.where(flip[:, None, None], -G, G)
+    Um, Sm, Vmt = np.linalg.svd(G[:, :, :3])
+    D = np.zeros((B, 3, 3))
+    D[:, 0, 0] = D[:, 1, 1] = 1.0
+    D[:, 2, 2] = np.sign(np.linalg.det(Um @ Vmt))
+    R = Um @ D @ Vmt
+    scale = Sm.sum(axis=-1) / 3.0
+    no_scale = ~np.isfinite(scale) | (scale <= 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = G[:, :, 3] / scale[:, None]
+    why = np.where(rank_deficient, 1, np.where(no_scale, 2, 0))
+    return R, t, why
+
+
 def _linear_from_arrays(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics) -> Pose:
     n = len(pixels)
     if n < MIN_PNP_POINTS:
         raise TooFewPoints(f"linear PnP needs {MIN_PNP_POINTS} pairs, got {n}")
-    xn = (pixels[:, 0] - K.cu) / K.fu
-    yn = (pixels[:, 1] - K.cv) / K.fv
-    Xh = np.column_stack([points, np.ones(n)])
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -xn[:, None] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -yn[:, None] * Xh
-    _, S, Vt = np.linalg.svd(A, full_matrices=False)
-    # a second near-zero singular value means the pose is not unique
-    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
-        raise DegenerateConfiguration("linear system is rank deficient")
-    G = Vt[-1].reshape(3, 4)
-    depths = points @ G[2, :3] + G[2, 3]
-    if np.count_nonzero(depths > 0) * 2 < n:
-        G = -G
-    M = G[:, :3]
-    Um, Sm, Vmt = np.linalg.svd(M)
-    d = float(np.sign(np.linalg.det(Um @ Vmt)))
-    R = Um @ np.diag([1.0, 1.0, d]) @ Vmt
-    scale = Sm.sum() / 3.0
-    if not np.isfinite(scale) or scale <= 0:
-        raise DegenerateConfiguration("projection matrix has no usable scale")
-    return Pose(R, G[:, 3] / scale)
+    R, t, why = _linear_batch(pixels[None], points[None], K)
+    if why[0]:
+        raise DegenerateConfiguration(_DEGENERATE[why[0]])
+    return Pose(R[0], t[0])
 
 
 def pnp_linear(
@@ -196,12 +232,20 @@ def pnp_refine(
     return T
 
 
+def _errors(R, t, pixels, points, K):
+    """Squared reprojection error (B, n) of each of B poses, R (B, 3, 3)
+    and t (B, 3), against every pair; inf where the point is behind."""
+    cam = points @ R.transpose(0, 2, 1) + t[:, None, :]
+    z = cam[..., 2]
+    in_front = z > Z_MIN
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = pixels - pinhole(cam, K, np.where(in_front, z, 1.0))
+        return np.where(in_front, np.einsum("bnd,bnd->bn", d, d), np.inf)
+
+
 def _score(T, pixels, points, K, threshold):
     """Inlier mask and summed inlier error of a pose against all pairs."""
-    proj, in_front = project_points(points, T, K)
-    err = np.full(len(pixels), np.inf)
-    d = pixels[in_front] - proj[in_front]
-    err[in_front] = np.einsum("nd,nd->n", d, d)
+    err = _errors(T.R[None], T.t[None], pixels, points, K)[0]
     mask = err <= threshold
     return mask, float(err[mask].sum())
 
@@ -215,48 +259,72 @@ def pnp_ransac(
 ) -> tuple[Pose, np.ndarray]:
     """Consensus pose over correspondences that may contain outliers.
 
-    Each iteration draws a minimal sample from its own counter-derived
-    RNG (so any evaluation order gives the same hypotheses), fits the
-    linear pose, and counts inliers under the squared-pixel threshold.
-    The best hypothesis is refit linearly and then refined on its
-    inliers; whichever of the three candidate poses keeps the most
-    inliers (ties broken toward lower inlier error, then toward the
-    more refined candidate) is returned with its mask.
+    Hypothesis k draws a minimal sample from its own counter-derived RNG
+    (so any evaluation order gives the same hypotheses), fits the linear
+    pose, and counts inliers under the squared-pixel threshold. Blocks
+    of hypotheses are fitted and scored at once, starting at
+    RANSAC_BLOCK_START and doubling; the best-count update and the
+    adaptive stop are then replayed over each block in order of k, so
+    the result is the sequential loop's to the bit and fits past the
+    stop never count. The best hypothesis is refit linearly and then
+    refined on its inliers; whichever of the three candidate poses keeps
+    the most inliers (ties broken toward lower inlier error, then toward
+    the more refined candidate) is returned with its mask.
     """
     pixels, points = _gather(C, image_set, cloud_set)
+    T, mask, _, _ = _ransac_from_arrays(pixels, points, K, cfg)
+    return T, mask
+
+
+def _ransac_from_arrays(pixels, points, K, cfg):
+    """pnp_ransac on gathered pairs: (pose, mask, hypotheses consumed,
+    degenerate samples skipped), the counts as the in-order loop sees them."""
     n = len(pixels)
-    if n < cfg.min_sample_size:
-        raise TooFewPoints(
-            f"need at least {cfg.min_sample_size} correspondences, got {n}"
-        )
+    s = cfg.min_sample_size
+    if n < s:
+        raise TooFewPoints(f"need at least {s} correspondences, got {n}")
 
     best_count = -1
     best_pose = None
     best_mask = None
-    for k in range(cfg.iterations):
-        rng = np.random.default_rng([cfg.seed, k])
-        sample = rng.choice(n, size=cfg.min_sample_size, replace=False)
-        try:
-            T_k = _linear_from_arrays(pixels[sample], points[sample], K)
-        except DegenerateConfiguration:
-            continue
-        mask, _ = _score(T_k, pixels, points, K, cfg.threshold)
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_pose, best_mask = count, T_k, mask
-        # standard adaptive stop: a size-s sample is all-inlier with
-        # probability w^s, so after ceil(log(1-conf)/log(1-w^s)) draws
-        # the chance of having missed every clean sample drops below
-        # 1 - confidence
-        w = best_count / n
-        if w >= 1.0:
-            break
-        if w > 0.0:
-            miss = np.log1p(-(w**cfg.min_sample_size))
-            if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
+    consumed = skipped = 0
+    k0, size, cap = 0, RANSAC_BLOCK_START, max(1, RANSAC_BLOCK_PAIRS // n)
+    stopped = False
+    while k0 < cfg.iterations and not stopped:
+        ks = range(k0, min(k0 + min(size, cap), cfg.iterations))
+        samples = np.array(
+            [np.random.default_rng([cfg.seed, k]).choice(n, size=s, replace=False) for k in ks]
+        )
+        R, t, why = _linear_batch(pixels[samples], points[samples], K)
+        valid = _poses_pass_checks(R, t)
+        masks = _errors(R, t, pixels, points, K) <= cfg.threshold
+        counts = np.count_nonzero(masks, axis=1)
+        for j, k in enumerate(ks):
+            consumed += 1
+            if why[j]:
+                skipped += 1
+                continue
+            if not valid[j]:
+                Pose(R[j], t[j])  # raises the constructor's own ValueError
+            count = int(counts[j])
+            if count > best_count:
+                best_count, best_pose, best_mask = count, Pose(R[j], t[j], check=False), masks[j]
+            # standard adaptive stop: a size-s sample is all-inlier with
+            # probability w^s, so after ceil(log(1-conf)/log(1-w^s)) draws
+            # the chance of having missed every clean sample drops below
+            # 1 - confidence
+            w = best_count / n
+            if w >= 1.0:
+                stopped = True
                 break
+            if w > 0.0:
+                miss = np.log1p(-(w**s))
+                if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
+                    stopped = True
+                    break
+        k0, size = ks.stop, 2 * size
 
-    if best_pose is None or best_count < cfg.min_sample_size:
+    if best_pose is None or best_count < s:
         raise NoConsensus(
             f"best consensus {max(best_count, 0)} is below the minimum sample size"
         )
@@ -280,5 +348,5 @@ def pnp_ransac(
     for rank, T in enumerate(candidates):
         mask, sse = _score(T, pixels, points, K, cfg.threshold)
         scored.append((int(mask.sum()), -sse, rank, T, mask))
-    count, _, _, T_best, mask = max(scored, key=lambda row: row[:3])
-    return T_best, mask
+    _, _, _, T_best, mask = max(scored, key=lambda row: row[:3])
+    return T_best, mask, consumed, skipped

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
-from .geometry import CameraIntrinsics, Pose, dumps_json, so3_exp
+from .geometry import CameraIntrinsics, Pose, dumps_json, pinhole, so3_exp
 from .plyio import load_ply, save_ply
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fu=585.0, fv=585.0, cu=320.0, cv=240.0)
@@ -209,9 +209,8 @@ def generate_scene(
     # exact projections of the stored world points through the stored pose:
     # recomputing the same expression downstream reproduces these bits
     cam_kept = world[kept] @ T_gt.R.T + T_gt.t
-    zk = cam_kept[:, 2]
-    pix = np.column_stack([K.fu * cam_kept[:, 0] / zk + K.cu, K.fv * cam_kept[:, 1] / zk + K.cv])
-    depth = zk.copy()
+    pix = pinhole(cam_kept, K)
+    depth = cam_kept[:, 2].copy()
     feats2d = latent[kept] + noise.feature_noise_sigma * rng.normal(
         size=(len(kept), feature_dim)
     )

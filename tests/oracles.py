@@ -9,6 +9,18 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
+from mincdpnp import (
+    AllPointsBehindCamera,
+    DegenerateConfiguration,
+    Divergence,
+    NoConsensus,
+    Pose,
+    SolverConfig,
+    TooFewPoints,
+    project_points,
+)
+from mincdpnp.pnp import _refine_from_arrays
+
 
 def se3_exp_expm(omega, v):
     """exp of the 4x4 hat matrix via scipy.linalg.expm."""
@@ -264,3 +276,111 @@ def linear_pnp_full_svd(pixels, points, fu, fv, cu, cv):
     d = np.sign(np.linalg.det(U @ Wt))
     R = U @ np.diag([1.0, 1.0, d]) @ Wt
     return R, G[:, 3] / (S.sum() / 3.0)
+
+
+def _linear_pnp_sequential(pixels, points, K):
+    """One hypothesis of the sequential RANSAC loop: linear PnP on 2D arrays."""
+    n = len(pixels)
+    if n < 6:
+        raise TooFewPoints(f"linear PnP needs 6 pairs, got {n}")
+    xn = (pixels[:, 0] - K.cu) / K.fu
+    yn = (pixels[:, 1] - K.cv) / K.fv
+    Xh = np.column_stack([points, np.ones(n)])
+    A = np.zeros((2 * n, 12))
+    A[0::2, 0:4] = Xh
+    A[0::2, 8:12] = -xn[:, None] * Xh
+    A[1::2, 4:8] = Xh
+    A[1::2, 8:12] = -yn[:, None] * Xh
+    _, S, Vt = np.linalg.svd(A, full_matrices=False)
+    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
+        raise DegenerateConfiguration("linear system is rank deficient")
+    G = Vt[-1].reshape(3, 4)
+    depths = points @ G[2, :3] + G[2, 3]
+    if np.count_nonzero(depths > 0) * 2 < n:
+        G = -G
+    M = G[:, :3]
+    Um, Sm, Vmt = np.linalg.svd(M)
+    d = float(np.sign(np.linalg.det(Um @ Vmt)))
+    R = Um @ np.diag([1.0, 1.0, d]) @ Vmt
+    scale = Sm.sum() / 3.0
+    if not np.isfinite(scale) or scale <= 0:
+        raise DegenerateConfiguration("projection matrix has no usable scale")
+    return Pose(R, G[:, 3] / scale)
+
+
+def _score_sequential(T, pixels, points, K, threshold):
+    """Inlier mask and summed inlier error of one pose, through project_points."""
+    proj, in_front = project_points(points, T, K)
+    err = np.full(len(pixels), np.inf)
+    d = pixels[in_front] - proj[in_front]
+    err[in_front] = np.einsum("nd,nd->n", d, d)
+    mask = err <= threshold
+    return mask, float(err[mask].sum())
+
+
+def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
+    """RANSAC-PnP one hypothesis at a time, in order of k.
+
+    Fit, score, best-count update and adaptive stop run for hypothesis k
+    before hypothesis k + 1 is drawn. Returns (pose, mask, hypotheses
+    consumed, degenerate samples skipped).
+    """
+    pixels = image_set.pixels[C.idx2d]
+    points = cloud_set.points[C.idx3d]
+    n = len(pixels)
+    if n < cfg.min_sample_size:
+        raise TooFewPoints(
+            f"need at least {cfg.min_sample_size} correspondences, got {n}"
+        )
+
+    best_count = -1
+    best_pose = None
+    best_mask = None
+    consumed = skipped = 0
+    for k in range(cfg.iterations):
+        consumed += 1
+        rng = np.random.default_rng([cfg.seed, k])
+        sample = rng.choice(n, size=cfg.min_sample_size, replace=False)
+        try:
+            T_k = _linear_pnp_sequential(pixels[sample], points[sample], K)
+        except DegenerateConfiguration:
+            skipped += 1
+            continue
+        mask, _ = _score_sequential(T_k, pixels, points, K, cfg.threshold)
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_pose, best_mask = count, T_k, mask
+        w = best_count / n
+        if w >= 1.0:
+            break
+        if w > 0.0:
+            miss = np.log1p(-(w**cfg.min_sample_size))
+            if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
+                break
+
+    if best_pose is None or best_count < cfg.min_sample_size:
+        raise NoConsensus(
+            f"best consensus {max(best_count, 0)} is below the minimum sample size"
+        )
+
+    candidates = [best_pose]
+    inl = np.flatnonzero(best_mask)
+    try:
+        candidates.append(_linear_pnp_sequential(pixels[inl], points[inl], K))
+    except (TooFewPoints, DegenerateConfiguration):
+        pass
+    try:
+        candidates.append(
+            _refine_from_arrays(
+                candidates[-1], pixels[inl], points[inl], K, SolverConfig()
+            )[0]
+        )
+    except (AllPointsBehindCamera, Divergence):
+        pass
+
+    scored = []
+    for rank, T in enumerate(candidates):
+        mask, sse = _score_sequential(T, pixels, points, K, cfg.threshold)
+        scored.append((int(mask.sum()), -sse, rank, T, mask))
+    _, _, _, T_best, mask = max(scored, key=lambda row: row[:3])
+    return T_best, mask, consumed, skipped

@@ -20,6 +20,7 @@ from mincdpnp import (
     se3_log,
     so3_exp,
 )
+from mincdpnp.geometry import _poses_pass_checks, pinhole
 
 from oracles import (
     numeric_jacobian,
@@ -84,6 +85,16 @@ class TestProjection:
             vo = K.fv * cam[1] / cam[2] + K.cv
             assert q[0] == pytest.approx(uo, rel=1e-12)
             assert q[1] == pytest.approx(vo, rel=1e-12)
+
+    def test_pinhole_is_the_scalar_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        cam = rng.normal(size=(4, 5, 3))
+        cam[..., 2] = rng.uniform(0.5, 5.0, size=(4, 5))
+        q = pinhole(cam, K)
+        assert q.shape == (4, 5, 2)
+        for (x, y, z), (u, v) in zip(cam.reshape(-1, 3).tolist(), q.reshape(-1, 2).tolist()):
+            assert u == K.fu * x / z + K.cu
+            assert v == K.fv * y / z + K.cv
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(3)
@@ -204,6 +215,28 @@ class TestPose:
         R = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             Pose(R, np.zeros(3))
+
+    def test_stacked_checks_agree_with_constructor(self):
+        rng = np.random.default_rng(29)
+        Rs = [random_pose(rng).R for _ in range(4)]
+        for eps in (5e-10, 2e-9, 1e-6):
+            R = Rs[0].copy()
+            R[0, 0] += eps
+            Rs.append(R)
+        Rs += [np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan), 1e200 * np.eye(3)]
+        ts = [np.zeros(3)] * len(Rs) + [np.array([0.0, np.inf, 0.0])]
+        Rs.append(Rs[0])
+        R, t = np.array(Rs), np.array(ts)
+        accepted = []
+        for Rb, tb in zip(R, t):
+            try:
+                with np.errstate(over="ignore"):  # R R^T of the 1e200 matrix
+                    Pose(Rb, tb)
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert accepted[:4] == [True] * 4 and not all(accepted[4:])
+        assert _poses_pass_checks(R, t).tolist() == accepted
 
     def test_immutable(self):
         T = Pose.identity()

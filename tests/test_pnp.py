@@ -7,6 +7,7 @@ from mincdpnp import (
     DegenerateConfiguration,
     KeypointSet2D,
     KeypointSet3D,
+    MatchConfig,
     NoConsensus,
     NoiseSpec,
     Pose,
@@ -15,6 +16,7 @@ from mincdpnp import (
     TooFewPoints,
     Twist,
     generate_scene,
+    match_scene,
     perturb_pose,
     pnp_linear,
     pnp_ransac,
@@ -26,9 +28,15 @@ from mincdpnp import (
     se3_exp,
 )
 
-from mincdpnp.pnp import _refine_from_arrays
+from mincdpnp import pnp
+from mincdpnp.pnp import _ransac_from_arrays, _refine_from_arrays
 
-from oracles import linear_pnp_full_svd, numeric_jacobian, reprojection_error_scalar
+from oracles import (
+    linear_pnp_full_svd,
+    numeric_jacobian,
+    pnp_ransac_sequential,
+    reprojection_error_scalar,
+)
 
 
 def scene_instance(seed, n=30, **noise):
@@ -329,3 +337,120 @@ class TestPnpRansac:
             RansacConfig(seed=0, min_sample_size=5)
         with pytest.raises(ValueError):
             RansacConfig(seed=0, confidence=1.0)
+
+
+def blocked_and_sequential(C, image_set, cloud_set, K, cfg):
+    """Both loops' results, or the class of what each raised."""
+    pixels, points = image_set.pixels[C.idx2d], cloud_set.points[C.idx3d]
+    out = []
+    for run in (
+        lambda: _ransac_from_arrays(pixels, points, K, cfg),
+        lambda: pnp_ransac_sequential(C, image_set, cloud_set, K, cfg),
+    ):
+        try:
+            out.append(run())
+        except Exception as exc:  # compared by class below
+            out.append(type(exc))
+    return out
+
+
+def assert_bit_identical(blocked, sequential):
+    if isinstance(sequential, type):
+        assert blocked is sequential
+        return
+    (T, mask, consumed, skipped), (T_o, mask_o, consumed_o, skipped_o) = blocked, sequential
+    assert T.R.tobytes() == T_o.R.tobytes()
+    assert T.t.tobytes() == T_o.t.tobytes()
+    assert np.array_equal(mask, mask_o)
+    assert (consumed, skipped) == (consumed_o, skipped_o)
+
+
+class TestRansacBlocks:
+    """The blocked loop against the one-hypothesis-at-a-time oracle."""
+
+    def test_half_outlier_scenes_match_the_sequential_loop(self):
+        for seed in range(10):
+            s = generate_scene(200, noise=NoiseSpec(seed, outlier_rate=0.5))
+            cfg = RansacConfig(seed=seed)
+            got = blocked_and_sequential(s.pairs_with_outliers(), s.pixels, s.cloud, s.K, cfg)
+            assert_bit_identical(*got)
+
+    def test_early_stop_inside_a_block_matches(self):
+        for seed in range(5):
+            s = generate_scene(200, noise=NoiseSpec(seed, outlier_rate=0.2))
+            cfg = RansacConfig(seed=seed)
+            got = blocked_and_sequential(s.pairs_with_outliers(), s.pixels, s.cloud, s.K, cfg)
+            assert_bit_identical(*got)
+            # the adaptive stop fired before the budget, so fits past it were wasted
+            assert got[1][2] < cfg.iterations
+
+    def test_iteration_budgets_across_block_boundaries(self):
+        s = generate_scene(200, noise=NoiseSpec(3, outlier_rate=0.5))
+        C = s.pairs_with_outliers()
+        for iterations in (1, 7, 8, 9, 40, 1000):
+            cfg = RansacConfig(seed=3, iterations=iterations)
+            got = blocked_and_sequential(C, s.pixels, s.cloud, s.K, cfg)
+            assert_bit_identical(*got)
+            if iterations <= 40 and not isinstance(got[1], type):
+                assert got[1][2] == iterations
+
+    def test_benchmark_scenes_match(self):
+        # the first scenes of the pnp-n1000 benchmark pool
+        for seed in range(3):
+            noise = NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.5)
+            s = generate_scene(1000, noise=noise)
+            C = match_scene(s, MatchConfig(delta=2.0))
+            cfg = RansacConfig(seed=seed)
+            assert_bit_identical(*blocked_and_sequential(C, s.pixels, s.cloud, s.K, cfg))
+
+    def test_no_consensus_matches(self):
+        rng = np.random.default_rng(53)
+        kp2d = KeypointSet2D(rng.uniform(0, 640, size=(12, 2)))
+        kp3d = KeypointSet3D(rng.normal(size=(12, 3)) + [0, 0, 5.0])
+        C = CorrespondenceSet(np.arange(12), np.arange(12))
+        K = CameraIntrinsics(585.0, 585.0, 320.0, 240.0)
+        cfg = RansacConfig(seed=0, iterations=50, threshold=1e-6)
+        got = blocked_and_sequential(C, kp2d, kp3d, K, cfg)
+        assert got == [NoConsensus, NoConsensus]
+
+    def test_duplicated_points_give_the_same_degenerate_skips(self):
+        # every cloud point appears three times, paired with the same
+        # pixel, so most 6-samples repeat a constraint and leave a
+        # two-dimensional nullspace
+        s = generate_scene(20, noise=NoiseSpec(seed=67, outlier_rate=0.4))
+        pairs = s.pairs_with_outliers()
+        idx = np.tile(np.arange(len(pairs)), 3)
+        kp3d = KeypointSet3D(s.cloud.points[pairs.idx3d][idx])
+        C = CorrespondenceSet(pairs.idx2d[idx], np.arange(len(idx)))
+        cfg = RansacConfig(seed=5, iterations=60, confidence=1 - 1e-12)
+        blocked, sequential = blocked_and_sequential(C, s.pixels, kp3d, s.K, cfg)
+        assert_bit_identical(blocked, sequential)
+        assert blocked[3] > 0
+
+    def _corrupt_rotation_of(self, monkeypatch, bad_k):
+        """Make hypothesis bad_k's rotation fail Pose's orthonormality check."""
+        real, offset = pnp._linear_batch, [0]
+
+        def linear_batch(pixels, points, K):
+            R, t, why = real(pixels, points, K)
+            k0, offset[0] = offset[0], offset[0] + len(R)
+            if k0 <= bad_k < k0 + len(R):
+                R = R.copy()
+                R[bad_k - k0] *= 2.0
+            return R, t, why
+
+        monkeypatch.setattr(pnp, "_linear_batch", linear_batch)
+
+    def test_invalid_pose_raises_only_when_the_loop_reaches_it(self, monkeypatch):
+        s = generate_scene(200, noise=NoiseSpec(0, outlier_rate=0.2))
+        C = s.pairs_with_outliers()
+        cfg = RansacConfig(seed=0)
+        T, mask, consumed, skipped = pnp_ransac_sequential(C, s.pixels, s.cloud, s.K, cfg)
+        # the stop leaves the rest of its block fitted but unread
+        assert skipped == 0 and consumed % pnp.RANSAC_BLOCK_START != 0
+        self._corrupt_rotation_of(monkeypatch, consumed)
+        T_late, mask_late = pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
+        assert T_late.R.tobytes() == T.R.tobytes() and np.array_equal(mask_late, mask)
+        self._corrupt_rotation_of(monkeypatch, consumed - 1)
+        with pytest.raises(ValueError, match="orthonormal"):
+            pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
