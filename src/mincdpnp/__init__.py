@@ -28,6 +28,7 @@ from .features import (
     feature_distance_matrix,
     match_by_threshold,
     nearest_3d_match,
+    nearest_features,
     normalize_features,
 )
 from .chamfer import (
@@ -62,7 +63,6 @@ from .keypoint import (
     guided_reprojection_total,
     key_loss,
     key_loss_iou,
-    key_loss_smooth,
     keypoint_precision_recall,
     reprojection_correctness,
     sample_uniform_2d,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chamfer import SolverConfig, solve_pose_chamfer
 from .errors import EmptySet, MinCDError, MissingDepth
-from .features import CorrespondenceSet, MatchConfig, feature_distance_matrix
+from .features import CorrespondenceSet, MatchConfig, nearest_features
 from .geometry import Pose, pose_difference
 from .pnp import RansacConfig, pnp_ransac
 from .synth import ScenePair, perturb_pose
@@ -124,11 +124,9 @@ def match_scene(
     scene: ScenePair, match_cfg: MatchConfig = MatchConfig()
 ) -> CorrespondenceSet:
     """Nearest 3D partner per pixel, kept when within the match delta."""
-    D = feature_distance_matrix(
+    best, score = nearest_features(
         scene.pixels.require_features(), scene.cloud.require_features(), match_cfg
     )
-    best = np.argmin(D, axis=1)
-    score = D[np.arange(len(D)), best]
     keep = np.flatnonzero(score <= match_cfg.delta)
     return CorrespondenceSet(
         keep,

@@ -1,4 +1,12 @@
-"""Feature-space distances, threshold matching, and nearest-feature search."""
+"""Feature-space distances, threshold matching, and nearest-feature search.
+
+The nearest-feature search screens row blocks with one matrix product
+and rescores the few surviving candidates in the distance matrix's own
+arithmetic, so it gives the dense argmin's indices and score bits
+without forming the N x M matrix. `_save_matrix_csv`/`_load_matrix_csv`
+are the one matrix CSV writer and reader, shared by keypoint sets and
+scene directories.
+"""
 
 from __future__ import annotations
 
@@ -66,11 +74,11 @@ class KeypointSet2D:
         return self.features
 
     def save_csv(self, path: str | Path) -> None:
-        _save_rows_csv(path, self.pixels, self.features)
+        _save_keypoint_csv(path, self.pixels, self.features)
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "KeypointSet2D":
-        coords, feats = _load_rows_csv(path, 2)
+        coords, feats = _load_keypoint_csv(path, 2)
         return cls(coords, feats)
 
     def to_json_dict(self) -> dict:
@@ -119,11 +127,11 @@ class KeypointSet3D:
         return self.features
 
     def save_csv(self, path: str | Path) -> None:
-        _save_rows_csv(path, self.points, self.features)
+        _save_keypoint_csv(path, self.points, self.features)
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "KeypointSet3D":
-        coords, feats = _load_rows_csv(path, 3)
+        coords, feats = _load_keypoint_csv(path, 3)
         return cls(coords, feats)
 
     def to_json_dict(self) -> dict:
@@ -144,17 +152,34 @@ class KeypointSet3D:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def _save_rows_csv(path, coords, features) -> None:
-    rows = coords if features is None else np.hstack([coords, features])
+def _save_matrix_csv(path, matrix) -> None:
+    """One line per row, each value as repr(float): shortest round-trip text.
+
+    None writes an empty file, which _load_matrix_csv reads back as None.
+    """
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        if matrix is None:
+            return
+        rows = np.atleast_2d(np.asarray(matrix, dtype=np.float64)).tolist()
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _load_rows_csv(path, coord_cols: int):
+def _load_matrix_csv(path):
+    """The (rows, cols) float64 matrix of a _save_matrix_csv file, bit for
+    bit; None for an empty file."""
     if not Path(path).read_text().strip():
+        return None
+    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+
+
+def _save_keypoint_csv(path, coords, features) -> None:
+    _save_matrix_csv(path, coords if features is None else np.hstack([coords, features]))
+
+
+def _load_keypoint_csv(path, coord_cols: int):
+    raw = _load_matrix_csv(path)
+    if raw is None:
         return np.zeros((0, coord_cols)), None
-    raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     if raw.shape[1] < coord_cols:
         raise ValueError(f"need at least {coord_cols} columns, got {raw.shape[1]}")
     feats = raw[:, coord_cols:] if raw.shape[1] > coord_cols else None
@@ -259,10 +284,7 @@ def feature_distance(a, b, cfg: MatchConfig = MatchConfig()) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def feature_distance_matrix(
-    feats2d: np.ndarray, feats3d: np.ndarray, cfg: MatchConfig = MatchConfig()
-) -> np.ndarray:
-    """All-pairs distance matrix D with D[i, j] = d(f2d_i, f3d_j)."""
+def _prepared_features(feats2d, feats3d, cfg: MatchConfig):
     a = np.atleast_2d(np.asarray(feats2d, dtype=np.float64))
     b = np.atleast_2d(np.asarray(feats3d, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -270,7 +292,92 @@ def feature_distance_matrix(
     if cfg.normalize:
         a = normalize_features(a)
         b = normalize_features(b)
-    return cdist(a, b, metric="euclidean")
+    return a, b
+
+
+def feature_distance_matrix(
+    feats2d: np.ndarray, feats3d: np.ndarray, cfg: MatchConfig = MatchConfig()
+) -> np.ndarray:
+    """All-pairs distance matrix D with D[i, j] = d(f2d_i, f3d_j)."""
+    return cdist(*_prepared_features(feats2d, feats3d, cfg), metric="euclidean")
+
+
+# Query rows screened per matrix product: the block's screen is a
+# (NEAREST_BLOCK_ROWS, M) array, about 16 MB at M = 4000.
+NEAREST_BLOCK_ROWS = 512
+
+# Screen slack, in units of (D + 2) * (aa_i + max bb), D the feature
+# dimension. A computed n-term dot product lies within n * eps/2 * |a| |b|
+# of the exact one in any summation order (Higham, "Accuracy and
+# Stability of Numerical Algorithms", sec. 3.1), and |a| |b| is at most
+# (aa + bb) / 2. So a screen value bb_j - 2 a.b_j (aa_i dropped) and a
+# squared cdist value each lie within about (D + 2) * eps * (aa_i + bb_j)
+# of exact, and the column that cdist's argmin picks lies at most about
+# 4 (D + 2) * eps * (aa_i + max bb) above the screen's row minimum. The
+# slack is 2^13 times that bound: about 1e-9 * (aa_i + max bb) at D = 128.
+NEAREST_SLACK = 2.0**13 * 4 * np.finfo(np.float64).eps
+
+
+def _pair_distances(a, b, rows, cols):
+    """cdist's Euclidean values at (rows, cols), in cdist's own arithmetic:
+    the squares summed in feature order, then the square root. Pairs go
+    in chunks of NEAREST_BLOCK_ROWS, so the gathered differences stay
+    small even when many columns tie."""
+    out = np.empty(len(rows))
+    for k in range(0, len(rows), NEAREST_BLOCK_ROWS):
+        chunk = slice(k, k + NEAREST_BLOCK_ROWS)
+        d = a[rows[chunk]] - b[cols[chunk]]
+        out[chunk] = np.sqrt(np.cumsum(d * d, axis=1)[:, -1])
+    return out
+
+
+def nearest_features(
+    feats2d: np.ndarray, feats3d: np.ndarray, cfg: MatchConfig = MatchConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest 3D feature of each 2D feature: (index array, distance array).
+
+    The same indices and distance bits as np.argmin over the rows of
+    feature_distance_matrix, ties going to the lowest index, without the
+    N x M matrix: each block of query rows is screened with one matrix
+    product, bb_j - 2 a.b_j (the row's own aa drops out of its argmin),
+    every column within NEAREST_SLACK of the row minimum is kept, and
+    the candidates are rescored with cdist's arithmetic. An empty 3D set
+    raises ValueError, as an argmin over nothing does.
+    """
+    a, b = _prepared_features(feats2d, feats3d, cfg)
+    if len(b) == 0:
+        raise ValueError("nearest_features needs at least one 3D feature")
+    if a.shape[1] == 0:  # zero-length features: every distance is 0.0
+        return np.zeros(len(a), dtype=np.intp), np.zeros(len(a))
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", b, b)
+    slack = NEAREST_SLACK * (a.shape[1] + 2) * (aa + bb.max())
+    best = np.empty(len(a), dtype=np.intp)
+    score = np.empty(len(a))
+    buf = np.empty((min(len(a), NEAREST_BLOCK_ROWS), len(b)))  # one block alive
+    for start in range(0, len(a), NEAREST_BLOCK_ROWS):
+        block = slice(start, start + NEAREST_BLOCK_ROWS)
+        queries = a[block]
+        screen = np.matmul(queries, b.T, out=buf[: len(queries)])
+        screen *= -2.0
+        screen += bb
+        limit = screen.min(axis=1) + slack[block]
+        # "not above" rather than "at or below": a NaN row keeps every
+        # column, and the argmin below then returns its first, as the
+        # dense argmin does
+        rows, cols = np.nonzero(~(screen > limit[:, None]))
+        counts = np.bincount(rows, minlength=len(screen))
+        first = np.cumsum(counts) - counts
+        # candidates of a row, in column order, padded with +inf: argmin
+        # takes the lowest column among the smallest values
+        table = np.full((len(screen), counts.max()), np.inf)
+        table[rows, np.arange(len(rows)) - first[rows]] = _pair_distances(
+            a, b, rows + start, cols
+        )
+        pick = np.argmin(table, axis=1)
+        best[block] = cols[first + pick]
+        score[block] = table[np.arange(len(table)), pick]
+    return best, score
 
 
 def match_by_threshold(
@@ -293,10 +400,5 @@ def nearest_3d_match(
     """
     if len(cloud_set) == 0:
         raise EmptySet("3D keypoint set is empty")
-    D = feature_distance_matrix(
-        np.atleast_2d(np.asarray(q_feature, dtype=np.float64)),
-        cloud_set.require_features(),
-        cfg,
-    )
-    idx = int(np.argmin(D[0]))
-    return idx, float(D[0, idx])
+    best, score = nearest_features(q_feature, cloud_set.require_features(), cfg)
+    return int(best[0]), float(score[0])

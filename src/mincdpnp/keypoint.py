@@ -5,8 +5,7 @@ feature space, and keeps the partner when the match score clears a
 confidence threshold. The keypoint losses score a selection against a
 known pose: the count form is an exact negative count of confident and
 geometrically correct picks, the IoU form compares the confident set
-with the correct set, and a sigmoid-smoothed variant exists for
-gradient experiments only.
+with the correct set.
 """
 
 from __future__ import annotations
@@ -14,14 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+from scipy.spatial import cKDTree
 
 from .errors import EmptyGroundTruth
 from .features import (
     KeypointSet2D,
     KeypointSet3D,
     MatchConfig,
-    feature_distance_matrix,
+    nearest_features,
 )
 from .geometry import CameraIntrinsics, Pose, dumps_json, project_points
 from .plyio import save_ply
@@ -112,11 +114,9 @@ def sample_uniform_2d(width: float, height: float, grid_step: float) -> Keypoint
 
 
 def _nearest_matches(image_set, cloud_set, match_cfg):
-    D = feature_distance_matrix(
+    return nearest_features(
         image_set.require_features(), cloud_set.require_features(), match_cfg
     )
-    best = np.argmin(D, axis=1)
-    return best, D[np.arange(len(D)), best]
 
 
 def select_3d_keypoints(
@@ -212,35 +212,6 @@ def key_loss_iou(
     return 1.0 - inter / union
 
 
-def key_loss_smooth(
-    image_set: KeypointSet2D,
-    cloud_set: KeypointSet3D,
-    T_gt: Pose,
-    K: CameraIntrinsics,
-    cfg: SelectConfig = SelectConfig(),
-    match_cfg: MatchConfig = MatchConfig(),
-    temperature: float = 1.0,
-) -> float:
-    """Experimental sigmoid relaxation of the count loss.
-
-    Replaces both indicators with logistic gates of the stated
-    temperature; approaches key_loss as temperature shrinks. Not used
-    by any reference computation.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    from scipy.special import expit
-
-    best_j, best_s = _nearest_matches(image_set, cloud_set, match_cfg)
-    proj, in_front = project_points(cloud_set.points, T_gt, K)
-    diff = image_set.pixels - proj[best_j]
-    sq = np.einsum("nd,nd->n", diff, diff)
-    # projected distances are NaN behind the camera; gate those to zero
-    geom = np.where(in_front[best_j], expit((cfg.tau - sq) / temperature), 0.0)
-    conf = expit((cfg.s_th - best_s) / temperature)
-    return -float(np.sum(geom * conf))
-
-
 def guided_reprojection_total(
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
@@ -266,19 +237,40 @@ class GroundTruthCorrectness:
     """Reprojection-based correctness oracle at a known pose.
 
     pair_ok tells whether a specific 2D-3D pair reprojects within the
-    pixel threshold; q_with_partner lists the 2D keypoints for which
-    any 3D point does.
+    pixel threshold: its squared pixel distance, du*du + dv*dv, is at
+    most threshold_px**2, and a point behind the camera never is.
+    q_with_partner lists the 2D keypoints for which any 3D point does;
+    a k-d tree over the projections in front of the camera proposes the
+    candidates and each one is rechecked with pair_ok's arithmetic, so
+    no N x M matrix is formed.
     """
 
-    _sq_dist: np.ndarray
+    pixels: np.ndarray
+    projected: np.ndarray
+    in_front: np.ndarray
     threshold_px: float
 
+    def _ok(self, q_idx, cloud_idx):
+        d = self.pixels[q_idx] - self.projected[cloud_idx]
+        sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        return self.in_front[cloud_idx] & (sq <= self.threshold_px**2)
+
     def pair_ok(self, q_idx: int, cloud_idx: int) -> bool:
-        return bool(self._sq_dist[q_idx, cloud_idx] <= self.threshold_px**2)
+        return bool(self._ok(q_idx, cloud_idx))
 
     @property
     def q_with_partner(self) -> np.ndarray:
-        return np.flatnonzero((self._sq_dist <= self.threshold_px**2).any(axis=1))
+        front = np.flatnonzero(self.in_front)
+        # subtraction rounds correctly, so the tree's and the recheck's
+        # squared distances are a few ulps from the true one: a relative
+        # 1e-9 on the radius keeps every pair the recheck accepts
+        near = cKDTree(self.projected[front]).query_ball_point(
+            self.pixels, self.threshold_px * (1 + 1e-9)
+        )
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        q = np.repeat(np.arange(len(near)), counts)
+        j = front[np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(q))]
+        return np.unique(q[self._ok(q, j)])
 
 
 def reprojection_correctness(
@@ -288,15 +280,8 @@ def reprojection_correctness(
     K: CameraIntrinsics,
     pixel_threshold: float = PRECISION_RECALL_PIXEL_THRESHOLD,
 ) -> GroundTruthCorrectness:
-    from scipy.spatial.distance import cdist
-
     proj, in_front = project_points(cloud_set.points, T_gt, K)
-    sq = np.full((len(image_set), len(cloud_set)), np.inf)
-    if in_front.any():
-        sq[:, in_front] = cdist(
-            image_set.pixels, proj[in_front], metric="sqeuclidean"
-        )
-    return GroundTruthCorrectness(_sq_dist=sq, threshold_px=pixel_threshold)
+    return GroundTruthCorrectness(image_set.pixels, proj, in_front, pixel_threshold)
 
 
 def keypoint_precision_recall(

@@ -27,7 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
+from .features import (
+    CorrespondenceSet,
+    KeypointSet2D,
+    KeypointSet3D,
+    _load_matrix_csv,
+    _save_matrix_csv,
+)
 from .geometry import CameraIntrinsics, Pose, dumps_json, pinhole, so3_exp
 from .plyio import load_ply, save_ply
 
@@ -115,23 +121,6 @@ class ScenePair:
             gt_pairs=CorrespondenceSet.load_csv(d / "gt_pairs.csv"),
             meta=json.loads((d / "meta.json").read_text()),
         )
-
-
-def _save_matrix_csv(path, matrix) -> None:
-    with open(path, "w") as fh:
-        if matrix is None:
-            return
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def _load_matrix_csv(path):
-    text = Path(path).read_text().strip()
-    if not text:
-        return None
-    return np.array(
-        [[float(x) for x in line.split(",")] for line in text.splitlines()]
-    )
 
 
 def random_pose(rng: np.random.Generator, max_rot_deg: float = 60.0, trans_sigma: float = 1.0) -> Pose:

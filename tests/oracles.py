@@ -7,6 +7,7 @@ the fast library code is meaningful evidence rather than a tautology.
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
 from mincdpnp import (
@@ -17,6 +18,7 @@ from mincdpnp import (
     Pose,
     SolverConfig,
     TooFewPoints,
+    feature_distance_matrix,
     project_points,
 )
 from mincdpnp.pnp import _refine_from_arrays
@@ -188,6 +190,71 @@ def nearest_match_bruteforce(feats2d, feats3d, normalize=True):
                 best_j, best_s = j, s
         out.append((best_j, best_s))
     return out
+
+
+def nearest_features_dense(feats2d, feats3d, cfg):
+    """The whole N x M feature_distance_matrix, then np.argmin per row."""
+    D = feature_distance_matrix(feats2d, feats3d, cfg)
+    best = np.argmin(D, axis=1)
+    return best, D[np.arange(len(D)), best]
+
+
+class DenseCorrectness:
+    """The reprojection check through a full N x M squared-distance matrix:
+    cdist over the points in front of the camera, +inf behind it."""
+
+    def __init__(self, image_set, cloud_set, T_gt, K, pixel_threshold=3.0):
+        proj, in_front = project_points(cloud_set.points, T_gt, K)
+        self.sq = np.full((len(image_set), len(cloud_set)), np.inf)
+        if in_front.any():
+            self.sq[:, in_front] = cdist(
+                image_set.pixels, proj[in_front], metric="sqeuclidean"
+            )
+        self.threshold_px = pixel_threshold
+
+    def pair_ok(self, q_idx, cloud_idx):
+        return bool(self.sq[q_idx, cloud_idx] <= self.threshold_px**2)
+
+    @property
+    def q_with_partner(self):
+        return np.flatnonzero((self.sq <= self.threshold_px**2).any(axis=1))
+
+
+def evaluate_selection_dense(image_set, cloud_set, T_gt, K, s_th, match_cfg):
+    """Keypoint selection from the dense argmin, graded by DenseCorrectness.
+
+    Returns (cloud indices, source 2D indices, scores, precision, recall)
+    with the selection rule of select_3d_keypoints written out.
+    """
+    best, score = nearest_features_dense(
+        image_set.features, cloud_set.features, match_cfg
+    )
+    keep = {}
+    for q in range(len(image_set)):
+        if score[q] > s_th:
+            continue
+        j = int(best[q])
+        if j not in keep or (float(score[q]), q) < keep[j]:
+            keep[j] = (float(score[q]), q)
+    cloud_idx = np.array(sorted(keep), dtype=np.int64)
+    sources = np.array([keep[j][1] for j in cloud_idx], dtype=np.int64)
+    scores = np.array([keep[j][0] for j in cloud_idx])
+    gt = DenseCorrectness(image_set, cloud_set, T_gt, K)
+    gt_q = set(gt.q_with_partner.tolist())
+    ok = [gt.pair_ok(q, j) for q, j in zip(sources, cloud_idx)]
+    precision = float(sum(ok) / len(ok)) if ok else 0.0
+    recovered = {int(q) for q, hit in zip(sources, ok) if hit} & gt_q
+    recall = float(len(recovered) / len(gt_q))
+    return cloud_idx, sources, scores, precision, recall
+
+
+def save_matrix_csv_scalar(path, matrix):
+    """One repr(float(x)) per value, one line per row; None writes nothing."""
+    with open(path, "w") as fh:
+        if matrix is None:
+            return
+        for row in np.atleast_2d(matrix):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def select_keypoints_bruteforce(feats2d, feats3d, s_th, normalize=True):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,24 @@ from mincdpnp import (
     KeypointSet3D,
     MatchConfig,
     MissingFeatures,
+    NoiseSpec,
     NotOneToOne,
     feature_distance,
     feature_distance_matrix,
+    generate_scene,
     match_by_threshold,
+    match_scene,
     nearest_3d_match,
+    nearest_features,
 )
+from mincdpnp.features import _load_matrix_csv, _save_matrix_csv
 
-from oracles import feature_distance_scalar, match_pairs_bruteforce
+from oracles import (
+    feature_distance_scalar,
+    match_pairs_bruteforce,
+    nearest_features_dense,
+    save_matrix_csv_scalar,
+)
 
 
 def make_sets(rng, m=5, n=7, dim=16):
@@ -163,6 +175,132 @@ class TestNearest3DMatch:
         kp3d = KeypointSet3D(np.zeros((0, 3)), np.zeros((0, 4)))
         with pytest.raises(EmptySet):
             nearest_3d_match(np.zeros(4), kp3d)
+
+
+def assert_same_as_dense(feats2d, feats3d, cfg):
+    best, score = nearest_features(feats2d, feats3d, cfg)
+    want_best, want_score = nearest_features_dense(feats2d, feats3d, cfg)
+    assert best.dtype == want_best.dtype
+    assert np.array_equal(best, want_best)
+    assert score.tobytes() == want_score.tobytes()
+    return best
+
+
+class TestNearestFeatures:
+    """nearest_features gives the dense argmin's indices and score bits."""
+
+    def test_pnp_pool_scenes(self):
+        # the pnp-n1000 benchmark scenes: N=1000, half the pixels outliers
+        cfg = MatchConfig(delta=2.0)
+        for seed in range(3):
+            s = generate_scene(
+                1000, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.5)
+            )
+            assert_same_as_dense(s.pixels.features, s.cloud.features, cfg)
+            got = match_scene(s, cfg)
+            best, score = nearest_features_dense(s.pixels.features, s.cloud.features, cfg)
+            keep = np.flatnonzero(score <= cfg.delta)
+            assert np.array_equal(got.idx2d, keep)
+            assert np.array_equal(got.idx3d, best[keep])
+            assert got.scores.tobytes() == score[keep].tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_small_scenes(self, normalize):
+        for seed in range(5):
+            s = generate_scene(
+                100, noise=NoiseSpec(seed=seed, feature_noise_sigma=0.3, outlier_rate=0.2)
+            )
+            cfg = MatchConfig(normalize=normalize)
+            assert_same_as_dense(s.pixels.features, s.cloud.features, cfg)
+            # rows of very different norms: the slack scales with them
+            scale = np.exp(np.random.default_rng(seed).uniform(-8, 8, size=(len(s.cloud), 1)))
+            assert_same_as_dense(s.pixels.features, s.cloud.features * scale, cfg)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_tripled_cloud_ties_go_to_lowest_index(self, normalize):
+        s = generate_scene(300, noise=NoiseSpec(seed=7, feature_noise_sigma=0.3))
+        f3d = s.cloud.features
+        best = assert_same_as_dense(
+            s.pixels.features, np.vstack([f3d, f3d, f3d]), MatchConfig(normalize=normalize)
+        )
+        assert best.max() < len(f3d)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_zero_feature_rows(self, normalize):
+        rng = np.random.default_rng(5)
+        f2d = rng.normal(size=(40, 16))
+        f3d = rng.normal(size=(30, 16))
+        f2d[::7] = 0.0
+        f3d[[3, 11, 12, 29]] = 0.0
+        assert_same_as_dense(f2d, f3d, MatchConfig(normalize=normalize))
+        assert_same_as_dense(f2d, np.zeros((5, 16)), MatchConfig(normalize=normalize))
+        assert_same_as_dense(np.ones((3, 0)), np.ones((4, 0)), MatchConfig(normalize=normalize))
+
+    @pytest.mark.parametrize("n_rows", [1, 511, 512, 513, 1025])
+    def test_query_counts_across_block_edges(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        f3d = rng.normal(size=(200, 32))
+        f2d = f3d[rng.integers(0, 200, size=n_rows)] + 0.4 * rng.normal(size=(n_rows, 32))
+        best = assert_same_as_dense(f2d, f3d, MatchConfig())
+        assert best.shape == (n_rows,)
+
+    def test_no_query_rows(self):
+        best, score = nearest_features(np.zeros((0, 8)), np.ones((4, 8)))
+        assert best.shape == score.shape == (0,)
+
+    def test_empty_cloud_raises_like_dense_argmin(self):
+        with pytest.raises(Exception) as dense:
+            nearest_features_dense(np.ones((3, 4)), np.zeros((0, 4)), MatchConfig())
+        with pytest.raises(Exception) as got:
+            nearest_features(np.ones((3, 4)), np.zeros((0, 4)))
+        assert type(got.value) is type(dense.value) is ValueError
+
+    def test_no_dense_matrix_allocated(self):
+        # the screen holds NEAREST_BLOCK_ROWS rows of the N x M matrix
+        s = generate_scene(3000, noise=NoiseSpec(seed=0, outlier_rate=0.2), feature_dim=16)
+        dense_bytes = len(s.pixels) * len(s.cloud) * 8
+        tracemalloc.start()
+        try:
+            match_scene(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+
+
+class TestMatrixCsv:
+    def test_bytes_equal_the_scalar_repr_writer(self, tmp_path):
+        m = np.random.default_rng(3).normal(size=(20, 7)) * 10.0 ** np.arange(-3, 4)
+        _save_matrix_csv(tmp_path / "a.csv", m)
+        save_matrix_csv_scalar(tmp_path / "b.csv", m)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[np.nan], [1.5], [-0.0]],
+            [[5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]],
+            [[0.1, 0.2, 0.30000000000000004]],
+            [[1.0], [2.0], [3.0]],
+            [[np.inf, -np.inf], [0.0, -0.0], [1e-300, 123456789.123456789]],
+        ],
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path, matrix):
+        m = np.array(matrix, dtype=np.float64)
+        path = tmp_path / "m.csv"
+        _save_matrix_csv(path, m)
+        save_matrix_csv_scalar(tmp_path / "ref.csv", m)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = _load_matrix_csv(path)
+        assert back.shape == m.shape
+        assert back.dtype == np.float64
+        assert back.tobytes() == m.tobytes()
+
+    def test_none_writes_an_empty_file_read_back_as_none(self, tmp_path):
+        path = tmp_path / "none.csv"
+        _save_matrix_csv(path, None)
+        assert path.read_bytes() == b""
+        assert _load_matrix_csv(path) is None
 
 
 class TestContainers:

@@ -18,7 +18,6 @@ from mincdpnp import (
     guided_reprojection_total,
     key_loss,
     key_loss_iou,
-    key_loss_smooth,
     keypoint_precision_recall,
     reprojection_correctness,
     sample_uniform_2d,
@@ -28,6 +27,8 @@ from mincdpnp import (
 from mincdpnp.plyio import load_ply
 
 from oracles import (
+    DenseCorrectness,
+    evaluate_selection_dense,
     grid_centers_bruteforce,
     key_loss_flags_bruteforce,
     reprojection_error_scalar,
@@ -268,31 +269,6 @@ class TestKeyLossIoU:
         assert key_loss_iou(kp2d, kp3d, Pose.identity(), K_DEFAULT, cfg) == 0.0
 
 
-class TestKeyLossSmooth:
-    def test_cold_temperature_approaches_count(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            kp2d, kp3d = random_instance(rng)
-            cfg = SelectConfig(s_th=0.7, tau=25.0)
-            hard, _ = key_loss(kp2d, kp3d, Pose.identity(), K_DEFAULT, cfg)
-            soft = key_loss_smooth(
-                kp2d, kp3d, Pose.identity(), K_DEFAULT, cfg, temperature=1e-4
-            )
-            assert soft == pytest.approx(hard, abs=1e-6)
-
-    def test_nonpositive_and_bounded(self):
-        rng = np.random.default_rng(61)
-        kp2d, kp3d = random_instance(rng)
-        soft = key_loss_smooth(kp2d, kp3d, Pose.identity(), K_DEFAULT)
-        assert -len(kp2d) <= soft <= 0.0
-
-    def test_temperature_validation(self):
-        rng = np.random.default_rng(67)
-        kp2d, kp3d = random_instance(rng)
-        with pytest.raises(ValueError):
-            key_loss_smooth(kp2d, kp3d, Pose.identity(), K_DEFAULT, temperature=0.0)
-
-
 class TestGuidedReprojectionTotal:
     def test_zero_on_perfect_scene(self):
         s = generate_scene(25, noise=NoiseSpec(seed=2))
@@ -419,6 +395,74 @@ class TestPrecisionRecall:
                 assert prev_sel <= cur
                 assert rep.recall >= prev
                 prev, prev_sel = rep.recall, cur
+
+
+def assert_same_as_dense(kp2d, kp3d, T, K, pixel_threshold=3.0):
+    got = reprojection_correctness(kp2d, kp3d, T, K, pixel_threshold)
+    want = DenseCorrectness(kp2d, kp3d, T, K, pixel_threshold)
+    assert got.q_with_partner.dtype == want.q_with_partner.dtype
+    assert np.array_equal(got.q_with_partner, want.q_with_partner)
+    for q in range(len(kp2d)):
+        for j in range(len(kp3d)):
+            assert got.pair_ok(q, j) == want.pair_ok(q, j)
+    return got
+
+
+class TestReprojectionCorrectness:
+    """The k-d tree check agrees with the dense N x M matrix."""
+
+    def test_small_scenes(self):
+        for seed in range(4):
+            s = generate_scene(
+                60,
+                noise=NoiseSpec(seed=seed, pixel_noise_sigma=2.0, outlier_rate=0.3),
+            )
+            for threshold in (0.5, 3.0, 20.0):
+                assert_same_as_dense(s.pixels, s.cloud, s.T_gt, s.K, threshold)
+            # a pose off the truth, with some points behind the camera
+            T = Pose(s.T_gt.R, s.T_gt.t - [0.0, 0.0, 4.0])
+            assert_same_as_dense(s.pixels, s.cloud, T, s.K, 30.0)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(89)
+        for _ in range(5):
+            kp2d, kp3d = random_instance(rng, m=40, n=50)
+            assert_same_as_dense(kp2d, kp3d, Pose.identity(), K_DEFAULT, 60.0)
+
+    def test_pixel_exactly_at_the_threshold_counts(self):
+        # (0, 0, 5) projects to (cu, cv) = (320, 240) exactly; pixel 0 is
+        # 3 px along u, so its squared distance is exactly 9.0
+        kp3d = KeypointSet3D(np.array([[0.0, 0.0, 5.0]]))
+        kp2d = KeypointSet2D(np.array([[323.0, 240.0], [np.nextafter(323.0, 324.0), 240.0]]))
+        gt = assert_same_as_dense(kp2d, kp3d, Pose.identity(), K_DEFAULT, 3.0)
+        assert gt.pair_ok(0, 0)
+        assert not gt.pair_ok(1, 0)
+        assert gt.q_with_partner.tolist() == [0]
+
+    def test_every_point_behind_the_camera(self):
+        s = generate_scene(10, noise=NoiseSpec(seed=4))
+        flipped = Pose(np.diag([1.0, -1.0, -1.0]) @ s.T_gt.R, s.T_gt.t - [0, 0, 50])
+        gt = assert_same_as_dense(s.pixels, s.cloud, flipped, s.K)
+        assert len(gt.q_with_partner) == 0
+        assert not gt.pair_ok(0, 0)
+
+    def test_selection_report_at_n4000(self):
+        # a scene-io-n4000 benchmark scene
+        s = generate_scene(
+            4000,
+            noise=NoiseSpec(
+                seed=0, pixel_noise_sigma=0.5, feature_noise_sigma=0.3,
+                outlier_rate=0.2, dropout_rate=0.1,
+            ),
+        )
+        rep = evaluate_selection(s.pixels, s.cloud, s.T_gt, s.K)
+        cloud_idx, sources, scores, precision, recall = evaluate_selection_dense(
+            s.pixels, s.cloud, s.T_gt, s.K, SelectConfig().s_th, MatchConfig()
+        )
+        assert np.array_equal(rep.selected.cloud_indices, cloud_idx)
+        assert np.array_equal(rep.selected.source_2d, sources)
+        assert rep.selected.scores.tobytes() == scores.tobytes()
+        assert (rep.precision, rep.recall) == (precision, recall)
 
 
 class TestKeypointReport:
