@@ -12,18 +12,21 @@ the iterative solvers.
 Behind-camera points cannot be projected, so they count as non-inliers
 on their own side and are excluded from the other side's minima; the
 counting effect is the same as assigning them infinite distance.
+
+kappa_star searches with k-d trees (features.nearest_points), O(N log N)
+and no N x M matrix; its minima are cdist's bits, so a pair at exactly
+sq == tau counts as the dense comparison counts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import EmptySet, GridTooLarge
-from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
+from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D, nearest_points
 from .geometry import CameraIntrinsics, Pose, Twist, project_points, se3_exp
 
 DEFAULT_TAU = 5.0
@@ -74,21 +77,6 @@ class GridSpec:
             return np.array([float(c)])
         return np.linspace(c - h, c + h, n)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "center": [float(x) for x in self.center],
-            "half_width": [float(x) for x in self.half_width],
-            "steps": [int(x) for x in self.steps],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GridSpec":
-        return cls(
-            center=tuple(float(x) for x in data["center"]),
-            half_width=tuple(float(x) for x in data["half_width"]),
-            steps=tuple(int(x) for x in data["steps"]),
-        )
-
 
 def _validated_indices(C: CorrespondenceSet, n2d: int, n3d: int):
     if len(C) == 0:
@@ -133,10 +121,9 @@ def kappa_star(
     visible = proj[in_front]
     if len(visible) == 0:
         return 0
-    D = cdist(image_set.pixels, visible, metric="sqeuclidean")
-    forward = int(np.count_nonzero(D.min(axis=1) <= cfg.tau))
-    backward = int(np.count_nonzero(D.min(axis=0) <= cfg.tau))
-    return forward + backward
+    _, forward = nearest_points(cKDTree(visible), image_set.pixels)
+    _, backward = nearest_points(image_set.tree(), visible)
+    return int(np.count_nonzero(forward <= cfg.tau) + np.count_nonzero(backward <= cfg.tau))
 
 
 def check_inequality8(

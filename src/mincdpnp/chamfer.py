@@ -6,11 +6,18 @@ distance from its projection to the nearest pixel. Minimizing it aligns
 the projected cloud with the pixel set without any explicit matching,
 which is what lets a pose be solved from unmatched keypoint sets.
 
+Both searches are k-d tree queries (features.nearest_points): the pixel
+set keeps one tree for a whole solve, the projections get one per pose.
+An evaluation is O(N log N) and gives the dense N x M argmin's
+assignments, terms and values to the bit (ties to the lowest index), so
+the cost at the true pose of a clean scene is exactly 0.0.
+
 The cost is piecewise smooth: it switches faces whenever a nearest
 neighbor changes. Gradient and Gauss-Newton steps freeze the
 assignments of the current iterate (the standard subgradient choice)
 and re-derive them after every accepted step, so the solver is a
-projective flavor of ICP.
+projective flavor of ICP. The next linearization reuses the assignment
+of the evaluation that accepted the step: one search per trial pose.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import AllPointsBehindCamera, Divergence, EmptySet, NonFiniteInput
-from .features import KeypointSet2D, KeypointSet3D
+from .features import KeypointSet2D, KeypointSet3D, nearest_points
 from .geometry import (
     Z_MIN,
     CameraIntrinsics,
@@ -33,11 +40,11 @@ from .geometry import (
     project_points,
     projection_jacobian,
     se3_exp,
+    zero_twist_jacobian,
 )
 
 DEFAULT_LAMBDA1 = 0.2
 DEFAULT_LAMBDA2 = 1e-4
-WARMUP_EPOCHS = 20
 
 
 @dataclass(frozen=True)
@@ -67,13 +74,6 @@ class LossWeights:
     def __post_init__(self) -> None:
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be nonnegative")
-
-    @classmethod
-    def for_epoch(cls, epoch: int, warmup_epochs: int = WARMUP_EPOCHS) -> "LossWeights":
-        """Schedule hook: both weights stay zero through the warm-up."""
-        if epoch < warmup_epochs:
-            return cls(lambda1=0.0, lambda2=0.0)
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,7 @@ def chamfer_cost(
 
     behind_penalty, when given, is added to backward_terms for every
     cloud point behind the camera; by default such points are excluded.
+    Each search is a k-d tree query; ties go to the lowest index.
     """
     if len(image_set) == 0 or len(cloud_set) == 0:
         raise EmptySet("chamfer_cost needs a nonempty pixel set and cloud")
@@ -128,52 +129,49 @@ def chamfer_cost(
     if not in_front.any():
         raise AllPointsBehindCamera("no cloud point projects in front of the camera")
     visible_idx = np.flatnonzero(in_front)
-    D = cdist(image_set.pixels, proj[visible_idx], metric="sqeuclidean")
-
-    fwd_nearest = np.argmin(D, axis=1)
-    forward_terms = D[np.arange(len(image_set)), fwd_nearest]
-    fwd_assign = visible_idx[fwd_nearest]
-
-    bwd_nearest = np.argmin(D, axis=0)
+    visible = proj[visible_idx]
+    fwd_nearest, forward_terms = nearest_points(cKDTree(visible), image_set.pixels)
+    bwd_nearest, bwd_sq = nearest_points(image_set.tree(), visible)
     backward_terms = np.full(len(cloud_set), np.nan)
-    backward_terms[visible_idx] = D[bwd_nearest, np.arange(len(visible_idx))]
+    backward_terms[visible_idx] = bwd_sq
     bwd_assign = np.full(len(cloud_set), -1, dtype=np.int64)
     bwd_assign[visible_idx] = bwd_nearest
-
-    value = float(forward_terms.sum() + backward_terms[visible_idx].sum())
+    value = float(forward_terms.sum() + bwd_sq.sum())
     if behind_penalty is not None:
-        n_behind = len(cloud_set) - len(visible_idx)
         backward_terms[~in_front] = behind_penalty
-        value += behind_penalty * n_behind
-    return ChamferReport(
-        value=value,
-        forward_terms=forward_terms,
-        backward_terms=backward_terms,
-        assignment=(fwd_assign, bwd_assign),
-    )
+        value += behind_penalty * (len(cloud_set) - len(visible_idx))
+    assignment = (visible_idx[fwd_nearest], bwd_assign)
+    return ChamferReport(value, forward_terms, backward_terms, assignment)
 
 
-def _frozen_terms(xi_vec, T0, image_set, cloud_set, K):
-    """Assignments and per-term data at T = exp(xi) o T0, for gradient work.
-
-    Returns (q_terms, y_terms, x0_terms): the pixel, projected-point
-    input, and pre-pose point of every cost term at the current
-    assignment, with shared points repeated once per term.
-    """
-    x0 = cloud_set.points @ T0.R.T + T0.t
-    T_delta = se3_exp(Twist.from_vector(xi_vec))
-    report = chamfer_cost(T_delta, image_set, KeypointSet3D(x0), K)
-    fwd_assign, bwd_assign = report.assignment
+def _term_pairs(assignment, image_set, x0):
+    """The pixel and pre-pose point of every cost term of an assignment,
+    shared points repeated once per term."""
+    fwd_assign, bwd_assign = assignment
     visible = np.flatnonzero(bwd_assign >= 0)
     q_idx = np.concatenate([np.arange(len(image_set)), bwd_assign[visible]])
     p_idx = np.concatenate([fwd_assign, visible])
-    return report, image_set.pixels[q_idx], x0[p_idx]
+    return image_set.pixels[q_idx], x0[p_idx]
+
+
+def _frozen_terms(xi_vec, T0, image_set, cloud_set, K):
+    """The report at T = exp(xi) o T0 and its term pairs, for gradient
+    work: (report, pixels, pre-pose points)."""
+    x0 = cloud_set.points @ T0.R.T + T0.t
+    T_delta = se3_exp(Twist.from_vector(xi_vec))
+    report = chamfer_cost(T_delta, image_set, KeypointSet3D(x0), K)
+    return report, *_term_pairs(report.assignment, image_set, x0)
 
 
 def _pair_residuals(xi_vec, pixels, x0, K):
     """Residuals pixel - pi(exp(xi) x0) (n, 2) and their twist Jacobians
-    (n, 2, 6), over the pairs whose point is in front of the camera."""
-    y, J_exp = exp_action_jacobian(xi_vec, x0)
+    (n, 2, 6), over the pairs whose point is in front of the camera.
+    At xi = 0, where both solvers linearize, the point action is taken
+    in closed form."""
+    if xi_vec.any():
+        y, J_exp = exp_action_jacobian(xi_vec, x0)
+    else:
+        y, J_exp = x0, zero_twist_jacobian(x0)
     in_front = y[:, 2] > Z_MIN
     if not in_front.any():
         raise AllPointsBehindCamera("no paired point is in front of the camera")
@@ -212,11 +210,12 @@ CONVERGED_RTOL = 1e-12
 def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     """Damped Gauss-Newton (or gradient descent) with Armijo backtracking.
 
-    cost_fn(T) is the summed squared residual at pose T; at a trial pose
-    it may raise AllPointsBehindCamera, which shrinks the step.
-    residual_fn(T) gives the residuals (n, 2) and their twist Jacobians
-    (n, 2, 6) at T. Steps T <- exp(alpha * direction) o T are accepted
-    only when the cost passes the Armijo test, so the trace is monotone
+    cost_fn(T) gives the summed squared residual at pose T and a state
+    for residual_fn (the Chamfer assignment); at a trial pose it may
+    raise AllPointsBehindCamera, which shrinks the step. residual_fn(T,
+    state) gives the residuals (n, 2) and their twist Jacobians (n, 2, 6)
+    at T. Steps T <- exp(alpha * direction) o T are accepted only when
+    the cost passes the Armijo test, so the trace is monotone
     nonincreasing. Returns (pose, trace, reason), reason being one of
     "cost_tol", "grad_tol", "converged" (an accepted step lowered the
     cost by at most CONVERGED_RTOL of it), "stalled" (five fruitless line
@@ -225,7 +224,7 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     the pose error against it.
     """
     T = T_init
-    cost = cost_fn(T)
+    cost, state = cost_fn(T)
 
     def row(it, step_size):
         rot, trans = (None, None) if T_gt is None else pose_difference(T, T_gt)
@@ -236,7 +235,7 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     for it in range(1, cfg.max_iters + 1):
         if cost <= cfg.cost_tol:
             return T, trace, "cost_tol"
-        residuals, J = residual_fn(T)
+        residuals, J = residual_fn(T, state)
         Jf = J.reshape(-1, 6)
         g = Jf.T @ residuals.reshape(-1)
         grad = -2.0 * g
@@ -255,12 +254,12 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
         for _ in range(cfg.max_backtracks):
             T_try = se3_exp(Twist.from_vector(alpha * direction)).compose(T)
             try:
-                trial = cost_fn(T_try)
+                trial, trial_state = cost_fn(T_try)
             except AllPointsBehindCamera:
                 alpha *= cfg.backtrack_factor
                 continue
             if trial <= cost + cfg.armijo_c * alpha * decrease:
-                T, cost, accepted = T_try, trial, True
+                T, cost, state, accepted = T_try, trial, trial_state, True
                 break
             alpha *= cfg.backtrack_factor
         trace.append(row(it, alpha if accepted else 0.0))
@@ -281,14 +280,16 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
 
 def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
     """solve_pose_chamfer that also returns _minimize's stop reason."""
-    zero = np.zeros(6)
-    return _minimize(
-        lambda T: chamfer_cost(T, image_set, cloud_set, K).value,
-        lambda T: _pair_residuals(
-            zero, *_frozen_terms(zero, T, image_set, cloud_set, K)[1:], K
-        ),
-        T_init, cfg, T_gt,
-    )
+
+    def cost(T):  # chamfer_cost looked up by name, so a wrapper sees each call
+        report = chamfer_cost(T, image_set, cloud_set, K)
+        return report.value, report.assignment
+
+    def residuals(T, assignment):
+        x0 = cloud_set.points @ T.R.T + T.t
+        return _pair_residuals(np.zeros(6), *_term_pairs(assignment, image_set, x0), K)
+
+    return _minimize(cost, residuals, T_init, cfg, T_gt)
 
 
 def solve_pose_chamfer(
@@ -301,7 +302,8 @@ def solve_pose_chamfer(
 ) -> tuple[Pose, list[TraceRow]]:
     """Minimize the Chamfer cost over poses, starting from T_init.
 
-    Each iteration freezes the nearest-neighbor assignments, takes a
+    Each iteration freezes the nearest-neighbor assignments (those the
+    evaluation that accepted the current pose found), takes a
     damped Gauss-Newton or gradient step in the local twist, and
     backtracks until the true (re-assigned) cost decreases, so the cost
     trace is monotone nonincreasing. The loop, shared with pnp_refine,

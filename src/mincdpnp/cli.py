@@ -2,18 +2,16 @@
 
 Verbs: synth writes scene directories, match and the two solve verbs
 work on one scene, eval runs the batch pipeline over a directory or a
-freshly generated batch, grad-check and bound-check are self-contained
-diagnostics, and bench times the main stages. Every verb takes the
-shared flags (seed, thresholds, weights, output path); everything but
-bench prints and writes deterministically for a fixed flag set.
+freshly generated batch, and grad-check and bound-check are
+self-contained diagnostics. Every verb takes the shared flags (seed,
+thresholds, weights, output path) and prints and writes
+deterministically for a fixed flag set.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
-
 from pathlib import Path
 
 import numpy as np
@@ -318,40 +316,6 @@ def cmd_bound_check(args) -> int:
     return 1 if violations else 0
 
 
-def cmd_bench(args) -> int:
-    rows = []
-
-    def timeit(name, fn):
-        best = min(_timed(fn) for _ in range(args.repeats))
-        rows.append((name, best))
-
-    def _timed(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    scene = _gen_scene(args, args.seed)
-    timeit("synth", lambda: _gen_scene(args, args.seed))
-    timeit("match", lambda: match_scene(scene))
-    timeit(
-        "chamfer_cost",
-        lambda: chamfer_cost(scene.T_gt, scene.pixels, scene.cloud, scene.K),
-    )
-    C = match_scene(scene)
-    timeit(
-        "ransac",
-        lambda: pnp_ransac(
-            C, scene.pixels, scene.cloud, scene.K,
-            RansacConfig(seed=args.seed, iterations=100),
-        ),
-    )
-    print("| stage | best of {} (s) |".format(args.repeats))
-    print("|---|---|")
-    for name, t in rows:
-        print(f"| {name} | {t:.4f} |")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mincdpnp",
@@ -403,10 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("bound-check", cmd_bound_check, "inlier bound sweep")
     p.add_argument("--n-instances", type=int, default=200)
-
-    p = verb("bench", cmd_bench, "time the main stages")
-    _noise_flags(p)
-    p.add_argument("--repeats", type=int, default=3)
 
     return parser
 

@@ -1,24 +1,23 @@
-"""Feature-space distances, threshold matching, and nearest-feature search.
+"""Keypoint sets, feature distances, matching, nearest-neighbour search.
 
 The nearest-feature search screens row blocks with one matrix product
 and rescores the few surviving candidates in the distance matrix's own
 arithmetic, so it gives the dense argmin's indices and score bits
-without forming the N x M matrix. `_save_matrix_csv`/`_load_matrix_csv`
-are the one matrix CSV writer and reader, shared by keypoint sets and
-scene directories.
+without forming the N x M matrix; nearest_points does so for image
+points with a k-d tree, O(log M) per query. `_save_matrix_csv` and
+`_load_matrix_csv` are the one matrix CSV writer and reader.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, EmptySet, MissingFeatures, NotOneToOne
-from .geometry import dumps_json
 
 DEFAULT_FEATURE_DIM = 128
 
@@ -47,7 +46,7 @@ class KeypointSet2D:
     would make nearest-neighbor assignments ambiguous downstream.
     """
 
-    __slots__ = ("pixels", "features")
+    __slots__ = ("pixels", "features", "_tree")
 
     def __init__(self, pixels, features=None):
         px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
@@ -61,12 +60,19 @@ class KeypointSet2D:
             raise ValueError("duplicate pixel coordinates")
         object.__setattr__(self, "pixels", _readonly(px))
         object.__setattr__(self, "features", _check_features(features, len(px)))
+        object.__setattr__(self, "_tree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
         return len(self.pixels)
+
+    def tree(self) -> cKDTree:
+        """k-d tree over the pixels, built once: the set is immutable."""
+        if self._tree is None:
+            object.__setattr__(self, "_tree", cKDTree(self.pixels))
+        return self._tree
 
     def require_features(self) -> np.ndarray:
         if self.features is None:
@@ -80,23 +86,6 @@ class KeypointSet2D:
     def load_csv(cls, path: str | Path) -> "KeypointSet2D":
         coords, feats = _load_keypoint_csv(path, 2)
         return cls(coords, feats)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pixels": self.pixels.tolist(),
-            "features": None if self.features is None else self.features.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KeypointSet2D":
-        return cls(np.asarray(data["pixels"], dtype=np.float64).reshape(-1, 2), data.get("features"))
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(dumps_json(self.to_json_dict()))
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "KeypointSet2D":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 class KeypointSet3D:
@@ -134,22 +123,40 @@ class KeypointSet3D:
         coords, feats = _load_keypoint_csv(path, 3)
         return cls(coords, feats)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "features": None if self.features is None else self.features.tolist(),
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KeypointSet3D":
-        return cls(np.asarray(data["points"], dtype=np.float64).reshape(-1, 3), data.get("features"))
+# Relative gap under which a query's two nearest candidates count as
+# tied; the tree ranks them by its own rounded distances.
+TIE_RTOL = 1e-9
 
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(dumps_json(self.to_json_dict()))
 
-    @classmethod
-    def load_json(cls, path: str | Path) -> "KeypointSet3D":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+def nearest_points(tree: cKDTree, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest tree point of each 2D query: (index array, squared distances).
+
+    np.argmin's indices and bits over the rows of cdist(queries,
+    tree.data, "sqeuclidean"), ties to the lowest index. The tree gives
+    two indices per row, whose squares are recomputed as cdist does,
+    d0*d0 + d1*d1; a row whose two lie within TIE_RTOL rescores the ball
+    of the smaller, keeping the lowest index among its smallest values.
+    """
+    data = tree.data
+    _, cand = tree.query(queries, k=2)
+    cand = np.minimum(cand, len(data) - 1)  # a one-point tree pads with len(data)
+    d = queries[:, None, :] - data[cand]
+    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    best, best_sq = cand[:, 0].copy(), sq[:, 0].copy()
+    tied = np.flatnonzero(~(sq[:, 1] > sq[:, 0] * (1.0 + TIE_RTOL)))
+    if len(tied):
+        radius = np.sqrt(sq[tied].min(axis=1)) * (1.0 + TIE_RTOL)
+        balls = tree.query_ball_point(queries[tied], radius)
+        rows = np.concatenate([np.repeat(tied, [len(b) for b in balls]), np.repeat(tied, 2)])
+        cols = np.concatenate([*map(np.asarray, balls), cand[tied].ravel()]).astype(np.intp)
+        d = queries[rows] - data[cols]
+        s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        order = np.lexsort((cols, s, rows))  # by row, then value, then index
+        rows, cols, s = rows[order], cols[order], s[order]
+        first = np.r_[True, rows[1:] != rows[:-1]]
+        best[rows[first]], best_sq[rows[first]] = cols[first], s[first]
+    return best, best_sq
 
 
 def _save_matrix_csv(path, matrix) -> None:

@@ -379,6 +379,17 @@ def exp_action_jacobian(xi_vec, x0) -> tuple[np.ndarray, np.ndarray]:
     return y, J
 
 
+def zero_twist_jacobian(points) -> np.ndarray:
+    """exp_action_jacobian's J at xi = 0 in closed form, [-[x]x | I] for
+    each point x of (N, 3): the same bytes, without the series."""
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    J = np.zeros((len(points), 3, 6))
+    J[:, 0, 1], J[:, 0, 2], J[:, 0, 3] = z, -y, 1.0
+    J[:, 1, 0], J[:, 1, 2], J[:, 1, 4] = -z, x, 1.0
+    J[:, 2, 0], J[:, 2, 1], J[:, 2, 5] = y, -x, 1.0
+    return J
+
+
 def projection_jacobian(cam_points, K: CameraIntrinsics) -> np.ndarray:
     """Derivative of the pinhole projection at camera-frame points (N, 3)."""
     pts = np.atleast_2d(np.asarray(cam_points, dtype=np.float64))

@@ -126,6 +126,25 @@ def _linear_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
     return R, t, why
 
 
+def _fit_block(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
+    """_linear_batch plus {index: LinAlgError}: if the stacked SVD fails,
+    the samples are refit one at a time, and the replay raises a failed
+    sample's error only on reaching it, as the sequential loop does."""
+    try:
+        return (*_linear_batch(pixels, points, K), {})
+    except np.linalg.LinAlgError:
+        B = len(pixels)
+    R, t, why, failed = np.full((B, 3, 3), np.nan), np.full((B, 3), np.nan), np.zeros(B, int), {}
+    for j in range(B):
+        try:
+            fit = _linear_batch(pixels[j : j + 1], points[j : j + 1], K)
+        except np.linalg.LinAlgError as exc:
+            failed[j] = exc
+            continue
+        R[j], t[j], why[j] = (a[0] for a in fit)
+    return R, t, why, failed
+
+
 def _linear_from_arrays(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics) -> Pose:
     n = len(pixels)
     if n < MIN_PNP_POINTS:
@@ -198,8 +217,8 @@ def _refine_from_arrays(T_init, pixels, points, K, cfg):
     """pnp_refine on gathered pairs: (pose, trace, stop reason)."""
     zero = np.zeros(6)
     return _minimize(
-        lambda T: _cost_from_arrays(T, pixels, points, K),
-        lambda T: _pair_residuals(zero, pixels, points @ T.R.T + T.t, K),
+        lambda T: (_cost_from_arrays(T, pixels, points, K), None),
+        lambda T, _: _pair_residuals(zero, pixels, points @ T.R.T + T.t, K),
         T_init, cfg,
     )
 
@@ -295,12 +314,14 @@ def _ransac_from_arrays(pixels, points, K, cfg):
         samples = np.array(
             [np.random.default_rng([cfg.seed, k]).choice(n, size=s, replace=False) for k in ks]
         )
-        R, t, why = _linear_batch(pixels[samples], points[samples], K)
+        R, t, why, failed = _fit_block(pixels[samples], points[samples], K)
         valid = _poses_pass_checks(R, t)
         masks = _errors(R, t, pixels, points, K) <= cfg.threshold
         counts = np.count_nonzero(masks, axis=1)
         for j, k in enumerate(ks):
             consumed += 1
+            if j in failed:
+                raise failed[j]
             if why[j]:
                 skipped += 1
                 continue

@@ -12,8 +12,11 @@ from scipy.spatial.transform import Rotation
 
 from mincdpnp import (
     AllPointsBehindCamera,
+    ChamferReport,
     DegenerateConfiguration,
     Divergence,
+    EmptySet,
+    KeypointSet3D,
     NoConsensus,
     Pose,
     SolverConfig,
@@ -21,6 +24,7 @@ from mincdpnp import (
     feature_distance_matrix,
     project_points,
 )
+from mincdpnp.chamfer import _minimize, _pair_residuals
 from mincdpnp.pnp import _refine_from_arrays
 
 
@@ -162,6 +166,63 @@ def chamfer_cost_bruteforce(pixels, points, R, t, fu, fv, cu, cv, z_min=1e-6):
     for u, v in visible:
         bwd.append(min((q[0] - u) ** 2 + (q[1] - v) ** 2 for q in pixels))
     return float(np.sum(fwd) + np.sum(bwd))
+
+
+def chamfer_cost_dense(T, image_set, cloud_set, K, behind_penalty=None):
+    """chamfer_cost through the whole N x M cdist matrix and np.argmin,
+    whose ties go to the lowest index."""
+    if len(image_set) == 0 or len(cloud_set) == 0:
+        raise EmptySet("chamfer_cost needs a nonempty pixel set and cloud")
+    proj, in_front = project_points(cloud_set.points, T, K)
+    if not in_front.any():
+        raise AllPointsBehindCamera("no cloud point projects in front of the camera")
+    visible_idx = np.flatnonzero(in_front)
+    D = cdist(image_set.pixels, proj[visible_idx], metric="sqeuclidean")
+    fwd_nearest = np.argmin(D, axis=1)
+    forward_terms = D[np.arange(len(image_set)), fwd_nearest]
+    bwd_nearest = np.argmin(D, axis=0)
+    backward_terms = np.full(len(cloud_set), np.nan)
+    backward_terms[visible_idx] = D[bwd_nearest, np.arange(len(visible_idx))]
+    bwd_assign = np.full(len(cloud_set), -1, dtype=np.int64)
+    bwd_assign[visible_idx] = bwd_nearest
+    value = float(forward_terms.sum() + backward_terms[visible_idx].sum())
+    if behind_penalty is not None:
+        backward_terms[~in_front] = behind_penalty
+        value += behind_penalty * (len(cloud_set) - len(visible_idx))
+    assignment = (visible_idx[fwd_nearest], bwd_assign)
+    return ChamferReport(value, forward_terms, backward_terms, assignment)
+
+
+def kappa_star_dense(T, image_set, cloud_set, K, cfg):
+    """kappa_star through the whole N x M cdist matrix."""
+    if len(image_set) == 0 or len(cloud_set) == 0:
+        raise EmptySet("kappa_star needs a nonempty pixel set and cloud")
+    proj, in_front = project_points(cloud_set.points, T, K)
+    if not in_front.any():
+        return 0
+    D = cdist(image_set.pixels, proj[in_front], metric="sqeuclidean")
+    return int(np.count_nonzero(D.min(axis=1) <= cfg.tau)) + int(
+        np.count_nonzero(D.min(axis=0) <= cfg.tau)
+    )
+
+
+def solve_chamfer_dense(T_init, image_set, cloud_set, K, cfg):
+    """The Chamfer solve with chamfer_cost_dense at every evaluation and a
+    new dense search at every linearization, run on the points moved into
+    the current pose's frame. Returns (pose, trace, stop reason)."""
+
+    def residuals(T, _):
+        x0 = cloud_set.points @ T.R.T + T.t
+        fwd, bwd = chamfer_cost_dense(Pose.identity(), image_set, KeypointSet3D(x0), K).assignment
+        visible = np.flatnonzero(bwd >= 0)
+        q_idx = np.concatenate([np.arange(len(image_set)), bwd[visible]])
+        p_idx = np.concatenate([fwd, visible])
+        return _pair_residuals(np.zeros(6), image_set.pixels[q_idx], x0[p_idx], K)
+
+    return _minimize(
+        lambda T: (chamfer_cost_dense(T, image_set, cloud_set, K).value, None),
+        residuals, T_init, cfg,
+    )
 
 
 def grid_centers_bruteforce(width, height, step):

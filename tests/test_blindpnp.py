@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from mincdpnp import (
     se3_exp,
     se3_log,
 )
-from mincdpnp.synth import DEFAULT_INTRINSICS, random_pose
+from mincdpnp.geometry import CameraIntrinsics
+from mincdpnp.synth import DEFAULT_INTRINSICS, perturb_pose, random_pose
 
-from oracles import kappa_bruteforce, kappa_star_bruteforce
+from oracles import kappa_bruteforce, kappa_star_bruteforce, kappa_star_dense
 
 K = DEFAULT_INTRINSICS
 CFG = InlierConfig(tau=5.0)
@@ -175,6 +177,54 @@ class TestKappaStar:
             kappa_star(Pose.identity(), KeypointSet2D(np.zeros((0, 2))), kp3d, K, CFG)
         with pytest.raises(EmptySet):
             kappa_star(Pose.identity(), kp2d, KeypointSet3D(np.zeros((0, 3))), K, CFG)
+
+
+class TestKappaStarTree:
+    """The k-d tree count against the dense N x M minima."""
+
+    def test_matches_the_dense_oracle(self):
+        for n in (1, 100, 1000):
+            for seed in range(3):
+                scene = generate_scene(
+                    n, noise=NoiseSpec(seed=seed, pixel_noise_sigma=1.0, outlier_rate=0.2)
+                )
+                doubled = KeypointSet3D(np.concatenate([scene.cloud.points] * 2))
+                for cloud in (scene.cloud, doubled):
+                    for T in (scene.T_gt, perturb_pose(scene.T_gt, 2.0, 0.05, seed)):
+                        for tau in (0.5, 5.0, 50.0):
+                            cfg = InlierConfig(tau=tau)
+                            want = kappa_star_dense(T, scene.pixels, cloud, K, cfg)
+                            assert kappa_star(T, scene.pixels, cloud, K, cfg) == want
+
+    def test_pair_at_exactly_tau_counts(self):
+        # projection (322, 241): squared distance 2^2 + 1^2 == 5.0 exactly
+        exact = CameraIntrinsics(fu=512.0, fv=512.0, cu=320.0, cv=240.0)
+        kp2d = KeypointSet2D([[320.0, 240.0]])
+        kp3d = KeypointSet3D([[2.0 / 512.0, 1.0 / 512.0, 1.0]])
+        for tau, want in ((5.0, 2), (np.nextafter(5.0, 0.0), 0)):
+            cfg = InlierConfig(tau=tau)
+            assert kappa_star(Pose.identity(), kp2d, kp3d, exact, cfg) == want
+            assert kappa_star_dense(Pose.identity(), kp2d, kp3d, exact, cfg) == want
+
+    def test_all_behind_matches_the_dense_oracle(self):
+        scene = generate_scene(50, noise=NoiseSpec(seed=5))
+        flipped = Pose(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
+        assert kappa_star_dense(flipped, scene.pixels, scene.cloud, K, CFG) == 0
+        assert kappa_star(flipped, scene.pixels, scene.cloud, K, CFG) == 0
+
+    def test_peak_memory_at_n4000_far_below_the_dense_matrix(self):
+        scene = generate_scene(4000, noise=NoiseSpec(seed=9, outlier_rate=0.1))
+        # tracemalloc sees numpy's buffers, not cKDTree's C++ node
+        # vectors; those hold a few nodes per 16 points
+        dense_bytes = len(scene.pixels) * len(scene.cloud) * 8
+        tracemalloc.start()
+        try:
+            got = kappa_star(scene.T_gt, scene.pixels, scene.cloud, K, CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == kappa_star_dense(scene.T_gt, scene.pixels, scene.cloud, K, CFG)
+        assert peak < dense_bytes / 20
 
 
 class TestInequality8:

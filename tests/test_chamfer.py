@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from mincdpnp import (
     AllPointsBehindCamera,
@@ -24,10 +26,13 @@ from mincdpnp import (
     se3_exp,
     solve_pose_chamfer,
 )
+from mincdpnp import chamfer
 from mincdpnp.chamfer import _frozen_terms, _solve_chamfer
+from mincdpnp.features import nearest_points
+from mincdpnp.geometry import CameraIntrinsics
 from mincdpnp.synth import DEFAULT_INTRINSICS as K
 
-from oracles import chamfer_cost_bruteforce
+from oracles import chamfer_cost_bruteforce, chamfer_cost_dense, solve_chamfer_dense
 
 
 def cost_at(xi_vec, T0, kp2d, kp3d):
@@ -119,6 +124,139 @@ class TestChamferCost:
         kp3d = KeypointSet3D(np.array([[0.0, 0.0, 2.0]]))
         with pytest.raises(EmptySet):
             chamfer_cost(Pose.identity(), KeypointSet2D(np.zeros((0, 2))), kp3d, K)
+
+
+def assert_reports_identical(got, want):
+    assert got.value.hex() == want.value.hex()
+    assert got.forward_terms.tobytes() == want.forward_terms.tobytes()
+    assert got.backward_terms.tobytes() == want.backward_terms.tobytes()
+    for a, b in zip(got.assignment, want.assignment):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def doubled(scene):
+    """The scene's cloud with every point twice, the copies at the end."""
+    return KeypointSet3D(np.concatenate([scene.cloud.points, scene.cloud.points]))
+
+
+# exact binary fractions: x/z * 512 + 320 lands on integers
+K_EXACT = CameraIntrinsics(fu=512.0, fv=512.0, cu=320.0, cv=240.0)
+
+
+class TestTreeSearch:
+    """The k-d tree searches against the dense N x M argmin."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000])
+    def test_reports_match_the_dense_oracle(self, n):
+        for seed in range(3):
+            for noise in (
+                NoiseSpec(seed=seed),
+                NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.2),
+            ):
+                scene = generate_scene(n, noise=noise)
+                for cloud in (scene.cloud, doubled(scene)):
+                    for T in (scene.T_gt, perturb_pose(scene.T_gt, 5.0, 0.1, seed)):
+                        assert_reports_identical(
+                            chamfer_cost(T, scene.pixels, cloud, K),
+                            chamfer_cost_dense(T, scene.pixels, cloud, K),
+                        )
+                        assert_reports_identical(
+                            chamfer_cost(T, scene.pixels, cloud, K, behind_penalty=7.5),
+                            chamfer_cost_dense(T, scene.pixels, cloud, K, behind_penalty=7.5),
+                        )
+
+    def test_nearest_points_on_lattices_and_one_point_trees(self):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            n, m = rng.integers(1, 200, size=2) if trial > 1 else (50, 1)
+            a = np.round(rng.uniform(0, 640, size=(n, 2)) / 16) * 16
+            b = np.round(rng.uniform(0, 640, size=(m, 2)) / 16) * 16
+            if trial % 2:
+                b = np.concatenate([b, b[::-1]])
+            D = cdist(a, b, "sqeuclidean")
+            idx, sq = nearest_points(cKDTree(b), a)
+            np.testing.assert_array_equal(idx, D.argmin(axis=1))
+            assert sq.tobytes() == D.min(axis=1).tobytes()
+
+    def test_equidistant_projections_go_to_the_lowest_index(self):
+        left, right = [-0.125, 0.0, 1.0], [0.125, 0.0, 1.0]  # u = 256 and 384
+        kp2d = KeypointSet2D([[320.0, 240.0], [448.0, 240.0]])
+        for pts in ([left, right], [right, left]):
+            report = chamfer_cost(Pose.identity(), kp2d, KeypointSet3D(pts), K_EXACT)
+            assert report.assignment[0][0] == 0
+            assert report.forward_terms[0] == 64.0**2
+            assert_reports_identical(
+                report, chamfer_cost_dense(Pose.identity(), kp2d, KeypointSet3D(pts), K_EXACT)
+            )
+        # one projection equidistant from two pixels: the lower pixel index
+        kp2d = KeypointSet2D([[384.0, 240.0], [256.0, 240.0]])
+        report = chamfer_cost(Pose.identity(), kp2d, KeypointSet3D([[0.0, 0.0, 1.0]]), K_EXACT)
+        assert report.assignment[1][0] == 0
+
+    def test_coincident_projections_go_to_the_lowest_index(self):
+        # the same ray at three depths: three projections on one pixel
+        pts = [[0.25, 0.125, 2.0], [0.125, 0.0625, 1.0], [0.5, 0.25, 4.0], [0.0, 0.0, 1.0]]
+        kp2d = KeypointSet2D([[384.0, 272.0], [330.0, 250.0]])
+        report = chamfer_cost(Pose.identity(), kp2d, KeypointSet3D(pts), K_EXACT)
+        assert report.assignment[0][0] == 0
+        assert report.forward_terms[0] == 0.0
+        np.testing.assert_array_equal(report.assignment[1], [0, 0, 0, 1])
+        assert_reports_identical(
+            report, chamfer_cost_dense(Pose.identity(), kp2d, KeypointSet3D(pts), K_EXACT)
+        )
+
+    def test_errors_match_the_dense_oracle(self):
+        kp2d = KeypointSet2D([[320.0, 240.0]])
+        behind = KeypointSet3D([[0.0, 0.0, -1.0]])
+        for cost in (chamfer_cost, chamfer_cost_dense):
+            with pytest.raises(AllPointsBehindCamera):
+                cost(Pose.identity(), kp2d, behind, K)
+            with pytest.raises(EmptySet):
+                cost(Pose.identity(), KeypointSet2D(np.zeros((0, 2))), behind, K)
+            with pytest.raises(EmptySet):
+                cost(Pose.identity(), kp2d, KeypointSet3D(np.zeros((0, 3))), K)
+
+    def test_solves_match_the_dense_solver(self):
+        cfg = SolverConfig()
+        cases = [(100, s) for s in range(4)] + [(1000, 0)]
+        for n, seed in cases:
+            for noise in (
+                NoiseSpec(seed=seed),
+                NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.2),
+            ):
+                scene = generate_scene(n, noise=noise)
+                T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed)
+                clouds = (scene.cloud, doubled(scene)) if n == 100 else (scene.cloud,)
+                for cloud in clouds:
+                    T, trace, reason = _solve_chamfer(T0, scene.pixels, cloud, K, cfg)
+                    T_d, trace_d, reason_d = solve_chamfer_dense(T0, scene.pixels, cloud, K, cfg)
+                    assert reason == reason_d and trace == trace_d
+                    assert T.R.tobytes() == T_d.R.tobytes()
+                    assert T.t.tobytes() == T_d.t.tobytes()
+
+    def test_one_cost_call_per_trial_pose(self, monkeypatch):
+        # the linearization reuses the assignment of the accepted trial,
+        # so chamfer_cost runs once at the start and once per trial pose
+        calls = []
+        real = chamfer.chamfer_cost
+        monkeypatch.setattr(
+            chamfer, "chamfer_cost", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = SolverConfig()
+        for seed in range(3):
+            scene = generate_scene(
+                100, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.2)
+            )
+            T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed)
+            calls.clear()
+            _, trace, _ = _solve_chamfer(T0, scene.pixels, scene.cloud, K, cfg)
+            trials = sum(
+                cfg.max_backtracks if row.step_size == 0.0
+                else round(np.log(row.step_size / cfg.step_init) / np.log(cfg.backtrack_factor)) + 1
+                for row in trace[1:]
+            )
+            assert len(trace) > 3
+            assert len(calls) == 1 + trials
 
 
 class TestGradient:
@@ -344,13 +482,6 @@ class TestObjective:
         w = LossWeights()
         assert w.lambda1 == 0.2
         assert w.lambda2 == 1e-4
-
-    def test_warmup_schedule(self):
-        for epoch in range(20):
-            w = LossWeights.for_epoch(epoch)
-            assert w.lambda1 == 0.0 and w.lambda2 == 0.0
-        after = LossWeights.for_epoch(20)
-        assert after.lambda1 == 0.2 and after.lambda2 == 1e-4
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

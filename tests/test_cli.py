@@ -203,12 +203,6 @@ class TestDiagnostics:
         assert run(["bound-check", "--n-instances", 20]) == 0
         assert "0 bound violations" in capsys.readouterr().out
 
-    def test_bench(self, capsys):
-        assert run(["bench", "--repeats", 1, "--n-points", 40]) == 0
-        out = capsys.readouterr().out
-        for stage in ("synth", "match", "chamfer_cost", "ransac"):
-            assert f"| {stage} |" in out
-
 
 class TestEntryPoint:
     def test_console_script_help(self):
@@ -226,6 +220,5 @@ class TestEntryPoint:
             "eval",
             "grad-check",
             "bound-check",
-            "bench",
         ):
             assert verb in proc.stdout

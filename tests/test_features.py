@@ -355,15 +355,6 @@ class TestContainers:
         assert back.features is None
         np.testing.assert_array_equal(back.points, kp.points)
 
-    def test_keypoint_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(107)
-        kp2d, _ = make_sets(rng, m=3, n=3, dim=4)
-        path = tmp_path / "kp.json"
-        kp2d.save_json(path)
-        back = KeypointSet2D.load_json(path)
-        np.testing.assert_array_equal(back.pixels, kp2d.pixels)
-        np.testing.assert_array_equal(back.features, kp2d.features)
-
     def test_correspondence_csv_round_trip(self, tmp_path):
         cs = CorrespondenceSet([0, 1, 2], [5, 4, 3], [0.1, 0.2, 0.30000000000000004])
         path = tmp_path / "pairs.csv"

@@ -20,7 +20,7 @@ from mincdpnp import (
     se3_log,
     so3_exp,
 )
-from mincdpnp.geometry import _poses_pass_checks, pinhole
+from mincdpnp.geometry import _poses_pass_checks, pinhole, zero_twist_jacobian
 
 from oracles import (
     numeric_jacobian,
@@ -333,6 +333,12 @@ class TestJacobians:
         want_omega = -np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
         np.testing.assert_allclose(J[0, :, :3], want_omega, atol=1e-15)
         np.testing.assert_allclose(J[0, :, 3:], np.eye(3), atol=1e-15)
+
+    def test_closed_form_at_zero_is_bytewise_the_series(self):
+        pts = np.random.default_rng(71).normal(scale=3.0, size=(1000, 3))
+        y, J = exp_action_jacobian(np.zeros(6), pts)
+        assert y.tobytes() == pts.tobytes()
+        assert zero_twist_jacobian(pts).tobytes() == J.tobytes()
 
     def test_exp_action_small_angle(self):
         pts = np.random.default_rng(53).normal(size=(4, 3))

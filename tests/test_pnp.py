@@ -454,3 +454,43 @@ class TestRansacBlocks:
         self._corrupt_rotation_of(monkeypatch, consumed - 1)
         with pytest.raises(ValueError, match="orthonormal"):
             pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
+
+    def _fail_stacked_fits_with(self, monkeypatch, C, s, cfg, bad_k):
+        """Make every _linear_batch call whose stack holds hypothesis
+        bad_k's sample raise LinAlgError, as a failed SVD would."""
+        points = s.cloud.points[C.idx3d]
+        sample = np.random.default_rng([cfg.seed, bad_k]).choice(
+            len(points), size=cfg.min_sample_size, replace=False
+        )
+        bad, real, stacks = points[sample], pnp._linear_batch, []
+
+        def linear_batch(pixels, pts, K):
+            stacks.append(len(pts))
+            if pts.shape[1:] == bad.shape and (pts == bad).all(axis=(1, 2)).any():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(pixels, pts, K)
+
+        monkeypatch.setattr(pnp, "_linear_batch", linear_batch)
+        return stacks
+
+    def test_failed_stacked_svd_past_the_stop_is_contained(self, monkeypatch):
+        s = generate_scene(200, noise=NoiseSpec(0, outlier_rate=0.2))
+        C = s.pairs_with_outliers()
+        cfg = RansacConfig(seed=0)
+        want = pnp_ransac_sequential(C, s.pixels, s.cloud, s.K, cfg)
+        consumed = want[2]
+        assert consumed % pnp.RANSAC_BLOCK_START != 0  # the stop is inside a block
+        stacks = self._fail_stacked_fits_with(monkeypatch, C, s, cfg, consumed)
+        pixels, points = s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d]
+        assert_bit_identical(_ransac_from_arrays(pixels, points, s.K, cfg), want)
+        # the failed block was refit one hypothesis at a time
+        assert stacks.count(1) >= 2
+
+    def test_failed_svd_the_loop_reaches_raises(self, monkeypatch):
+        s = generate_scene(200, noise=NoiseSpec(0, outlier_rate=0.2))
+        C = s.pairs_with_outliers()
+        cfg = RansacConfig(seed=0)
+        consumed = pnp_ransac_sequential(C, s.pixels, s.cloud, s.K, cfg)[2]
+        self._fail_stacked_fits_with(monkeypatch, C, s, cfg, consumed - 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
