@@ -14,7 +14,6 @@ from .errors import (
     NearPiRotation,
     NoConsensus,
     NonFiniteInput,
-    NotInFrontOfCamera,
     NotOneToOne,
     TooFewPoints,
 )
@@ -24,7 +23,6 @@ from .features import (
     KeypointSet2D,
     KeypointSet3D,
     MatchConfig,
-    feature_distance,
     feature_distance_matrix,
     match_by_threshold,
     nearest_3d_match,
@@ -62,10 +60,8 @@ from .keypoint import (
     evaluate_selection,
     guided_reprojection_total,
     key_loss,
-    key_loss_iou,
     keypoint_precision_recall,
     reprojection_correctness,
-    sample_uniform_2d,
     select_3d_keypoints,
     tau_criterion,
 )
@@ -100,10 +96,8 @@ from .geometry import (
     Twist,
     exp_action_jacobian,
     pose_difference,
-    project,
     project_points,
     projection_jacobian,
-    reprojection_error,
     rotation_angle_deg,
     se3_exp,
     se3_log,

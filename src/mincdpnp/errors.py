@@ -10,10 +10,6 @@ class MinCDError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NotInFrontOfCamera(MinCDError):
-    """A point's camera-frame depth is at or below the projection cutoff."""
-
-
 class NearPiRotation(MinCDError):
     """Rotation angle too close to pi; the log map is ill conditioned there."""
 

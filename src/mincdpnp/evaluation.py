@@ -32,7 +32,6 @@ RECORD_SCHEMA = 1
 class MetricConfig:
     ir_threshold_m: float = 0.05
     rr_threshold_m: float = 0.05
-    rr_uses_rmse: bool = True
 
     def __post_init__(self) -> None:
         if self.ir_threshold_m <= 0 or self.rr_threshold_m <= 0:
@@ -108,15 +107,15 @@ def registration_success(
     """Whole-cloud registration error and the threshold verdict.
 
     The error is the RMSE of per-point displacement between the
-    estimated and true transforms (or the mean displacement when
-    rr_uses_rmse is off); success means it clears rr_threshold_m.
+    estimated and true transforms; success means it clears
+    rr_threshold_m.
     """
     if len(scene.cloud) == 0:
         raise EmptySet("registration needs a nonempty cloud")
     d = np.linalg.norm(
         T_est.apply(scene.cloud.points) - scene.T_gt.apply(scene.cloud.points), axis=1
     )
-    err = float(np.sqrt(np.mean(d**2))) if cfg.rr_uses_rmse else float(np.mean(d))
+    err = float(np.sqrt(np.mean(d**2)))
     return err, bool(err <= cfg.rr_threshold_m)
 
 
@@ -137,12 +136,8 @@ def match_scene(
     )
 
 
-def _solve_one(scene, solver, seed, match_cfg, solver_cfg, ransac_iterations,
+def _solve_one(scene, C, solver, seed, solver_cfg, ransac_iterations,
                ransac_threshold, init_rot_deg, init_trans_m, timings):
-    t0 = time.perf_counter()
-    C = match_scene(scene, match_cfg)
-    timings["match_s"] = time.perf_counter() - t0
-
     t0 = time.perf_counter()
     if solver == "pnp":
         rcfg = RansacConfig(
@@ -156,7 +151,7 @@ def _solve_one(scene, solver, seed, match_cfg, solver_cfg, ransac_iterations,
             T_init, scene.pixels, scene.cloud, scene.K, solver_cfg
         )
     timings["solve_s"] = time.perf_counter() - t0
-    return C, T_est
+    return T_est
 
 
 def run_pipeline(
@@ -174,12 +169,13 @@ def run_pipeline(
 ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
     """match -> solve -> metrics over a batch of (scene_id, scene).
 
-    solver is "pnp", "chamfer", or "both". Scene failures (the package's
+    solver is "pnp", "chamfer", or "both"; each scene is matched once
+    and the match serves every solver. Scene failures (the package's
     MinCDError family) are collected as (scene_id, message naming the
-    exception class) instead of aborting the batch; any other exception
-    is a bug and propagates. Records come back sorted by (scene_id,
-    solver), whatever order scenes arrive or complete in, so output is
-    canonical.
+    exception class) instead of aborting the batch, one per solver when
+    the match fails; any other exception is a bug and propagates.
+    Records come back sorted by (scene_id, solver), whatever order
+    scenes arrive or complete in, so output is canonical.
     """
     if solver not in ("pnp", "chamfer", "both"):
         raise ValueError("solver must be 'pnp', 'chamfer', or 'both'")
@@ -187,11 +183,18 @@ def run_pipeline(
     records: list[EvalRecord] = []
     errors: list[tuple[str, str]] = []
     for idx, (scene_id, scene) in enumerate(sorted(scenes, key=lambda kv: kv[0])):
+        t0 = time.perf_counter()
+        try:
+            C = match_scene(scene, match_cfg)
+        except MinCDError as exc:
+            errors += [(scene_id, f"{name}: {type(exc).__name__}: {exc}") for name in solvers]
+            continue
+        match_s = time.perf_counter() - t0
         for name in solvers:
-            timings: dict = {}
+            timings: dict = {"match_s": match_s}
             try:
-                C, T_est = _solve_one(
-                    scene, name, seed + idx, match_cfg, solver_cfg,
+                T_est = _solve_one(
+                    scene, C, name, seed + idx, solver_cfg,
                     ransac_iterations, ransac_threshold,
                     init_rot_deg, init_trans_m, timings,
                 )

@@ -1,4 +1,4 @@
-"""Keypoint sets, feature distances, matching, nearest-neighbour search.
+"""Keypoint sets, feature matching, nearest-neighbour search.
 
 The nearest-feature search screens row blocks with one matrix product
 and rescores the few surviving candidates in the distance matrix's own
@@ -79,14 +79,6 @@ class KeypointSet2D:
             raise MissingFeatures("2D keypoint set carries no features")
         return self.features
 
-    def save_csv(self, path: str | Path) -> None:
-        _save_keypoint_csv(path, self.pixels, self.features)
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "KeypointSet2D":
-        coords, feats = _load_keypoint_csv(path, 2)
-        return cls(coords, feats)
-
 
 class KeypointSet3D:
     """Point-cloud keypoints: (N, 3) point array with optional (N, D) features."""
@@ -114,14 +106,6 @@ class KeypointSet3D:
         if self.features is None:
             raise MissingFeatures("3D keypoint set carries no features")
         return self.features
-
-    def save_csv(self, path: str | Path) -> None:
-        _save_keypoint_csv(path, self.points, self.features)
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "KeypointSet3D":
-        coords, feats = _load_keypoint_csv(path, 3)
-        return cls(coords, feats)
 
 
 # Relative gap under which a query's two nearest candidates count as
@@ -177,20 +161,6 @@ def _load_matrix_csv(path):
     if not Path(path).read_text().strip():
         return None
     return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-
-
-def _save_keypoint_csv(path, coords, features) -> None:
-    _save_matrix_csv(path, coords if features is None else np.hstack([coords, features]))
-
-
-def _load_keypoint_csv(path, coord_cols: int):
-    raw = _load_matrix_csv(path)
-    if raw is None:
-        return np.zeros((0, coord_cols)), None
-    if raw.shape[1] < coord_cols:
-        raise ValueError(f"need at least {coord_cols} columns, got {raw.shape[1]}")
-    feats = raw[:, coord_cols:] if raw.shape[1] > coord_cols else None
-    return raw[:, :coord_cols], feats
 
 
 @dataclass(frozen=True)
@@ -278,17 +248,6 @@ def normalize_features(feats: np.ndarray) -> np.ndarray:
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
-
-
-def feature_distance(a, b, cfg: MatchConfig = MatchConfig()) -> float:
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"feature dimensions {a.shape[0]} vs {b.shape[0]}")
-    if cfg.normalize:
-        a = normalize_features(a)[0]
-        b = normalize_features(b)[0]
-    return float(np.linalg.norm(a - b))
 
 
 def _prepared_features(feats2d, feats3d, cfg: MatchConfig):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NearPiRotation, NotInFrontOfCamera
+from .errors import NearPiRotation
 
 Z_MIN = 1e-6
 SMALL_ANGLE = 1e-8
@@ -63,12 +63,6 @@ class CameraIntrinsics:
                 raise ValueError(f"{name} must be finite")
         if self.fu <= 0 or self.fv <= 0:
             raise ValueError("focal lengths must be positive")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fu, 0.0, self.cu], [0.0, self.fv, self.cv], [0.0, 0.0, 1.0]]
-        )
 
     def to_json_dict(self) -> dict:
         return {"fu": self.fu, "fv": self.fv, "cu": self.cu, "cv": self.cv}
@@ -221,18 +215,6 @@ def pinhole(cam, K: CameraIntrinsics, z=None) -> np.ndarray:
     return np.stack([K.fu * cam[..., 0] / z + K.cu, K.fv * cam[..., 1] / z + K.cv], axis=-1)
 
 
-def project(p, T: Pose, K: CameraIntrinsics, z_min: float = Z_MIN) -> np.ndarray:
-    """Project one 3D point through pose T onto the image plane.
-
-    Raises NotInFrontOfCamera when the transformed depth is at or below
-    z_min; callers decide whether to skip the point or fail.
-    """
-    cam = T.apply(np.asarray(p, dtype=np.float64))
-    if cam[2] <= z_min:
-        raise NotInFrontOfCamera(f"depth {cam[2]:.3e} <= z_min {z_min:.3e}")
-    return pinhole(cam, K)
-
-
 def project_points(
     points, T: Pose, K: CameraIntrinsics, z_min: float = Z_MIN
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,12 +228,6 @@ def project_points(
     in_front = z > z_min
     pixels = np.where(in_front[:, None], pinhole(cam, K, np.where(in_front, z, 1.0)), np.nan)
     return pixels, in_front
-
-
-def reprojection_error(q, p, T: Pose, K: CameraIntrinsics, z_min: float = Z_MIN) -> float:
-    """Squared pixel distance between q and the projection of p under T."""
-    diff = np.asarray(q, dtype=np.float64) - project(p, T, K, z_min=z_min)
-    return float(diff @ diff)
 
 
 def _rotation_coefficients(theta: float) -> tuple[float, float, float]:

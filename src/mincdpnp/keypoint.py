@@ -1,11 +1,10 @@
-"""2D keypoint sampling, guided 3D keypoint selection, and keypoint losses.
+"""Guided 3D keypoint selection and the keypoint loss.
 
 Selection walks every 2D keypoint, finds its nearest 3D partner in
 feature space, and keeps the partner when the match score clears a
-confidence threshold. The keypoint losses score a selection against a
-known pose: the count form is an exact negative count of confident and
-geometrically correct picks, the IoU form compares the confident set
-with the correct set.
+confidence threshold. The keypoint loss scores a selection against a
+known pose: it is an exact negative count of confident and
+geometrically correct picks.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 from scipy.spatial import cKDTree
 
@@ -25,8 +23,7 @@ from .features import (
     MatchConfig,
     nearest_features,
 )
-from .geometry import CameraIntrinsics, Pose, dumps_json, project_points
-from .plyio import save_ply
+from .geometry import CameraIntrinsics, Pose, project_points
 
 DEFAULT_S_TH = float(np.exp(-0.4))
 PRECISION_RECALL_PIXEL_THRESHOLD = 3.0
@@ -63,13 +60,6 @@ class SelectedKeypoints:
     def __len__(self) -> int:
         return len(self.cloud_indices)
 
-    def export(self, ply_path: str | Path, sidecar_csv_path: str | Path) -> None:
-        """PLY of the points plus a (source index, score) CSV sidecar."""
-        save_ply(ply_path, self.points.points)
-        with open(sidecar_csv_path, "w") as fh:
-            for src, score in zip(self.source_2d, self.scores):
-                fh.write(f"{int(src)},{repr(float(score))}\n")
-
 
 @dataclass(frozen=True)
 class KeypointReport:
@@ -83,34 +73,6 @@ class KeypointReport:
             raise ValueError("precision and recall must lie in [0, 1]")
         if self.count != len(self.selected):
             raise ValueError("count must equal the selection size")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "count": self.count,
-        }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(dumps_json(self.to_json_dict()))
-
-
-def sample_uniform_2d(width: float, height: float, grid_step: float) -> KeypointSet2D:
-    """Cell centers of a stride-grid_step tiling of the image, row-major.
-
-    Edge cells are clipped to the image, so their centers shift inward;
-    a step larger than the image yields the single whole-image center.
-    """
-    if grid_step < 1:
-        raise ValueError("grid_step must be at least 1")
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
-    u_starts = np.arange(0.0, width, grid_step)
-    v_starts = np.arange(0.0, height, grid_step)
-    u_centers = (u_starts + np.minimum(u_starts + grid_step, width)) / 2.0
-    v_centers = (v_starts + np.minimum(v_starts + grid_step, height)) / 2.0
-    uu, vv = np.meshgrid(u_centers, v_centers)
-    return KeypointSet2D(np.column_stack([uu.ravel(), vv.ravel()]))
 
 
 def _nearest_matches(image_set, cloud_set, match_cfg):
@@ -157,15 +119,13 @@ def select_3d_keypoints(
     )
 
 
-def _confident_and_correct(image_set, cloud_set, T_gt, K, cfg, match_cfg):
-    """Per-q flags: confident (score <= s_th), correct (reprojection <= tau)."""
+def _nearest_partners(image_set, cloud_set, T, K, match_cfg):
+    """Each 2D keypoint's nearest-feature partner: (match score, squared
+    reprojection error under T, partner in front of the camera)."""
     best_j, best_s = _nearest_matches(image_set, cloud_set, match_cfg)
-    confident = best_s <= cfg.s_th
-    proj, in_front = project_points(cloud_set.points, T_gt, K)
+    proj, in_front = project_points(cloud_set.points, T, K)
     diff = image_set.pixels - proj[best_j]
-    sq = np.einsum("nd,nd->n", diff, diff)
-    correct = in_front[best_j] & (sq <= cfg.tau)
-    return confident, correct
+    return best_s, np.einsum("nd,nd->n", diff, diff), in_front[best_j]
 
 
 def key_loss(
@@ -182,34 +142,9 @@ def key_loss(
     and lies in [-M0, 0]. A nearest partner behind the camera is never
     correct.
     """
-    confident, correct = _confident_and_correct(
-        image_set, cloud_set, T_gt, K, cfg, match_cfg
-    )
-    counted = confident & correct
+    scores, sq, in_front = _nearest_partners(image_set, cloud_set, T_gt, K, match_cfg)
+    counted = (scores <= cfg.s_th) & in_front & (sq <= cfg.tau)
     return -int(np.count_nonzero(counted)), counted
-
-
-def key_loss_iou(
-    image_set: KeypointSet2D,
-    cloud_set: KeypointSet3D,
-    T_gt: Pose,
-    K: CameraIntrinsics,
-    cfg: SelectConfig = SelectConfig(),
-    match_cfg: MatchConfig = MatchConfig(),
-) -> float:
-    """1 minus the overlap ratio of the confident set and the correct set.
-
-    Both sets live over the 2D keypoint indices; an empty union scores
-    a loss of 0 by convention.
-    """
-    confident, correct = _confident_and_correct(
-        image_set, cloud_set, T_gt, K, cfg, match_cfg
-    )
-    union = np.count_nonzero(confident | correct)
-    if union == 0:
-        return 0.0
-    inter = np.count_nonzero(confident & correct)
-    return 1.0 - inter / union
 
 
 def guided_reprojection_total(
@@ -225,11 +160,8 @@ def guided_reprojection_total(
     replacement losses and ships with no solver; behind-camera partners
     are skipped.
     """
-    best_j, _ = _nearest_matches(image_set, cloud_set, match_cfg)
-    proj, in_front = project_points(cloud_set.points, T, K)
-    diff = image_set.pixels - proj[best_j]
-    sq = np.einsum("nd,nd->n", diff, diff)
-    return float(np.sum(sq[in_front[best_j]]))
+    _, sq, in_front = _nearest_partners(image_set, cloud_set, T, K, match_cfg)
+    return float(np.sum(sq[in_front]))
 
 
 @dataclass(frozen=True)
@@ -299,12 +231,7 @@ def keypoint_precision_recall(
         raise EmptyGroundTruth("no 2D keypoint has a partner within the threshold")
     if len(selected) == 0:
         return 0.0, 0.0
-    ok = np.array(
-        [
-            ground_truth.pair_ok(int(q), int(j))
-            for q, j in zip(selected.source_2d, selected.cloud_indices)
-        ]
-    )
+    ok = ground_truth._ok(selected.source_2d, selected.cloud_indices)
     precision = float(np.count_nonzero(ok) / len(selected))
     recovered = set(selected.source_2d[ok].tolist()) & set(gt_q.tolist())
     recall = float(len(recovered) / len(gt_q))

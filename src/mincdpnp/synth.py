@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import (
+    DEFAULT_FEATURE_DIM,
     CorrespondenceSet,
     KeypointSet2D,
     KeypointSet3D,
@@ -159,7 +160,7 @@ def generate_scene(
     z_near: float = 0.5,
     width: int = 640,
     height: int = 480,
-    feature_dim: int = 128,
+    feature_dim: int = DEFAULT_FEATURE_DIM,
     pixel_margin: float = 10.0,
 ) -> ScenePair:
     """Sample one scene pair; identical arguments give identical bits.

@@ -225,21 +225,6 @@ def solve_chamfer_dense(T_init, image_set, cloud_set, K, cfg):
     )
 
 
-def grid_centers_bruteforce(width, height, step):
-    """Clipped cell centers by explicit while loops, row-major."""
-    out = []
-    v0 = 0.0
-    while v0 < height:
-        v1 = min(v0 + step, height)
-        u0 = 0.0
-        while u0 < width:
-            u1 = min(u0 + step, width)
-            out.append(((u0 + u1) / 2.0, (v0 + v1) / 2.0))
-            u0 += step
-        v0 += step
-    return out
-
-
 def nearest_match_bruteforce(feats2d, feats3d, normalize=True):
     """Per-query argmin over all 3D features; ties keep the lowest index."""
     out = []

@@ -37,6 +37,18 @@ def batch(seeds, n=40, **noise):
     ]
 
 
+def count_matches(monkeypatch):
+    """Patch the pipeline's match_scene to log each scene it matches."""
+    matched = []
+
+    def logged(scene, *args):
+        matched.append(scene)
+        return match_scene(scene, *args)
+
+    monkeypatch.setattr(evaluation, "match_scene", logged)
+    return matched
+
+
 class TestInlierRatio:
     def test_ground_truth_pairs_noiseless_exactly_one(self):
         for seed in range(5):
@@ -121,13 +133,6 @@ class TestRegistrationSuccess:
             if registration_success(T, s, MetricConfig(rr_threshold_m=0.1))[1]:
                 at_10cm.add(sid)
         assert at_5cm <= at_10cm
-
-    def test_mean_mode_never_above_rmse(self):
-        s = generate_scene(30, noise=NoiseSpec(seed=6))
-        T = perturb_pose(s.T_gt, rot_deg=2.0, trans_m=0.05, seed=1)
-        rmse, _ = registration_success(T, s, MetricConfig(rr_uses_rmse=True))
-        mean, _ = registration_success(T, s, MetricConfig(rr_uses_rmse=False))
-        assert mean <= rmse + 1e-15
 
     def test_empty_cloud(self):
         s = generate_scene(10, noise=NoiseSpec(seed=7))
@@ -214,6 +219,29 @@ class TestRunPipeline:
         assert len(errs) == 1
         assert errs[0][0] == "scene_0001"
         assert "MissingFeatures" in errs[0][1]
+
+    def test_both_matches_each_scene_once(self, monkeypatch):
+        matched = count_matches(monkeypatch)
+        scenes = batch(range(2))
+        recs, errs = run_pipeline(scenes, solver="both")
+        assert errs == [] and len(recs) == 4
+        assert matched == [scene for _, scene in scenes]
+
+    def test_failed_match_gives_one_error_row_per_solver(self, monkeypatch):
+        matched = count_matches(monkeypatch)
+        scenes = batch(range(2))
+        crippled = dataclasses.replace(
+            scenes[1][1], cloud=KeypointSet3D(scenes[1][1].cloud.points, None)
+        )
+        scenes[1] = (scenes[1][0], crippled)
+        recs, errs = run_pipeline(scenes, solver="both")
+        assert [(r.scene_id, r.solver) for r in recs] == [
+            ("scene_0000", "chamfer"),
+            ("scene_0000", "pnp"),
+        ]
+        msg = "MissingFeatures: 3D keypoint set carries no features"
+        assert errs == [("scene_0001", f"pnp: {msg}"), ("scene_0001", f"chamfer: {msg}")]
+        assert len(matched) == 2
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

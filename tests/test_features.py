@@ -13,7 +13,6 @@ from mincdpnp import (
     MissingFeatures,
     NoiseSpec,
     NotOneToOne,
-    feature_distance,
     feature_distance_matrix,
     generate_scene,
     match_by_threshold,
@@ -37,29 +36,38 @@ def make_sets(rng, m=5, n=7, dim=16):
     return kp2d, kp3d
 
 
+def pair_distance(a, b, cfg=MatchConfig()):
+    """The one entry of the distance matrix of two feature vectors."""
+    return float(feature_distance_matrix(a, b, cfg)[0, 0])
+
+
 class TestFeatureDistance:
+    """feature_distance_matrix on single vectors."""
+
     def test_identical_unit_vectors(self):
         a = np.zeros(128)
         a[0] = 1.0
-        assert feature_distance(a, a) == 0.0
+        assert pair_distance(a, a) == 0.0
 
     def test_orthonormal_pair(self):
         a = np.zeros(8)
         b = np.zeros(8)
         a[0] = 1.0
         b[1] = 1.0
-        assert feature_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        assert pair_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            feature_distance(np.zeros(4), np.zeros(5))
+            pair_distance(np.zeros(4), np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            nearest_features(np.zeros(4), np.zeros(5))
 
     def test_zero_vector_maps_to_zero(self):
         z = np.zeros(6)
         b = np.full(6, 2.0)
         # normalized zero stays zero, so the distance is just ||b/||b||||
-        assert feature_distance(z, b) == pytest.approx(1.0, abs=1e-15)
-        assert feature_distance(z, z) == 0.0
+        assert pair_distance(z, b) == pytest.approx(1.0, abs=1e-15)
+        assert pair_distance(z, z) == 0.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(61)
@@ -69,22 +77,22 @@ class TestFeatureDistance:
             for normalize in (True, False):
                 cfg = MatchConfig(delta=1.0, normalize=normalize)
                 want = feature_distance_scalar(a, b, normalize)
-                assert feature_distance(a, b, cfg) == pytest.approx(want, abs=1e-12)
+                assert pair_distance(a, b, cfg) == pytest.approx(want, abs=1e-12)
 
     def test_normalized_is_scale_invariant(self):
         rng = np.random.default_rng(67)
         a = rng.normal(size=32)
         b = rng.normal(size=32)
-        base = feature_distance(a, b)
+        base = pair_distance(a, b)
         for lam in (1e-3, 7.0, 1e4):
-            assert feature_distance(lam * a, b) == pytest.approx(base, abs=1e-12)
-            assert feature_distance(a, lam * b) == pytest.approx(base, abs=1e-12)
+            assert pair_distance(lam * a, b) == pytest.approx(base, abs=1e-12)
+            assert pair_distance(a, lam * b) == pytest.approx(base, abs=1e-12)
 
     def test_unnormalized_plain_l2(self):
         a = np.array([3.0, 0.0])
         b = np.array([0.0, 4.0])
         cfg = MatchConfig(delta=1.0, normalize=False)
-        assert feature_distance(a, b, cfg) == pytest.approx(5.0, abs=1e-15)
+        assert pair_distance(a, b, cfg) == pytest.approx(5.0, abs=1e-15)
 
 
 class TestMatchByThreshold:
@@ -332,28 +340,6 @@ class TestContainers:
             CorrespondenceSet([0, 5], [0, 1], n2d=3)
         with pytest.raises(ValueError):
             CorrespondenceSet([-1], [0])
-
-    def test_keypoint_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(103)
-        kp2d, kp3d = make_sets(rng, m=4, n=5, dim=6)
-        p2 = tmp_path / "kp2d.csv"
-        p3 = tmp_path / "kp3d.csv"
-        kp2d.save_csv(p2)
-        kp3d.save_csv(p3)
-        back2 = KeypointSet2D.load_csv(p2)
-        back3 = KeypointSet3D.load_csv(p3)
-        np.testing.assert_array_equal(back2.pixels, kp2d.pixels)
-        np.testing.assert_array_equal(back2.features, kp2d.features)
-        np.testing.assert_array_equal(back3.points, kp3d.points)
-        np.testing.assert_array_equal(back3.features, kp3d.features)
-
-    def test_keypoint_csv_without_features(self, tmp_path):
-        kp = KeypointSet3D(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-        path = tmp_path / "pts.csv"
-        kp.save_csv(path)
-        back = KeypointSet3D.load_csv(path)
-        assert back.features is None
-        np.testing.assert_array_equal(back.points, kp.points)
 
     def test_correspondence_csv_round_trip(self, tmp_path):
         cs = CorrespondenceSet([0, 1, 2], [5, 4, 3], [0.1, 0.2, 0.30000000000000004])

@@ -6,25 +6,21 @@ from hypothesis import strategies as st
 from mincdpnp import (
     CameraIntrinsics,
     NearPiRotation,
-    NotInFrontOfCamera,
     Pose,
     Twist,
     exp_action_jacobian,
     pose_difference,
-    project,
     project_points,
     projection_jacobian,
-    reprojection_error,
     rotation_angle_deg,
     se3_exp,
     se3_log,
     so3_exp,
 )
-from mincdpnp.geometry import _poses_pass_checks, pinhole, zero_twist_jacobian
+from mincdpnp.geometry import Z_MIN, _poses_pass_checks, pinhole, zero_twist_jacobian
 
 from oracles import (
     numeric_jacobian,
-    reprojection_error_scalar,
     rotation_rotvec,
     se3_exp_expm,
 )
@@ -43,23 +39,32 @@ def random_pose(rng, max_angle=3.0):
     return se3_exp(random_twist(rng, max_angle))
 
 
+def project_one(p, T=Pose.identity()):
+    """The one row project_points gives for a single point."""
+    pixels, in_front = project_points(np.asarray(p, dtype=np.float64)[None], T, K)
+    return pixels[0], bool(in_front[0])
+
+
 class TestProjection:
     def test_optical_axis_hits_principal_point(self):
-        q = project(np.array([0.0, 0.0, 1.0]), Pose.identity(), K)
+        q, in_front = project_one([0.0, 0.0, 1.0])
+        assert in_front
         assert q[0] == 320.0 and q[1] == 240.0
 
     def test_pinhole_formula(self):
-        q = project(np.array([1.0, 0.0, 2.0]), Pose.identity(), K)
+        q, _ = project_one([1.0, 0.0, 2.0])
         assert q[0] == pytest.approx(612.5, abs=1e-12)
         assert q[1] == pytest.approx(240.0, abs=1e-12)
 
-    def test_behind_camera_raises(self):
-        with pytest.raises(NotInFrontOfCamera):
-            project(np.array([0.0, 0.0, -1.0]), Pose.identity(), K)
+    def test_behind_camera_gives_nan_row(self):
+        q, in_front = project_one([0.0, 0.0, -1.0])
+        assert not in_front
+        assert np.isnan(q).all()
 
-    def test_depth_at_cutoff_raises(self):
-        with pytest.raises(NotInFrontOfCamera):
-            project(np.array([0.0, 0.0, 1e-6]), Pose.identity(), K)
+    def test_depth_at_cutoff_gives_nan_row(self):
+        q, in_front = project_one([0.0, 0.0, Z_MIN])
+        assert not in_front
+        assert np.isnan(q).all()
 
     def test_scale_consistency(self):
         # Scaling a camera-frame point along its ray leaves the pixel fixed.
@@ -67,9 +72,9 @@ class TestProjection:
         for _ in range(50):
             p = rng.normal(size=3)
             p[2] = rng.uniform(0.5, 5.0)
-            base = project(p, Pose.identity(), K)
+            base, _ = project_one(p)
             for lam in (0.1, 2.0, 17.5):
-                scaled = project(lam * p, Pose.identity(), K)
+                scaled, _ = project_one(lam * p)
                 np.testing.assert_allclose(scaled, base, atol=1e-9)
 
     def test_matches_scalar_oracle(self):
@@ -80,7 +85,7 @@ class TestProjection:
             cam = T.apply(p)
             if cam[2] <= 1e-6:
                 continue
-            q = project(p, T, K)
+            q, _ = project_one(p, T)
             uo = K.fu * cam[0] / cam[2] + K.cu
             vo = K.fv * cam[1] / cam[2] + K.cv
             assert q[0] == pytest.approx(uo, rel=1e-12)
@@ -105,43 +110,10 @@ class TestProjection:
             cam = T.apply(p)
             if cam[2] > 1e-6:
                 assert in_front[i]
-                np.testing.assert_allclose(pixels[i], project(p, T, K), atol=1e-12)
+                np.testing.assert_allclose(pixels[i], project_one(p, T)[0], atol=1e-12)
             else:
                 assert not in_front[i]
                 assert np.isnan(pixels[i]).all()
-
-
-class TestReprojectionError:
-    def test_self_consistency_is_zero(self):
-        rng = np.random.default_rng(5)
-        T = random_pose(rng)
-        p = np.array([0.2, -0.1, 1.5])
-        q = project(p, T, K)
-        assert reprojection_error(q, p, T, K) == 0.0
-
-    def test_three_four_five(self):
-        p = np.array([0.0, 0.0, 2.0])
-        q = project(p, Pose.identity(), K) + np.array([3.0, 4.0])
-        assert reprojection_error(q, p, Pose.identity(), K) == pytest.approx(25.0, abs=1e-9)
-
-    def test_random_against_scalar_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            T = random_pose(rng)
-            p = rng.normal(size=3)
-            if T.apply(p)[2] <= 1e-6:
-                continue
-            q = rng.uniform(0, 640, size=2)
-            got = reprojection_error(q, p, T, K)
-            want = reprojection_error_scalar(q, p, T.R, T.t, K.fu, K.fv, K.cu, K.cv)
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            p = rng.normal(size=2).tolist() + [rng.uniform(0.5, 4.0)]
-            q = rng.uniform(0, 640, size=2)
-            assert reprojection_error(q, np.array(p), Pose.identity(), K) >= 0.0
 
 
 class TestExpLog:
@@ -295,12 +267,6 @@ class TestIntrinsics:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fu=585.0, fv=585.0, cu=np.nan, cv=240.0)
-
-    def test_matrix_layout(self):
-        M = K.matrix
-        assert M[0, 0] == 585.0 and M[1, 1] == 585.0
-        assert M[0, 2] == 320.0 and M[1, 2] == 240.0
-        assert M[2, 2] == 1.0
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "intrinsics.json"

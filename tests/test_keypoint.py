@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -17,19 +15,14 @@ from mincdpnp import (
     generate_scene,
     guided_reprojection_total,
     key_loss,
-    key_loss_iou,
     keypoint_precision_recall,
     reprojection_correctness,
-    sample_uniform_2d,
     select_3d_keypoints,
     tau_criterion,
 )
-from mincdpnp.plyio import load_ply
-
 from oracles import (
     DenseCorrectness,
     evaluate_selection_dense,
-    grid_centers_bruteforce,
     key_loss_flags_bruteforce,
     reprojection_error_scalar,
     select_keypoints_bruteforce,
@@ -46,61 +39,6 @@ def random_instance(rng, m=12, n=15, dim=16, sigma=0.4):
     kp2d = KeypointSet2D(rng.uniform(0, 640, size=(m, 2)), f2d)
     kp3d = KeypointSet3D(rng.normal(size=(n, 3)) + [0, 0, 5.0], f3d)
     return kp2d, kp3d
-
-
-class TestSampleUniform2D:
-    def test_four_by_four_step_two(self):
-        got = sample_uniform_2d(4, 4, 2)
-        want = [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
-        assert [tuple(p) for p in got.pixels] == want
-
-    def test_vga_step_twenty_count(self):
-        assert len(sample_uniform_2d(640, 480, 20)) == 768
-
-    def test_step_larger_than_image(self):
-        got = sample_uniform_2d(640, 480, 1000)
-        assert len(got) == 1
-        assert tuple(got.pixels[0]) == (320.0, 240.0)
-
-    def test_clipped_edge_cells(self):
-        # 5 wide with step 2 leaves a half cell whose center sits at 4.5
-        got = sample_uniform_2d(5, 4, 2)
-        assert [tuple(p) for p in got.pixels] == [
-            (1.0, 1.0),
-            (3.0, 1.0),
-            (4.5, 1.0),
-            (1.0, 3.0),
-            (3.0, 3.0),
-            (4.5, 3.0),
-        ]
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            w = int(rng.integers(3, 200))
-            h = int(rng.integers(3, 200))
-            step = float(rng.integers(1, 60))
-            got = sample_uniform_2d(w, h, step)
-            want = grid_centers_bruteforce(w, h, step)
-            assert len(got) == len(want)
-            assert np.allclose(got.pixels, np.array(want))
-
-    def test_row_major_order(self):
-        got = sample_uniform_2d(60, 60, 10).pixels
-        # v never decreases, and u resets at each new row
-        assert (np.diff(got[:, 1]) >= 0).all()
-        rows = np.unique(got[:, 1])
-        for v in rows:
-            u = got[got[:, 1] == v][:, 0]
-            assert (np.diff(u) > 0).all()
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_uniform_2d(10, 10, 0.5)
-        with pytest.raises(ValueError):
-            sample_uniform_2d(0, 10, 2)
-        with pytest.raises(ValueError):
-            sample_uniform_2d(10, -1, 2)
 
 
 class TestSelect3DKeypoints:
@@ -223,8 +161,6 @@ class TestKeyLoss:
             loss, flags = key_loss(s.pixels, s.cloud, s.T_gt, s.K)
             assert loss == -20
             assert flags.all()
-            # full count forces zero loss in the overlap form too
-            assert key_loss_iou(s.pixels, s.cloud, s.T_gt, s.K) == 0.0
 
     def test_partner_behind_camera_is_never_correct(self):
         kp2d = KeypointSet2D(np.array([[320.0, 240.0]]), np.array([[1.0, 0.0]]))
@@ -232,41 +168,6 @@ class TestKeyLoss:
         loss, flags = key_loss(kp2d, kp3d, Pose.identity(), K_DEFAULT)
         assert loss == 0
         assert not flags[0]
-
-
-class TestKeyLossIoU:
-    def test_matches_set_arithmetic_oracle(self):
-        rng = np.random.default_rng(53)
-        for _ in range(15):
-            kp2d, kp3d = random_instance(rng)
-            cfg = SelectConfig(s_th=float(rng.uniform(0.3, 1.0)), tau=25.0)
-            got = key_loss_iou(kp2d, kp3d, Pose.identity(), K_DEFAULT, cfg)
-            conf, corr = key_loss_flags_bruteforce(
-                kp2d.pixels,
-                kp2d.features,
-                kp3d.points,
-                kp3d.features,
-                np.eye(3),
-                np.zeros(3),
-                K_DEFAULT.fu,
-                K_DEFAULT.fv,
-                K_DEFAULT.cu,
-                K_DEFAULT.cv,
-                cfg.tau,
-                cfg.s_th,
-            )
-            A = {q for q, c in enumerate(conf) if c}
-            B = {q for q, c in enumerate(corr) if c}
-            want = 0.0 if not (A | B) else 1.0 - len(A & B) / len(A | B)
-            assert got == pytest.approx(want, abs=1e-15)
-            assert 0.0 <= got <= 1.0
-
-    def test_empty_union_scores_zero(self):
-        # nothing confident and the only partner sits behind the camera
-        kp2d = KeypointSet2D(np.array([[320.0, 240.0]]), np.array([[1.0, 0.0]]))
-        kp3d = KeypointSet3D(np.array([[0.0, 0.0, -5.0]]), np.array([[0.0, 1.0]]))
-        cfg = SelectConfig(s_th=1e-12)
-        assert key_loss_iou(kp2d, kp3d, Pose.identity(), K_DEFAULT, cfg) == 0.0
 
 
 class TestGuidedReprojectionTotal:
@@ -474,29 +375,3 @@ class TestKeypointReport:
             KeypointReport(selected=sel, precision=1.5, recall=0.0, count=len(sel))
         with pytest.raises(ValueError):
             KeypointReport(selected=sel, precision=1.0, recall=1.0, count=len(sel) + 1)
-
-    def test_json_round_trip(self, tmp_path):
-        s = generate_scene(15, noise=NoiseSpec(seed=6))
-        rep = evaluate_selection(s.pixels, s.cloud, s.T_gt, s.K)
-        path = tmp_path / "report.json"
-        rep.save_json(path)
-        back = json.loads(path.read_text())
-        assert back == {"precision": 1.0, "recall": 1.0, "count": 15}
-
-
-class TestSelectedExport:
-    def test_ply_and_sidecar(self, tmp_path):
-        rng = np.random.default_rng(83)
-        kp2d, kp3d = random_instance(rng, sigma=0.2)
-        sel = select_3d_keypoints(kp2d, kp3d, SelectConfig(s_th=1.0))
-        assert len(sel) > 0
-        ply = tmp_path / "keypoints.ply"
-        csv = tmp_path / "keypoints.csv"
-        sel.export(ply, csv)
-        assert np.array_equal(load_ply(ply), sel.points.points)
-        lines = csv.read_text().strip().splitlines()
-        assert len(lines) == len(sel)
-        for line, src, score in zip(lines, sel.source_2d, sel.scores):
-            i, s = line.split(",")
-            assert int(i) == src
-            assert float(s) == score
