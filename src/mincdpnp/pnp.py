@@ -14,7 +14,11 @@ consensus loop fits and scores a whole block of hypotheses with one
 batched SVD and one broadcast projection, then replays its best-count
 update and adaptive stop over the block in hypothesis order. A single
 fit or score is the stack of one, so every path shares the arithmetic
-and the result does not depend on the block sizes.
+and the result does not depend on the block sizes. Hypothesis k's
+minimal sample comes from a counter-based hash of (seed, k), drawn for
+a whole block in s vector steps, and each new best found by the replay
+is locally optimized (LO-RANSAC) by linear refits on its inliers before
+the adaptive stop reads its count.
 """
 
 from __future__ import annotations
@@ -51,11 +55,24 @@ MIN_PNP_POINTS = 6
 RANSAC_BLOCK_START = 8
 RANSAC_BLOCK_PAIRS = 1 << 16
 
+# Linear refits of a new best hypothesis on its own inliers, each kept
+# only while the inlier count grows (Chum, Matas & Kittler, DAGM 2003).
+LO_ROUNDS = 3
+
+# SplitMix64's golden-ratio increment (Steele, Lea & Flood, OOPSLA 2014)
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Consensus-loop parameters; the RNG seed is mandatory.
+    """Consensus-loop parameters; the sampler seed is mandatory.
 
+    Hypothesis k's minimal sample of min_sample_size pairs is a pure
+    function of (seed mod 2^64, k) and the number of pairs, drawn by a
+    counter-based hash, so no generator state is carried between
+    hypotheses. iterations caps the hypotheses drawn; the adaptive stop
+    at the given confidence reads the inlier count after the LO rounds.
     threshold is a squared pixel distance, the same inlier semantics
     the rest of the package uses.
     """
@@ -124,6 +141,32 @@ def _linear_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
         t = G[:, :, 3] / scale[:, None]
     why = np.where(rank_deficient, 1, np.where(no_scale, 2, 0))
     return R, t, why
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array. Arrays wrap modulo 2^64
+    without the overflow warning numpy scalars raise, so keep z an array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _samples(seed: int, ks, n: int, s: int) -> np.ndarray:
+    """Minimal samples of hypotheses ks, (B, s) int64: row b holds s
+    distinct indices in [0, n) and depends only on (seed, ks[b], n, s).
+
+    Hypothesis k's key is mix(mix(seed) ^ k) and its i-th draw is
+    mix(key + (i + 1) * gamma), a SplitMix64 stream. Floyd's algorithm
+    turns the draws into a subset: for j = n - s .. n - 1 it takes
+    draw % (j + 1), or j itself when that index is already taken.
+    """
+    ks = np.asarray(ks, dtype=np.uint64)
+    key = _mix64(_mix64(np.array([int(seed) & _MASK64], dtype=np.uint64)) ^ ks)
+    out = np.empty((len(ks), s), dtype=np.int64)
+    for i, j in enumerate(range(n - s, n)):
+        r = (_mix64(key + ((i + 1) * _GAMMA & _MASK64)) % (j + 1)).astype(np.int64)
+        out[:, i] = np.where((out[:, :i] == r[:, None]).any(axis=1), j, r)
+    return out
 
 
 def _fit_block(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
@@ -269,6 +312,24 @@ def _score(T, pixels, points, K, threshold):
     return mask, float(err[mask].sum())
 
 
+def _local_opt(T, mask, count, pixels, points, K, threshold):
+    """LO step for a new best (T, mask, count): up to LO_ROUNDS linear
+    refits on the current inliers, each taken only if it keeps strictly
+    more inliers. Too few inliers or a degenerate refit ends the rounds."""
+    for _ in range(LO_ROUNDS):
+        inl = np.flatnonzero(mask)
+        try:
+            T_lo = _linear_from_arrays(pixels[inl], points[inl], K)
+        except (TooFewPoints, DegenerateConfiguration):
+            break
+        mask_lo, _ = _score(T_lo, pixels, points, K, threshold)
+        count_lo = int(np.count_nonzero(mask_lo))
+        if count_lo <= count:
+            break
+        T, mask, count = T_lo, mask_lo, count_lo
+    return T, mask, count
+
+
 def pnp_ransac(
     C: CorrespondenceSet,
     image_set: KeypointSet2D,
@@ -278,17 +339,21 @@ def pnp_ransac(
 ) -> tuple[Pose, np.ndarray]:
     """Consensus pose over correspondences that may contain outliers.
 
-    Hypothesis k draws a minimal sample from its own counter-derived RNG
-    (so any evaluation order gives the same hypotheses), fits the linear
-    pose, and counts inliers under the squared-pixel threshold. Blocks
-    of hypotheses are fitted and scored at once, starting at
+    Hypothesis k draws a minimal sample by hashing (seed, k) with
+    SplitMix64 and picking distinct indices by Floyd's algorithm (so any
+    evaluation order gives the same hypotheses), fits the linear pose,
+    and counts inliers under the squared-pixel threshold. Blocks of
+    hypotheses are sampled, fitted and scored at once, starting at
     RANSAC_BLOCK_START and doubling; the best-count update and the
     adaptive stop are then replayed over each block in order of k, so
     the result is the sequential loop's to the bit and fits past the
-    stop never count. The best hypothesis is refit linearly and then
-    refined on its inliers; whichever of the three candidate poses keeps
-    the most inliers (ties broken toward lower inlier error, then toward
-    the more refined candidate) is returned with its mask.
+    stop never count. Each new best is locally optimized in the replay:
+    up to LO_ROUNDS linear refits on its inliers, each kept only while
+    the inlier count grows, and the adaptive stop uses the refit count.
+    The best pose is then refit linearly and refined on its inliers;
+    whichever of the three candidate poses keeps the most inliers (ties
+    broken toward lower inlier error, then toward the more refined
+    candidate) is returned with its mask.
     """
     pixels, points = _gather(C, image_set, cloud_set)
     T, mask, _, _ = _ransac_from_arrays(pixels, points, K, cfg)
@@ -311,9 +376,7 @@ def _ransac_from_arrays(pixels, points, K, cfg):
     stopped = False
     while k0 < cfg.iterations and not stopped:
         ks = range(k0, min(k0 + min(size, cap), cfg.iterations))
-        samples = np.array(
-            [np.random.default_rng([cfg.seed, k]).choice(n, size=s, replace=False) for k in ks]
-        )
+        samples = _samples(cfg.seed, ks, n, s)
         R, t, why, failed = _fit_block(pixels[samples], points[samples], K)
         valid = _poses_pass_checks(R, t)
         masks = _errors(R, t, pixels, points, K) <= cfg.threshold
@@ -329,7 +392,10 @@ def _ransac_from_arrays(pixels, points, K, cfg):
                 Pose(R[j], t[j])  # raises the constructor's own ValueError
             count = int(counts[j])
             if count > best_count:
-                best_count, best_pose, best_mask = count, Pose(R[j], t[j], check=False), masks[j]
+                best_pose, best_mask, best_count = _local_opt(
+                    Pose(R[j], t[j], check=False), masks[j], count,
+                    pixels, points, K, cfg.threshold,
+                )
             # standard adaptive stop: a size-s sample is all-inlier with
             # probability w^s, so after ceil(log(1-conf)/log(1-w^s)) draws
             # the chance of having missed every clean sample drops below

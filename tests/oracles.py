@@ -25,7 +25,7 @@ from mincdpnp import (
     project_points,
 )
 from mincdpnp.chamfer import _minimize, _pair_residuals
-from mincdpnp.pnp import _refine_from_arrays
+from mincdpnp.pnp import LO_ROUNDS, _refine_from_arrays
 
 
 def se3_exp_expm(omega, v):
@@ -391,6 +391,31 @@ def linear_pnp_full_svd(pixels, points, fu, fv, cu, cv):
     return R, G[:, 3] / (S.sum() / 3.0)
 
 
+def _splitmix64_scalar(z):
+    """SplitMix64's finalizer on one Python int, kept to 64 bits by hand."""
+    mask = (1 << 64) - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def ransac_sample_scalar(seed, k, n, s):
+    """Hypothesis k's minimal sample, one Python int at a time.
+
+    The key is mix(mix(seed) ^ k); draw i is mix(key + (i + 1) * gamma)
+    modulo 2^64. Floyd's algorithm: for j = n - s .. n - 1 take
+    draw % (j + 1) unless it is already in the sample, else take j.
+    """
+    mask = (1 << 64) - 1
+    gamma = 0x9E3779B97F4A7C15
+    key = _splitmix64_scalar(_splitmix64_scalar(int(seed) & mask) ^ k)
+    sample = []
+    for i, j in enumerate(range(n - s, n)):
+        r = _splitmix64_scalar((key + (i + 1) * gamma) & mask) % (j + 1)
+        sample.append(j if r in sample else r)
+    return sample
+
+
 def _linear_pnp_sequential(pixels, points, K):
     """One hypothesis of the sequential RANSAC loop: linear PnP on 2D arrays."""
     n = len(pixels)
@@ -434,9 +459,9 @@ def _score_sequential(T, pixels, points, K, threshold):
 def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
     """RANSAC-PnP one hypothesis at a time, in order of k.
 
-    Fit, score, best-count update and adaptive stop run for hypothesis k
-    before hypothesis k + 1 is drawn. Returns (pose, mask, hypotheses
-    consumed, degenerate samples skipped).
+    Draw, fit, score, best-count update with its LO rounds and adaptive
+    stop run for hypothesis k before hypothesis k + 1 is drawn. Returns
+    (pose, mask, hypotheses consumed, degenerate samples skipped).
     """
     pixels = image_set.pixels[C.idx2d]
     points = cloud_set.points[C.idx3d]
@@ -452,8 +477,7 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
     consumed = skipped = 0
     for k in range(cfg.iterations):
         consumed += 1
-        rng = np.random.default_rng([cfg.seed, k])
-        sample = rng.choice(n, size=cfg.min_sample_size, replace=False)
+        sample = ransac_sample_scalar(cfg.seed, k, n, cfg.min_sample_size)
         try:
             T_k = _linear_pnp_sequential(pixels[sample], points[sample], K)
         except DegenerateConfiguration:
@@ -463,6 +487,17 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
         count = int(mask.sum())
         if count > best_count:
             best_count, best_pose, best_mask = count, T_k, mask
+            for _ in range(LO_ROUNDS):
+                inl = np.flatnonzero(best_mask)
+                try:
+                    T_lo = _linear_pnp_sequential(pixels[inl], points[inl], K)
+                except (TooFewPoints, DegenerateConfiguration):
+                    break
+                mask_lo, _ = _score_sequential(T_lo, pixels, points, K, cfg.threshold)
+                count_lo = int(mask_lo.sum())
+                if count_lo <= best_count:
+                    break
+                best_count, best_pose, best_mask = count_lo, T_lo, mask_lo
         w = best_count / n
         if w >= 1.0:
             break

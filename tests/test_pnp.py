@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,13 @@ from mincdpnp import (
 )
 
 from mincdpnp import pnp
-from mincdpnp.pnp import _ransac_from_arrays, _refine_from_arrays
+from mincdpnp.pnp import _local_opt, _ransac_from_arrays, _refine_from_arrays, _samples
 
 from oracles import (
     linear_pnp_full_svd,
     numeric_jacobian,
     pnp_ransac_sequential,
+    ransac_sample_scalar,
     reprojection_error_scalar,
 )
 
@@ -42,6 +45,13 @@ from oracles import (
 def scene_instance(seed, n=30, **noise):
     s = generate_scene(n, noise=NoiseSpec(seed=seed, **noise))
     return s, s.gt_pairs
+
+
+def pool_scene(seed):
+    """Scene `seed` of the pnp-n1000 benchmark pool and its matches."""
+    noise = NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.5)
+    s = generate_scene(1000, noise=noise)
+    return s, match_scene(s, MatchConfig(delta=2.0))
 
 
 class TestPnpLinear:
@@ -276,8 +286,7 @@ class TestPnpRansac:
         pts = s.cloud.points[C.idx3d]
         best_explored = 0
         for k in range(cfg.iterations):
-            rng = np.random.default_rng([cfg.seed, k])
-            sample = rng.choice(len(C), size=cfg.min_sample_size, replace=False)
+            sample = ransac_sample_scalar(cfg.seed, k, len(C), cfg.min_sample_size)
             sub = CorrespondenceSet(C.idx2d[sample], C.idx3d[sample])
             try:
                 T_k = pnp_linear(sub, s.pixels, s.cloud, s.K)
@@ -397,11 +406,12 @@ class TestRansacBlocks:
     def test_benchmark_scenes_match(self):
         # the first scenes of the pnp-n1000 benchmark pool
         for seed in range(3):
-            noise = NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.5)
-            s = generate_scene(1000, noise=noise)
-            C = match_scene(s, MatchConfig(delta=2.0))
+            s, C = pool_scene(seed)
             cfg = RansacConfig(seed=seed)
-            assert_bit_identical(*blocked_and_sequential(C, s.pixels, s.cloud, s.K, cfg))
+            got = blocked_and_sequential(C, s.pixels, s.cloud, s.K, cfg)
+            assert_bit_identical(*got)
+            # the LO rounds lift the count enough for the adaptive stop
+            assert got[0][2] < cfg.iterations
 
     def test_no_consensus_matches(self):
         rng = np.random.default_rng(53)
@@ -422,17 +432,28 @@ class TestRansacBlocks:
         idx = np.tile(np.arange(len(pairs)), 3)
         kp3d = KeypointSet3D(s.cloud.points[pairs.idx3d][idx])
         C = CorrespondenceSet(pairs.idx2d[idx], np.arange(len(idx)))
-        cfg = RansacConfig(seed=5, iterations=60, confidence=1 - 1e-12)
-        blocked, sequential = blocked_and_sequential(C, s.pixels, kp3d, s.K, cfg)
-        assert_bit_identical(blocked, sequential)
-        assert blocked[3] > 0
+        # about one draw in 40 is clean and nondegenerate here, so 60 draws
+        # find a consensus under seed 4 and none under seed 5
+        for seed, found in ((4, True), (5, False)):
+            cfg = RansacConfig(seed=seed, iterations=60, confidence=1 - 1e-12)
+            blocked, sequential = blocked_and_sequential(C, s.pixels, kp3d, s.K, cfg)
+            assert_bit_identical(blocked, sequential)
+            if found:
+                assert blocked[3] > 0
+            else:
+                assert blocked is NoConsensus
 
     def _corrupt_rotation_of(self, monkeypatch, bad_k):
-        """Make hypothesis bad_k's rotation fail Pose's orthonormality check."""
+        """Make hypothesis bad_k's rotation fail Pose's orthonormality check.
+
+        Only stacks of minimal samples (m == s) hold hypotheses; the LO
+        rounds' refits on all inliers pass through uncounted."""
         real, offset = pnp._linear_batch, [0]
 
         def linear_batch(pixels, points, K):
             R, t, why = real(pixels, points, K)
+            if points.shape[1] != pnp.MIN_PNP_POINTS:
+                return R, t, why
             k0, offset[0] = offset[0], offset[0] + len(R)
             if k0 <= bad_k < k0 + len(R):
                 R = R.copy()
@@ -457,16 +478,18 @@ class TestRansacBlocks:
 
     def _fail_stacked_fits_with(self, monkeypatch, C, s, cfg, bad_k):
         """Make every _linear_batch call whose stack holds hypothesis
-        bad_k's sample raise LinAlgError, as a failed SVD would."""
+        bad_k's sample raise LinAlgError, as a failed SVD would. The
+        returned list records the size of each minimal-sample stack
+        (m == s); the LO rounds' refits are neither counted nor failed."""
         points = s.cloud.points[C.idx3d]
-        sample = np.random.default_rng([cfg.seed, bad_k]).choice(
-            len(points), size=cfg.min_sample_size, replace=False
-        )
+        sample = ransac_sample_scalar(cfg.seed, bad_k, len(points), cfg.min_sample_size)
         bad, real, stacks = points[sample], pnp._linear_batch, []
 
         def linear_batch(pixels, pts, K):
+            if pts.shape[1] != cfg.min_sample_size:
+                return real(pixels, pts, K)
             stacks.append(len(pts))
-            if pts.shape[1:] == bad.shape and (pts == bad).all(axis=(1, 2)).any():
+            if (pts == bad).all(axis=(1, 2)).any():
                 raise np.linalg.LinAlgError("SVD did not converge")
             return real(pixels, pts, K)
 
@@ -494,3 +517,98 @@ class TestRansacBlocks:
         self._fail_stacked_fits_with(monkeypatch, C, s, cfg, consumed - 1)
         with pytest.raises(np.linalg.LinAlgError):
             pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
+
+
+class TestRansacSamples:
+    """_samples against the scalar hash-and-Floyd oracle, and its draws."""
+
+    # s > n is no sample, so (6, 8) and (7, 8) are left out
+    @pytest.mark.parametrize("n, s", [(6, 6), (7, 6), (200, 6), (200, 8), (1000, 6), (1000, 8)])
+    def test_matches_the_scalar_oracle(self, n, s):
+        for seed in (0, np.int64(7), 2**64 - 1):
+            rows = _samples(seed, range(1000), n, s)
+            assert rows.dtype == np.int64 and rows.shape == (1000, s)
+            assert rows.tolist() == [ransac_sample_scalar(seed, k, n, s) for k in range(1000)]
+
+    def test_rows_do_not_depend_on_the_block_schedule(self):
+        whole = _samples(11, range(300), 200, 6)
+        blocks, k0, size = [], 0, pnp.RANSAC_BLOCK_START
+        while k0 < 300:
+            blocks.append(_samples(11, range(k0, min(k0 + size, 300)), 200, 6))
+            k0, size = k0 + size, 2 * size
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_rows_hold_distinct_indices_in_range(self):
+        for n, s in ((7, 6), (50, 8), (1000, 6)):
+            rows = np.sort(_samples(3, range(2000), n, s), axis=1)
+            assert rows[:, 0].min() >= 0 and rows[:, -1].max() < n
+            assert (rows[:, 1:] > rows[:, :-1]).all()
+
+    def test_n_equal_to_s_gives_a_permutation(self):
+        for s in (6, 8):
+            rows = _samples(5, range(500), s, s)
+            assert (np.sort(rows, axis=1) == np.arange(s)).all()
+
+    def test_index_counts_stay_in_a_band(self):
+        # 10,000 samples of 6 from 100: each index is expected 600 times
+        # with a binomial standard deviation of about 24.4, so the band
+        # 600 +- 120 is about five deviations wide; the seed is fixed
+        counts = np.bincount(_samples(0, range(10_000), 100, 6).ravel(), minlength=100)
+        assert counts.sum() == 60_000
+        assert 480 <= counts.min() and counts.max() <= 720
+
+    def test_hash_raises_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _samples(2**64 - 1, range(2**40, 2**40 + 100), 1000, 8)
+
+
+class TestLocalOptimization:
+    """The LO rounds the replay runs on each new best hypothesis."""
+
+    def test_refit_whose_count_does_not_grow_is_not_taken(self, monkeypatch):
+        s, C = pool_scene(0)
+        pixels, points = s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d]
+        cfg = RansacConfig(seed=0)
+        with_lo = _ransac_from_arrays(pixels, points, s.K, cfg)
+        calls = []
+
+        def no_inliers(T, pixels, points, K, threshold):
+            calls.append(T)
+            return np.zeros(len(pixels), bool), 0.0
+
+        monkeypatch.setattr(pnp, "_score", no_inliers)
+        refused = _ransac_from_arrays(pixels, points, s.K, cfg)
+        refits = len(calls)
+        monkeypatch.setattr(pnp, "LO_ROUNDS", 0)
+        without_lo = _ransac_from_arrays(pixels, points, s.K, cfg)
+        # the refits were scored, refused, and left the replay as it is
+        # without LO, which runs to the budget here
+        assert refits > len(calls) - refits
+        assert_bit_identical(refused, without_lo)
+        assert with_lo[2] < without_lo[2] == cfg.iterations
+        # a refit that only ties the count is refused too, after one round
+        monkeypatch.undo()
+        calls.clear()
+        tie = np.ones(len(pixels), bool)
+
+        def tied(T, *_):
+            calls.append(T)
+            return tie.copy(), 0.0
+
+        monkeypatch.setattr(pnp, "_score", tied)
+        out = _local_opt(s.T_gt, tie, len(tie), pixels, points, s.K, cfg.threshold)
+        assert out[0] is s.T_gt and out[1] is tie and out[2] == len(tie) and len(calls) == 1
+
+    def test_too_few_or_degenerate_inliers_end_the_rounds(self):
+        s, C = scene_instance(3, n=30)
+        pixels, points = s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d]
+        few = np.zeros(len(pixels), bool)
+        few[:5] = True
+        out = _local_opt(s.T_gt, few, 5, pixels, points, s.K, 5.0)
+        assert out[0] is s.T_gt and out[1] is few and out[2] == 5
+        # eight copies of one pair leave a rank-deficient system
+        same = np.ones(8, bool)
+        pix8, pts8 = np.repeat(pixels[:1], 8, axis=0), np.repeat(points[:1], 8, axis=0)
+        out = _local_opt(s.T_gt, same, 8, pix8, pts8, s.K, 5.0)
+        assert out[0] is s.T_gt and out[1] is same and out[2] == 8
