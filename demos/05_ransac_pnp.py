@@ -1,7 +1,8 @@
 """Classical PnP from matches, made robust to heavy contamination.
 
-A direct linear solve needs six clean pairs; RANSAC finds a clean
-subset inside a half-wrong matching, then refines on the consensus.
+P3P solves the pose from three clean pairs; RANSAC draws three-pair
+samples until one is clean inside a half-wrong matching, then refits
+linearly (six or more pairs) and refines on the consensus.
 """
 
 import numpy as np

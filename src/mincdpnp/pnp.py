@@ -9,16 +9,17 @@ line search and the stop reasons (cost_tol, grad_tol, converged,
 stalled, max_iters); here correspondences are fixed inputs rather than
 nearest-neighbor assignments.
 
-The linear fit and the inlier scoring work on stacks of poses, so the
-consensus loop fits and scores a whole block of hypotheses with one
-batched SVD and one broadcast projection, then replays its best-count
-update and adaptive stop over the block in hypothesis order. A single
-fit or score is the stack of one, so every path shares the arithmetic
-and the result does not depend on the block sizes. Hypothesis k's
-minimal sample comes from a counter-based hash of (seed, k), drawn for
-a whole block in s vector steps, and each new best found by the replay
-is locally optimized (LO-RANSAC) by linear refits on its inliers before
-the adaptive stop reads its count.
+The consensus loop draws minimal samples of three pairs, solves each
+by P3P (up to four poses), and scores the valid poses of a whole block
+of samples with one broadcast projection; each sample's hypothesis is
+its best pose. It then replays the best-count update and adaptive stop
+over the block in hypothesis order. The solver and the scorer work on
+stacks, and a single fit or score is the stack of one, so the result
+does not depend on the block sizes. Hypothesis k's sample comes from a
+counter-based hash of (seed, k), drawn for a whole block in three
+vector steps, and each new best found by the replay is locally
+optimized (LO-RANSAC) by linear refits on its inliers before the
+adaptive stop reads its count.
 """
 
 from __future__ import annotations
@@ -46,12 +47,16 @@ from .geometry import (
     project_points,
 )
 
+# pairs a linear fit needs; also the consensus a RANSAC result needs,
+# since its LO rounds and final refit are linear fits on the inliers
 MIN_PNP_POINTS = 6
+# pairs in a RANSAC minimal sample, solved by P3P
+P3P_SAMPLE = 3
 
 # Hypotheses per block: the first block holds RANSAC_BLOCK_START and
-# each next one twice as many, up to RANSAC_BLOCK_PAIRS // n for n
+# each next one twice as many, up to RANSAC_BLOCK_PAIRS // (4 n) for n
 # pairs, so an early stop wastes about as many fits as it used and a
-# block's (B, n) temporaries stay at a few MB.
+# block's (4 B, n) root scores stay at a few MB.
 RANSAC_BLOCK_START = 8
 RANSAC_BLOCK_PAIRS = 1 << 16
 
@@ -68,8 +73,8 @@ _MASK64 = (1 << 64) - 1
 class RansacConfig:
     """Consensus-loop parameters; the sampler seed is mandatory.
 
-    Hypothesis k's minimal sample of min_sample_size pairs is a pure
-    function of (seed mod 2^64, k) and the number of pairs, drawn by a
+    Hypothesis k's minimal sample of three pairs is a pure function of
+    (seed mod 2^64, k) and the number of pairs, drawn by a
     counter-based hash, so no generator state is carried between
     hypotheses. iterations caps the hypotheses drawn; the adaptive stop
     at the given confidence reads the inlier count after the LO rounds.
@@ -80,7 +85,6 @@ class RansacConfig:
     seed: int
     iterations: int = 1000
     threshold: float = 5.0
-    min_sample_size: int = MIN_PNP_POINTS
     confidence: float = 0.999
 
     def __post_init__(self) -> None:
@@ -90,8 +94,6 @@ class RansacConfig:
             raise ValueError("iterations must be at least 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
-        if self.min_sample_size < MIN_PNP_POINTS:
-            raise ValueError(f"min_sample_size must be at least {MIN_PNP_POINTS}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie strictly between 0 and 1")
 
@@ -104,43 +106,112 @@ def _gather(C: CorrespondenceSet, image_set: KeypointSet2D, cloud_set: KeypointS
     return image_set.pixels[C.idx2d], cloud_set.points[C.idx3d]
 
 
-_DEGENERATE = (None, "linear system is rank deficient", "projection matrix has no usable scale")
-
-
-def _linear_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
-    """Linear PnP on B samples of m pairs each, pixels (B, m, 2), points (B, m, 3).
-
-    Returns R (B, 3, 3), t (B, 3) and why (B,): 0 for a usable fit, else
-    the index of its _DEGENERATE message, in which case R and t are
-    meaningless.
-    """
-    B, m = pixels.shape[:2]
-    xn = (pixels[..., 0] - K.cu) / K.fu
-    yn = (pixels[..., 1] - K.cv) / K.fv
-    Xh = np.concatenate([points, np.ones((B, m, 1))], axis=-1)
-    A = np.zeros((B, 2 * m, 12))
-    A[:, 0::2, 0:4] = Xh
-    A[:, 0::2, 8:12] = -xn[..., None] * Xh
-    A[:, 1::2, 4:8] = Xh
-    A[:, 1::2, 8:12] = -yn[..., None] * Xh
+def _linear_from_arrays(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics) -> Pose:
+    """Linear PnP on m >= MIN_PNP_POINTS pairs, pixels (m, 2), points (m, 3)."""
+    m = len(pixels)
+    if m < MIN_PNP_POINTS:
+        raise TooFewPoints(f"linear PnP needs {MIN_PNP_POINTS} pairs, got {m}")
+    xn = (pixels[:, 0] - K.cu) / K.fu
+    yn = (pixels[:, 1] - K.cv) / K.fv
+    Xh = np.column_stack([points, np.ones(m)])
+    A = np.zeros((2 * m, 12))
+    A[0::2, 0:4] = Xh
+    A[0::2, 8:12] = -xn[:, None] * Xh
+    A[1::2, 4:8] = Xh
+    A[1::2, 8:12] = -yn[:, None] * Xh
     _, S, Vt = np.linalg.svd(A, full_matrices=False)
     # a second near-zero singular value means the pose is not unique
-    rank_deficient = (S[:, 0] <= 0) | (S[:, -2] < 1e-8 * S[:, 0])
-    G = Vt[:, -1].reshape(B, 3, 4)
-    depths = (points @ G[:, 2, :3, None])[..., 0] + G[:, 2, 3, None]
-    flip = np.count_nonzero(depths > 0, axis=1) * 2 < m
-    G = np.where(flip[:, None, None], -G, G)
-    Um, Sm, Vmt = np.linalg.svd(G[:, :, :3])
-    D = np.zeros((B, 3, 3))
-    D[:, 0, 0] = D[:, 1, 1] = 1.0
-    D[:, 2, 2] = np.sign(np.linalg.det(Um @ Vmt))
-    R = Um @ D @ Vmt
-    scale = Sm.sum(axis=-1) / 3.0
-    no_scale = ~np.isfinite(scale) | (scale <= 0)
+    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
+        raise DegenerateConfiguration("linear system is rank deficient")
+    G = Vt[-1].reshape(3, 4)
+    if np.count_nonzero(points @ G[2, :3] + G[2, 3] > 0) * 2 < m:
+        G = -G
+    Um, Sm, Vmt = np.linalg.svd(G[:, :3])
+    R = Um @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Um @ Vmt))]) @ Vmt
+    scale = Sm.sum() / 3.0
+    if not np.isfinite(scale) or scale <= 0:
+        raise DegenerateConfiguration("projection matrix has no usable scale")
+    return Pose(R, G[:, 3] / scale)
+
+
+def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
+    """P3P on B minimal samples, pixels (B, 3, 2) and points (B, 3, 3).
+
+    Grunert's quartic in the Haralick et al. form (IJCV 1994): with
+    depths s1, s2 = u s1 and s3 = v s1 along the unit bearings,
+    eliminating u from the three laws of cosines leaves a quartic in v.
+    Its roots are the eigenvalues of the companion matrix, polished by
+    two Newton steps; s1 follows from the side |P1 P3|, s2 from the side
+    |P1 P2| (the sign that fits |P2 P3| better, which stays accurate
+    where Grunert's formula for u divides by nearly zero), and a Kabsch
+    SVD aligns the points with the scaled bearings.
+
+    Returns R (B, 4, 3, 3), t (B, 4, 3) and ok (B, 4): a root is ok when
+    it is real and gives three finite positive depths, and R and t are
+    meaningless where it is not. Collinear or coincident points give no
+    root.
+    """
+    B = len(pixels)
+    f = np.stack(
+        [(pixels[..., 0] - K.cu) / K.fu, (pixels[..., 1] - K.cv) / K.fv, np.ones((B, 3))],
+        axis=-1,
+    )
+    f /= np.sqrt(np.einsum("bid,bid->bi", f, f))[..., None]
+    cos_a = np.einsum("bd,bd->b", f[:, 1], f[:, 2])[:, None]
+    cos_b = np.einsum("bd,bd->b", f[:, 0], f[:, 2])[:, None]
+    cos_g = np.einsum("bd,bd->b", f[:, 0], f[:, 1])[:, None]
+    d12, d13 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
+    d23 = points[:, 2] - points[:, 1]
+    a2, b2, c2 = (np.einsum("bd,bd->b", d, d)[:, None] for d in (d23, d13, d12))
+    area = np.cross(d12, d13)
+    degenerate = np.einsum("bd,bd->b", area, area) <= 1e-20 * (c2 * b2)[:, 0]
+    b2 = np.where(degenerate[:, None], 1.0, b2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = G[:, :, 3] / scale[:, None]
-    why = np.where(rank_deficient, 1, np.where(no_scale, 2, 0))
-    return R, t, why
+        p, q = (a2 - c2) / b2, (a2 + c2) / b2
+        A4 = (p - 1) ** 2 - 4 * c2 / b2 * cos_a**2
+        A3 = 4 * (p * (1 - p) * cos_b - (1 - q) * cos_a * cos_g + 2 * c2 / b2 * cos_a**2 * cos_b)
+        A2 = 2 * (
+            p**2 - 1 + 2 * p**2 * cos_b**2 + 2 * (b2 - c2) / b2 * cos_a**2
+            - 4 * q * cos_a * cos_b * cos_g + 2 * (b2 - a2) / b2 * cos_g**2
+        )
+        A1 = 4 * (-p * (1 + p) * cos_b + 2 * a2 / b2 * cos_g**2 * cos_b - (1 - q) * cos_a * cos_g)
+        A0 = (1 + p) ** 2 - 4 * a2 / b2 * cos_g**2
+        monic = np.concatenate([A3, A2, A1, A0], axis=1) / A4
+        usable = ~degenerate & np.isfinite(monic).all(axis=1)
+        companion = np.zeros((B, 4, 4))
+        companion[:, 0] = np.where(usable[:, None], -monic, 0.0)
+        companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+        roots = np.linalg.eigvals(companion)
+        v = roots.real
+        for _ in range(2):
+            step = ((((A4 * v + A3) * v + A2) * v + A1) * v + A0) / (
+                ((4 * A4 * v + 3 * A3) * v + 2 * A2) * v + A1
+            )
+            v = np.where(np.isfinite(step), v - step, v)
+        s1 = np.sqrt(b2 / (1 + v * v - 2 * v * cos_b))
+        s3 = v * s1
+        half = np.sqrt(np.maximum(c2 - s1 * s1 * (1 - cos_g * cos_g), 0.0))
+        s2 = s1 * cos_g + np.array([[[1.0]], [[-1.0]]]) * half
+        miss = np.abs(s2 * s2 + s3 * s3 - 2 * s2 * s3 * cos_a - a2)
+        depth = np.stack([s1, np.where(miss[0] <= miss[1], s2[0], s2[1]), s3], axis=-1)
+        # a double root can split into a pair with a tiny imaginary part
+        ok = (
+            usable[:, None]
+            & (np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real)))
+            & (np.isfinite(depth) & (depth > 0)).all(axis=-1)
+        )
+    world = np.broadcast_to(points[:, None], (B, 4, 3, 3))
+    cam = np.where(ok[..., None, None], depth[..., None] * f[:, None], world)
+    world_mean, cam_mean = world.mean(axis=2), cam.mean(axis=2)
+    H = np.swapaxes(world - world_mean[:, :, None], -1, -2) @ (cam - cam_mean[:, :, None])
+    U, _, Vt = np.linalg.svd(H)
+    V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
+    D = np.zeros((B, 4, 3, 3))
+    D[..., 0, 0] = D[..., 1, 1] = 1.0
+    D[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    t = cam_mean - (R @ world_mean[..., None])[..., 0]
+    return R, t, ok
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -170,32 +241,23 @@ def _samples(seed: int, ks, n: int, s: int) -> np.ndarray:
 
 
 def _fit_block(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
-    """_linear_batch plus {index: LinAlgError}: if the stacked SVD fails,
-    the samples are refit one at a time, and the replay raises a failed
-    sample's error only on reaching it, as the sequential loop does."""
+    """_p3p_batch plus {index: LinAlgError}: if a stacked eigvals or SVD
+    fails, the samples are refit one at a time, and the replay raises a
+    failed sample's error only on reaching it, as the sequential loop does."""
     try:
-        return (*_linear_batch(pixels, points, K), {})
+        return (*_p3p_batch(pixels, points, K), {})
     except np.linalg.LinAlgError:
         B = len(pixels)
-    R, t, why, failed = np.full((B, 3, 3), np.nan), np.full((B, 3), np.nan), np.zeros(B, int), {}
+    R, t, ok = np.full((B, 4, 3, 3), np.nan), np.full((B, 4, 3), np.nan), np.zeros((B, 4), bool)
+    failed = {}
     for j in range(B):
         try:
-            fit = _linear_batch(pixels[j : j + 1], points[j : j + 1], K)
+            fit = _p3p_batch(pixels[j : j + 1], points[j : j + 1], K)
         except np.linalg.LinAlgError as exc:
             failed[j] = exc
             continue
-        R[j], t[j], why[j] = (a[0] for a in fit)
-    return R, t, why, failed
-
-
-def _linear_from_arrays(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics) -> Pose:
-    n = len(pixels)
-    if n < MIN_PNP_POINTS:
-        raise TooFewPoints(f"linear PnP needs {MIN_PNP_POINTS} pairs, got {n}")
-    R, t, why = _linear_batch(pixels[None], points[None], K)
-    if why[0]:
-        raise DegenerateConfiguration(_DEGENERATE[why[0]])
-    return Pose(R[0], t[0])
+        R[j], t[j], ok[j] = (a[0] for a in fit)
+    return R, t, ok, failed
 
 
 def pnp_linear(
@@ -339,10 +401,12 @@ def pnp_ransac(
 ) -> tuple[Pose, np.ndarray]:
     """Consensus pose over correspondences that may contain outliers.
 
-    Hypothesis k draws a minimal sample by hashing (seed, k) with
-    SplitMix64 and picking distinct indices by Floyd's algorithm (so any
-    evaluation order gives the same hypotheses), fits the linear pose,
-    and counts inliers under the squared-pixel threshold. Blocks of
+    Hypothesis k draws three pairs by hashing (seed, k) with SplitMix64
+    and picking distinct indices by Floyd's algorithm (so any evaluation
+    order gives the same hypotheses), solves them by P3P, and counts
+    each of up to four poses' inliers under the squared-pixel
+    threshold; the pose with the most (the first on ties) is the
+    hypothesis, and a sample with no valid pose is skipped. Blocks of
     hypotheses are sampled, fitted and scored at once, starting at
     RANSAC_BLOCK_START and doubling; the best-count update and the
     adaptive stop are then replayed over each block in order of k, so
@@ -350,6 +414,8 @@ def pnp_ransac(
     stop never count. Each new best is locally optimized in the replay:
     up to LO_ROUNDS linear refits on its inliers, each kept only while
     the inlier count grows, and the adaptive stop uses the refit count.
+    A best count below MIN_PNP_POINTS raises NoConsensus, and fewer
+    than MIN_PNP_POINTS pairs raise TooFewPoints.
     The best pose is then refit linearly and refined on its inliers;
     whichever of the three candidate poses keeps the most inliers (ties
     broken toward lower inlier error, then toward the more refined
@@ -364,28 +430,33 @@ def _ransac_from_arrays(pixels, points, K, cfg):
     """pnp_ransac on gathered pairs: (pose, mask, hypotheses consumed,
     degenerate samples skipped), the counts as the in-order loop sees them."""
     n = len(pixels)
-    s = cfg.min_sample_size
-    if n < s:
-        raise TooFewPoints(f"need at least {s} correspondences, got {n}")
+    if n < MIN_PNP_POINTS:
+        raise TooFewPoints(f"need at least {MIN_PNP_POINTS} correspondences, got {n}")
 
     best_count = -1
     best_pose = None
     best_mask = None
     consumed = skipped = 0
-    k0, size, cap = 0, RANSAC_BLOCK_START, max(1, RANSAC_BLOCK_PAIRS // n)
+    k0, size, cap = 0, RANSAC_BLOCK_START, max(1, RANSAC_BLOCK_PAIRS // (4 * n))
     stopped = False
     while k0 < cfg.iterations and not stopped:
         ks = range(k0, min(k0 + min(size, cap), cfg.iterations))
-        samples = _samples(cfg.seed, ks, n, s)
-        R, t, why, failed = _fit_block(pixels[samples], points[samples], K)
+        samples = _samples(cfg.seed, ks, n, P3P_SAMPLE)
+        R, t, ok, failed = _fit_block(pixels[samples], points[samples], K)
+        # score the valid roots only; each sample keeps its best root,
+        # ties to the lower root index, and -1 marks a sample with none
+        row = np.cumsum(ok).reshape(ok.shape) - 1
+        masks = _errors(R[ok], t[ok], pixels, points, K) <= cfg.threshold
+        counts = np.full(ok.shape, -1)
+        counts[ok] = np.count_nonzero(masks, axis=1)
+        picked = np.arange(len(ks)), counts.argmax(axis=1)
+        R, t, row, counts = R[picked], t[picked], row[picked], counts[picked]
         valid = _poses_pass_checks(R, t)
-        masks = _errors(R, t, pixels, points, K) <= cfg.threshold
-        counts = np.count_nonzero(masks, axis=1)
         for j, k in enumerate(ks):
             consumed += 1
             if j in failed:
                 raise failed[j]
-            if why[j]:
+            if counts[j] < 0:
                 skipped += 1
                 continue
             if not valid[j]:
@@ -393,7 +464,7 @@ def _ransac_from_arrays(pixels, points, K, cfg):
             count = int(counts[j])
             if count > best_count:
                 best_pose, best_mask, best_count = _local_opt(
-                    Pose(R[j], t[j], check=False), masks[j], count,
+                    Pose(R[j], t[j], check=False), masks[row[j]], count,
                     pixels, points, K, cfg.threshold,
                 )
             # standard adaptive stop: a size-s sample is all-inlier with
@@ -405,15 +476,16 @@ def _ransac_from_arrays(pixels, points, K, cfg):
                 stopped = True
                 break
             if w > 0.0:
-                miss = np.log1p(-(w**s))
+                miss = np.log1p(-(w**P3P_SAMPLE))
                 if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
                     stopped = True
                     break
         k0, size = ks.stop, 2 * size
 
-    if best_pose is None or best_count < s:
+    if best_pose is None or best_count < MIN_PNP_POINTS:
         raise NoConsensus(
-            f"best consensus {max(best_count, 0)} is below the minimum sample size"
+            f"best consensus {max(best_count, 0)} is below the {MIN_PNP_POINTS}-pair "
+            "floor of the linear refits"
         )
 
     candidates = [best_pose]

@@ -25,7 +25,7 @@ from mincdpnp import (
     project_points,
 )
 from mincdpnp.chamfer import _minimize, _pair_residuals
-from mincdpnp.pnp import LO_ROUNDS, _refine_from_arrays
+from mincdpnp.pnp import LO_ROUNDS, MIN_PNP_POINTS, _p3p_batch, _refine_from_arrays
 
 
 def se3_exp_expm(omega, v):
@@ -456,20 +456,38 @@ def _score_sequential(T, pixels, points, K, threshold):
     return mask, float(err[mask].sum())
 
 
+def _p3p_hypothesis_sequential(pixels, points, sample, K, threshold):
+    """One P3P hypothesis as a stack of one: every valid root scored
+    through project_points, the first with the most inliers kept.
+    Returns (pose, mask, count), or None when no root is valid."""
+    R, t, ok = _p3p_batch(pixels[sample][None], points[sample][None], K)
+    best = None
+    for r in range(R.shape[1]):
+        if not ok[0, r]:
+            continue
+        T = Pose(R[0, r], t[0, r], check=False)
+        mask, _ = _score_sequential(T, pixels, points, K, threshold)
+        count = int(mask.sum())
+        if best is None or count > best[2]:
+            best = (r, mask, count)
+    if best is None:
+        return None
+    r, mask, count = best
+    return Pose(R[0, r], t[0, r]), mask, count
+
+
 def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
     """RANSAC-PnP one hypothesis at a time, in order of k.
 
-    Draw, fit, score, best-count update with its LO rounds and adaptive
-    stop run for hypothesis k before hypothesis k + 1 is drawn. Returns
-    (pose, mask, hypotheses consumed, degenerate samples skipped).
+    Draw, P3P fit, score, best-count update with its LO rounds and
+    adaptive stop run for hypothesis k before hypothesis k + 1 is drawn.
+    Returns (pose, mask, hypotheses consumed, degenerate samples skipped).
     """
     pixels = image_set.pixels[C.idx2d]
     points = cloud_set.points[C.idx3d]
     n = len(pixels)
-    if n < cfg.min_sample_size:
-        raise TooFewPoints(
-            f"need at least {cfg.min_sample_size} correspondences, got {n}"
-        )
+    if n < MIN_PNP_POINTS:
+        raise TooFewPoints(f"need at least {MIN_PNP_POINTS} correspondences, got {n}")
 
     best_count = -1
     best_pose = None
@@ -477,14 +495,12 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
     consumed = skipped = 0
     for k in range(cfg.iterations):
         consumed += 1
-        sample = ransac_sample_scalar(cfg.seed, k, n, cfg.min_sample_size)
-        try:
-            T_k = _linear_pnp_sequential(pixels[sample], points[sample], K)
-        except DegenerateConfiguration:
+        sample = ransac_sample_scalar(cfg.seed, k, n, 3)
+        hypothesis = _p3p_hypothesis_sequential(pixels, points, sample, K, cfg.threshold)
+        if hypothesis is None:
             skipped += 1
             continue
-        mask, _ = _score_sequential(T_k, pixels, points, K, cfg.threshold)
-        count = int(mask.sum())
+        T_k, mask, count = hypothesis
         if count > best_count:
             best_count, best_pose, best_mask = count, T_k, mask
             for _ in range(LO_ROUNDS):
@@ -502,13 +518,13 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
         if w >= 1.0:
             break
         if w > 0.0:
-            miss = np.log1p(-(w**cfg.min_sample_size))
+            miss = np.log1p(-(w**3))
             if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
                 break
 
-    if best_pose is None or best_count < cfg.min_sample_size:
+    if best_pose is None or best_count < MIN_PNP_POINTS:
         raise NoConsensus(
-            f"best consensus {max(best_count, 0)} is below the minimum sample size"
+            f"best consensus {max(best_count, 0)} is below the {MIN_PNP_POINTS}-pair floor"
         )
 
     candidates = [best_pose]
