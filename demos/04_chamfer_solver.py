@@ -46,5 +46,5 @@ print()
 print(f"stopped after {trace[-1].iteration} iterations at {rot:.2e} deg / {trans:.2e} m")
 print("each iteration freezes nearest-neighbor assignments, takes a damped")
 print("Gauss-Newton step in the twist, and backtracks on the reassigned cost;")
-print("the solve stops once the cost drops below cost_tol (as on this clean")
+print("the solve stops once the cost drops below COST_TOL (as on this clean")
 print("scene) or once an accepted step no longer lowers it")

@@ -52,10 +52,9 @@ class ChamferReport:
     """Chamfer cost with its per-term breakdown.
 
     forward_terms has one entry per pixel. backward_terms has one entry
-    per cloud point; points behind the camera hold NaN when excluded
-    (the default) or the configured penalty. assignment is the pair of
-    nearest-index arrays (cloud index per pixel, pixel index per cloud
-    point, -1 where undefined).
+    per cloud point; points behind the camera are excluded and hold NaN.
+    assignment is the pair of nearest-index arrays (cloud index per
+    pixel, pixel index per cloud point, -1 where undefined).
     """
 
     value: float
@@ -78,25 +77,17 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Iteration cap and step rule ("gn" damped Gauss-Newton, "gd"
+    gradient descent); the loop's other settings are module constants."""
+
     max_iters: int = 200
-    cost_tol: float = 1e-12
-    grad_tol: float = 1e-10
     method: str = "gn"
-    damping: float = 1e-6
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.cost_tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.method not in ("gn", "gd"):
             raise ValueError("method must be 'gn' or 'gd'")
-        if self.damping <= 0:
-            raise ValueError("damping must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,13 +106,11 @@ def chamfer_cost(
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
     K: CameraIntrinsics,
-    behind_penalty: float | None = None,
 ) -> ChamferReport:
     """Two-sided sum of squared nearest-neighbor distances at pose T.
 
-    behind_penalty, when given, is added to backward_terms for every
-    cloud point behind the camera; by default such points are excluded.
-    Each search is a k-d tree query; ties go to the lowest index.
+    Cloud points behind the camera are excluded. Each search is a k-d
+    tree query; ties go to the lowest index.
     """
     if len(image_set) == 0 or len(cloud_set) == 0:
         raise EmptySet("chamfer_cost needs a nonempty pixel set and cloud")
@@ -137,9 +126,6 @@ def chamfer_cost(
     bwd_assign = np.full(len(cloud_set), -1, dtype=np.int64)
     bwd_assign[visible_idx] = bwd_nearest
     value = float(forward_terms.sum() + bwd_sq.sum())
-    if behind_penalty is not None:
-        backward_terms[~in_front] = behind_penalty
-        value += behind_penalty * (len(cloud_set) - len(visible_idx))
     assignment = (visible_idx[fwd_nearest], bwd_assign)
     return ChamferReport(value, forward_terms, backward_terms, assignment)
 
@@ -205,6 +191,18 @@ def chamfer_grad_twist(
 # the Armijo test (cost + c*alpha*decrease rounds back to cost), reset
 # the stall count and keep a noisy solve running until max_iters.
 CONVERGED_RTOL = 1e-12
+# A cost at or below COST_TOL, or a gradient norm at or below GRAD_TOL,
+# ends the solve.
+COST_TOL = 1e-12
+GRAD_TOL = 1e-10
+# Added to the Gauss-Newton normal matrix's diagonal.
+DAMPING = 1e-6
+# Armijo line search: the first trial step, the sufficient-decrease
+# constant, the step shrink per backtrack and the trials per search.
+STEP_INIT = 1.0
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
 
 
 def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
@@ -221,7 +219,8 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     cost by at most CONVERGED_RTOL of it), "stalled" (five fruitless line
     searches in a row at a near-stationary point; away from one they
     raise Divergence) or "max_iters". With T_gt the trace rows carry
-    the pose error against it.
+    the pose error against it. The module constants above are read at
+    call time.
     """
     T = T_init
     cost, state = cost_fn(T)
@@ -233,35 +232,35 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     trace = [row(0, 0.0)]
     stalls = 0
     for it in range(1, cfg.max_iters + 1):
-        if cost <= cfg.cost_tol:
+        if cost <= COST_TOL:
             return T, trace, "cost_tol"
         residuals, J = residual_fn(T, state)
         Jf = J.reshape(-1, 6)
         g = Jf.T @ residuals.reshape(-1)
         grad = -2.0 * g
         if cfg.method == "gn":
-            direction = np.linalg.solve(Jf.T @ Jf + cfg.damping * np.eye(6), g)
+            direction = np.linalg.solve(Jf.T @ Jf + DAMPING * np.eye(6), g)
         else:
             direction = -grad
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= GRAD_TOL:
             return T, trace, "grad_tol"
 
-        alpha = cfg.step_init
+        alpha = STEP_INIT
         decrease = float(grad @ direction)  # negative along a descent direction
         cost_before = cost
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             T_try = se3_exp(Twist.from_vector(alpha * direction)).compose(T)
             try:
                 trial, trial_state = cost_fn(T_try)
             except AllPointsBehindCamera:
-                alpha *= cfg.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
                 continue
-            if trial <= cost + cfg.armijo_c * alpha * decrease:
+            if trial <= cost + ARMIJO_C * alpha * decrease:
                 T, cost, state, accepted = T_try, trial, trial_state, True
                 break
-            alpha *= cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         trace.append(row(it, alpha if accepted else 0.0))
         if accepted:
             if cost_before - cost <= CONVERGED_RTOL * cost_before:
@@ -270,12 +269,12 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
             continue
         stalls += 1
         if stalls >= 5:
-            if grad_norm > cfg.grad_tol * 10:
+            if grad_norm > GRAD_TOL * 10:
                 raise Divergence(
                     f"line search stalled 5 times with gradient norm {grad_norm:.3e}"
                 )
             return T, trace, "stalled"
-    return T, trace, "cost_tol" if cost <= cfg.cost_tol else "max_iters"
+    return T, trace, "cost_tol" if cost <= COST_TOL else "max_iters"
 
 
 def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
@@ -307,10 +306,11 @@ def solve_pose_chamfer(
     damped Gauss-Newton or gradient step in the local twist, and
     backtracks until the true (re-assigned) cost decreases, so the cost
     trace is monotone nonincreasing. The loop, shared with pnp_refine,
-    stops at cfg.cost_tol, at cfg.grad_tol, once an accepted step lowers
-    the cost by no more than a 1e-12 fraction, or at cfg.max_iters. Five
-    fruitless line searches in a row end the solve, raising Divergence
-    only if the gradient says the iterate is not a stationary point.
+    stops once the cost is at most COST_TOL or the gradient norm at most
+    GRAD_TOL, once an accepted step lowers the cost by no more than a
+    CONVERGED_RTOL fraction, or at cfg.max_iters. Five fruitless line
+    searches in a row end the solve, raising Divergence only if the
+    gradient says the iterate is not a stationary point.
     With T_gt, trace rows also hold the pose error against it.
     """
     return _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt)[:2]

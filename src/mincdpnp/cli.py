@@ -28,7 +28,6 @@ from .chamfer import (
 )
 from .errors import MinCDError
 from .evaluation import (
-    MetricConfig,
     run_pipeline,
     summary_from_records,
     summary_markdown,
@@ -185,7 +184,6 @@ def cmd_eval(args) -> int:
     records, errors = run_pipeline(
         scenes,
         solver=args.solver,
-        metric=MetricConfig(),
         match_cfg=MatchConfig(delta=args.delta),
         ransac_iterations=args.iterations,
         ransac_threshold=args.tau,

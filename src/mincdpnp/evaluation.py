@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chamfer import SolverConfig, solve_pose_chamfer
+from .chamfer import solve_pose_chamfer
 from .errors import EmptySet, MinCDError, MissingDepth
 from .features import CorrespondenceSet, MatchConfig, nearest_features
 from .geometry import Pose, pose_difference
@@ -124,7 +124,7 @@ def match_scene(
 ) -> CorrespondenceSet:
     """Nearest 3D partner per pixel, kept when within the match delta."""
     best, score = nearest_features(
-        scene.pixels.require_features(), scene.cloud.require_features(), match_cfg
+        scene.pixels.require_features(), scene.cloud.require_features()
     )
     keep = np.flatnonzero(score <= match_cfg.delta)
     return CorrespondenceSet(
@@ -136,8 +136,8 @@ def match_scene(
     )
 
 
-def _solve_one(scene, C, solver, seed, solver_cfg, ransac_iterations,
-               ransac_threshold, init_rot_deg, init_trans_m, timings):
+def _solve_one(scene, C, solver, seed, ransac_iterations, ransac_threshold,
+               init_rot_deg, init_trans_m, timings):
     t0 = time.perf_counter()
     if solver == "pnp":
         rcfg = RansacConfig(
@@ -147,9 +147,7 @@ def _solve_one(scene, C, solver, seed, solver_cfg, ransac_iterations,
     else:
         # local solver: start from a reproducible perturbation of the truth
         T_init = perturb_pose(scene.T_gt, init_rot_deg, init_trans_m, seed)
-        T_est, _ = solve_pose_chamfer(
-            T_init, scene.pixels, scene.cloud, scene.K, solver_cfg
-        )
+        T_est, _ = solve_pose_chamfer(T_init, scene.pixels, scene.cloud, scene.K)
     timings["solve_s"] = time.perf_counter() - t0
     return T_est
 
@@ -158,9 +156,7 @@ def run_pipeline(
     scenes: list[tuple[str, ScenePair]],
     *,
     solver: str = "pnp",
-    metric: MetricConfig = MetricConfig(),
     match_cfg: MatchConfig = MatchConfig(),
-    solver_cfg: SolverConfig = SolverConfig(),
     ransac_iterations: int = 1000,
     ransac_threshold: float = 5.0,
     init_rot_deg: float = 5.0,
@@ -194,13 +190,12 @@ def run_pipeline(
             timings: dict = {"match_s": match_s}
             try:
                 T_est = _solve_one(
-                    scene, C, name, seed + idx, solver_cfg,
-                    ransac_iterations, ransac_threshold,
+                    scene, C, name, seed + idx, ransac_iterations, ransac_threshold,
                     init_rot_deg, init_trans_m, timings,
                 )
                 t0 = time.perf_counter()
-                ir = inlier_ratio(C, scene, metric)
-                rmse, success = registration_success(T_est, scene, metric)
+                ir = inlier_ratio(C, scene)
+                rmse, success = registration_success(T_est, scene)
                 rot, trans = pose_difference(T_est, scene.T_gt)
                 timings["metrics_s"] = time.perf_counter() - t0
             except MinCDError as exc:  # per-scene isolation; bugs propagate

@@ -165,10 +165,9 @@ def _load_matrix_csv(path):
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Feature-matching knobs: distance threshold and normalization mode."""
+    """Feature-matching threshold on the distance between unit-L2 features."""
 
     delta: float = 0.5
-    normalize: bool = True
 
     def __post_init__(self) -> None:
         if not (self.delta > 0):
@@ -235,9 +234,9 @@ class CorrespondenceSet:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "CorrespondenceSet":
-        if not Path(path).read_text().strip():
+        raw = _load_matrix_csv(path)
+        if raw is None:
             return cls([], [], [])
-        raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         if raw.shape[1] != 3:
             raise ValueError(f"expected 3 columns (i, j, score), got {raw.shape[1]}")
         return cls(raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2])
@@ -250,22 +249,18 @@ def normalize_features(feats: np.ndarray) -> np.ndarray:
     return np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
 
 
-def _prepared_features(feats2d, feats3d, cfg: MatchConfig):
+def _prepared_features(feats2d, feats3d):
+    """Both feature sets with unit-L2 rows (zero rows stay zero)."""
     a = np.atleast_2d(np.asarray(feats2d, dtype=np.float64))
     b = np.atleast_2d(np.asarray(feats3d, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"feature dimensions {a.shape[1]} vs {b.shape[1]}")
-    if cfg.normalize:
-        a = normalize_features(a)
-        b = normalize_features(b)
-    return a, b
+    return normalize_features(a), normalize_features(b)
 
 
-def feature_distance_matrix(
-    feats2d: np.ndarray, feats3d: np.ndarray, cfg: MatchConfig = MatchConfig()
-) -> np.ndarray:
+def feature_distance_matrix(feats2d: np.ndarray, feats3d: np.ndarray) -> np.ndarray:
     """All-pairs distance matrix D with D[i, j] = d(f2d_i, f3d_j)."""
-    return cdist(*_prepared_features(feats2d, feats3d, cfg), metric="euclidean")
+    return cdist(*_prepared_features(feats2d, feats3d), metric="euclidean")
 
 
 # Query rows screened per matrix product: the block's screen is a
@@ -297,9 +292,7 @@ def _pair_distances(a, b, rows, cols):
     return out
 
 
-def nearest_features(
-    feats2d: np.ndarray, feats3d: np.ndarray, cfg: MatchConfig = MatchConfig()
-) -> tuple[np.ndarray, np.ndarray]:
+def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest 3D feature of each 2D feature: (index array, distance array).
 
     The same indices and distance bits as np.argmin over the rows of
@@ -310,7 +303,7 @@ def nearest_features(
     the candidates are rescored with cdist's arithmetic. An empty 3D set
     raises ValueError, as an argmin over nothing does.
     """
-    a, b = _prepared_features(feats2d, feats3d, cfg)
+    a, b = _prepared_features(feats2d, feats3d)
     if len(b) == 0:
         raise ValueError("nearest_features needs at least one 3D feature")
     if a.shape[1] == 0:  # zero-length features: every distance is 0.0
@@ -350,21 +343,17 @@ def match_by_threshold(
     image_set: KeypointSet2D, cloud_set: KeypointSet3D, cfg: MatchConfig = MatchConfig()
 ) -> CorrespondenceSet:
     """All pairs whose feature distance is at or below cfg.delta."""
-    D = feature_distance_matrix(
-        image_set.require_features(), cloud_set.require_features(), cfg
-    )
+    D = feature_distance_matrix(image_set.require_features(), cloud_set.require_features())
     i, j = np.nonzero(D <= cfg.delta)
     return CorrespondenceSet(i, j, D[i, j], n2d=len(image_set), n3d=len(cloud_set))
 
 
-def nearest_3d_match(
-    q_feature, cloud_set: KeypointSet3D, cfg: MatchConfig = MatchConfig()
-) -> tuple[int, float]:
+def nearest_3d_match(q_feature, cloud_set: KeypointSet3D) -> tuple[int, float]:
     """Closest 3D keypoint in feature space: (argmin index, min distance).
 
     Ties break toward the lowest index.
     """
     if len(cloud_set) == 0:
         raise EmptySet("3D keypoint set is empty")
-    best, score = nearest_features(q_feature, cloud_set.require_features(), cfg)
+    best, score = nearest_features(q_feature, cloud_set.require_features())
     return int(best[0]), float(score[0])

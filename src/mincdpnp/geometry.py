@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 - A pose T maps point-cloud coordinates to camera coordinates,
   x_cam = R @ p + t.  The camera looks down +z; a point is visible when
-  its camera-frame depth exceeds ``Z_MIN`` (default 1e-6 m).
+  its camera-frame depth exceeds ``Z_MIN`` (1e-6 m).
 - Pixels are (u, v) with u along the image width, stored as length-2
   float arrays.  3D points are (x, y, z) length-3 float arrays, meters.
 - Twists order the rotation part first: xi = (omega, v).  se3_exp uses
@@ -215,9 +215,7 @@ def pinhole(cam, K: CameraIntrinsics, z=None) -> np.ndarray:
     return np.stack([K.fu * cam[..., 0] / z + K.cu, K.fv * cam[..., 1] / z + K.cv], axis=-1)
 
 
-def project_points(
-    points, T: Pose, K: CameraIntrinsics, z_min: float = Z_MIN
-) -> tuple[np.ndarray, np.ndarray]:
+def project_points(points, T: Pose, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, 3) batch.
 
     Returns (pixels, in_front): pixels is (N, 2) with NaN rows where the
@@ -225,7 +223,7 @@ def project_points(
     """
     cam = np.atleast_2d(np.asarray(points, dtype=np.float64)) @ T.R.T + T.t
     z = cam[:, 2]
-    in_front = z > z_min
+    in_front = z > Z_MIN
     pixels = np.where(in_front[:, None], pinhole(cam, K, np.where(in_front, z, 1.0)), np.nan)
     return pixels, in_front
 

@@ -17,12 +17,7 @@ from itertools import chain
 from scipy.spatial import cKDTree
 
 from .errors import EmptyGroundTruth
-from .features import (
-    KeypointSet2D,
-    KeypointSet3D,
-    MatchConfig,
-    nearest_features,
-)
+from .features import KeypointSet2D, KeypointSet3D, nearest_features
 from .geometry import CameraIntrinsics, Pose, project_points
 
 DEFAULT_S_TH = float(np.exp(-0.4))
@@ -75,17 +70,14 @@ class KeypointReport:
             raise ValueError("count must equal the selection size")
 
 
-def _nearest_matches(image_set, cloud_set, match_cfg):
-    return nearest_features(
-        image_set.require_features(), cloud_set.require_features(), match_cfg
-    )
+def _nearest_matches(image_set, cloud_set):
+    return nearest_features(image_set.require_features(), cloud_set.require_features())
 
 
 def select_3d_keypoints(
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
     cfg: SelectConfig = SelectConfig(),
-    match_cfg: MatchConfig = MatchConfig(),
 ) -> SelectedKeypoints:
     """Keep each 2D keypoint's nearest 3D partner when its score clears s_th.
 
@@ -93,7 +85,7 @@ def select_3d_keypoints(
     best (lowest) score; ties keep the lowest 2D index. Growing s_th
     only ever adds rows, so selections are nested across thresholds.
     """
-    best_j, best_s = _nearest_matches(image_set, cloud_set, match_cfg)
+    best_j, best_s = _nearest_matches(image_set, cloud_set)
     keep: dict[int, tuple[float, int]] = {}
     for q_idx in range(len(image_set)):
         if best_s[q_idx] > cfg.s_th:
@@ -119,10 +111,10 @@ def select_3d_keypoints(
     )
 
 
-def _nearest_partners(image_set, cloud_set, T, K, match_cfg):
+def _nearest_partners(image_set, cloud_set, T, K):
     """Each 2D keypoint's nearest-feature partner: (match score, squared
     reprojection error under T, partner in front of the camera)."""
-    best_j, best_s = _nearest_matches(image_set, cloud_set, match_cfg)
+    best_j, best_s = _nearest_matches(image_set, cloud_set)
     proj, in_front = project_points(cloud_set.points, T, K)
     diff = image_set.pixels - proj[best_j]
     return best_s, np.einsum("nd,nd->n", diff, diff), in_front[best_j]
@@ -134,7 +126,6 @@ def key_loss(
     T_gt: Pose,
     K: CameraIntrinsics,
     cfg: SelectConfig = SelectConfig(),
-    match_cfg: MatchConfig = MatchConfig(),
 ) -> tuple[int, np.ndarray]:
     """Negative count of confident, correctly reprojecting keypoints.
 
@@ -142,7 +133,7 @@ def key_loss(
     and lies in [-M0, 0]. A nearest partner behind the camera is never
     correct.
     """
-    scores, sq, in_front = _nearest_partners(image_set, cloud_set, T_gt, K, match_cfg)
+    scores, sq, in_front = _nearest_partners(image_set, cloud_set, T_gt, K)
     counted = (scores <= cfg.s_th) & in_front & (sq <= cfg.tau)
     return -int(np.count_nonzero(counted)), counted
 
@@ -152,7 +143,6 @@ def guided_reprojection_total(
     cloud_set: KeypointSet3D,
     T: Pose,
     K: CameraIntrinsics,
-    match_cfg: MatchConfig = MatchConfig(),
 ) -> float:
     """Diagnostic only: summed reprojection error of nearest-feature matches.
 
@@ -160,7 +150,7 @@ def guided_reprojection_total(
     replacement losses and ships with no solver; behind-camera partners
     are skipped.
     """
-    _, sq, in_front = _nearest_partners(image_set, cloud_set, T, K, match_cfg)
+    _, sq, in_front = _nearest_partners(image_set, cloud_set, T, K)
     return float(np.sum(sq[in_front]))
 
 
@@ -168,13 +158,13 @@ def guided_reprojection_total(
 class GroundTruthCorrectness:
     """Reprojection-based correctness oracle at a known pose.
 
-    pair_ok tells whether a specific 2D-3D pair reprojects within the
-    pixel threshold: its squared pixel distance, du*du + dv*dv, is at
-    most threshold_px**2, and a point behind the camera never is.
+    pairs_ok tells, pair by pair, whether 2D-3D pairs reproject within
+    the pixel threshold: a pair's squared pixel distance, du*du + dv*dv,
+    is at most threshold_px**2, and a point behind the camera never is.
     q_with_partner lists the 2D keypoints for which any 3D point does;
     a k-d tree over the projections in front of the camera proposes the
-    candidates and each one is rechecked with pair_ok's arithmetic, so
-    no N x M matrix is formed.
+    candidates and pairs_ok rechecks each one, so no N x M matrix is
+    formed.
     """
 
     pixels: np.ndarray
@@ -182,13 +172,10 @@ class GroundTruthCorrectness:
     in_front: np.ndarray
     threshold_px: float
 
-    def _ok(self, q_idx, cloud_idx):
+    def pairs_ok(self, q_idx, cloud_idx) -> np.ndarray:
         d = self.pixels[q_idx] - self.projected[cloud_idx]
         sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
         return self.in_front[cloud_idx] & (sq <= self.threshold_px**2)
-
-    def pair_ok(self, q_idx: int, cloud_idx: int) -> bool:
-        return bool(self._ok(q_idx, cloud_idx))
 
     @property
     def q_with_partner(self) -> np.ndarray:
@@ -202,7 +189,7 @@ class GroundTruthCorrectness:
         counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
         q = np.repeat(np.arange(len(near)), counts)
         j = front[np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(q))]
-        return np.unique(q[self._ok(q, j)])
+        return np.unique(q[self.pairs_ok(q, j)])
 
 
 def reprojection_correctness(
@@ -231,7 +218,7 @@ def keypoint_precision_recall(
         raise EmptyGroundTruth("no 2D keypoint has a partner within the threshold")
     if len(selected) == 0:
         return 0.0, 0.0
-    ok = ground_truth._ok(selected.source_2d, selected.cloud_indices)
+    ok = ground_truth.pairs_ok(selected.source_2d, selected.cloud_indices)
     precision = float(np.count_nonzero(ok) / len(selected))
     recovered = set(selected.source_2d[ok].tolist()) & set(gt_q.tolist())
     recall = float(len(recovered) / len(gt_q))
@@ -244,11 +231,10 @@ def evaluate_selection(
     T_gt: Pose,
     K: CameraIntrinsics,
     cfg: SelectConfig = SelectConfig(),
-    match_cfg: MatchConfig = MatchConfig(),
     pixel_threshold: float = PRECISION_RECALL_PIXEL_THRESHOLD,
 ) -> KeypointReport:
     """Select keypoints and grade them in one step."""
-    selected = select_3d_keypoints(image_set, cloud_set, cfg, match_cfg)
+    selected = select_3d_keypoints(image_set, cloud_set, cfg)
     gt = reprojection_correctness(image_set, cloud_set, T_gt, K, pixel_threshold)
     precision, recall = keypoint_precision_recall(selected, gt)
     return KeypointReport(

@@ -44,6 +44,10 @@ def load_ply(path: str | Path) -> np.ndarray:
             break
     if n_vertices is None or body_at is None:
         raise ValueError(f"{path} has a malformed PLY header")
+    if len(text) - body_at < n_vertices:
+        raise ValueError(
+            f"{path} declares {n_vertices} vertices but holds {len(text) - body_at}"
+        )
     rows = [
         [float(v) for v in text[body_at + i].split()[:3]] for i in range(n_vertices)
     ]

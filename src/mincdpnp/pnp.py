@@ -60,6 +60,9 @@ P3P_SAMPLE = 3
 RANSAC_BLOCK_START = 8
 RANSAC_BLOCK_PAIRS = 1 << 16
 
+# confidence of the adaptive stop (see _ransac_from_arrays)
+RANSAC_CONFIDENCE = 0.999
+
 # Linear refits of a new best hypothesis on its own inliers, each kept
 # only while the inlier count grows (Chum, Matas & Kittler, DAGM 2003).
 LO_ROUNDS = 3
@@ -77,7 +80,7 @@ class RansacConfig:
     (seed mod 2^64, k) and the number of pairs, drawn by a
     counter-based hash, so no generator state is carried between
     hypotheses. iterations caps the hypotheses drawn; the adaptive stop
-    at the given confidence reads the inlier count after the LO rounds.
+    at RANSAC_CONFIDENCE reads the inlier count after the LO rounds.
     threshold is a squared pixel distance, the same inlier semantics
     the rest of the package uses.
     """
@@ -85,7 +88,6 @@ class RansacConfig:
     seed: int
     iterations: int = 1000
     threshold: float = 5.0
-    confidence: float = 0.999
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -94,8 +96,6 @@ class RansacConfig:
             raise ValueError("iterations must be at least 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must lie strictly between 0 and 1")
 
 
 def _gather(C: CorrespondenceSet, image_set: KeypointSet2D, cloud_set: KeypointSet3D):
@@ -342,10 +342,11 @@ def pnp_refine(
     Damped Gauss-Newton (or plain gradient descent) in the local twist
     with Armijo backtracking, so the cost trace is monotone
     nonincreasing; pass a list as trace to have its rows appended. The
-    loop and its stops are solve_pose_chamfer's: cost_tol, grad_tol, an
-    accepted step that lowers the cost by no more than a 1e-12 fraction,
-    max_iters, and five fruitless line searches in a row, which raise
-    Divergence only away from a stationary point.
+    loop and its stops are solve_pose_chamfer's: a cost at most
+    chamfer.COST_TOL or a gradient norm at most chamfer.GRAD_TOL, an
+    accepted step that lowers the cost by no more than a CONVERGED_RTOL
+    fraction, cfg.max_iters, and five fruitless line searches in a row,
+    which raise Divergence only away from a stationary point.
     """
     pixels, points = _gather(C, image_set, cloud_set)
     if len(pixels) < 3:
@@ -470,14 +471,14 @@ def _ransac_from_arrays(pixels, points, K, cfg):
             # standard adaptive stop: a size-s sample is all-inlier with
             # probability w^s, so after ceil(log(1-conf)/log(1-w^s)) draws
             # the chance of having missed every clean sample drops below
-            # 1 - confidence
+            # 1 - RANSAC_CONFIDENCE
             w = best_count / n
             if w >= 1.0:
                 stopped = True
                 break
             if w > 0.0:
                 miss = np.log1p(-(w**P3P_SAMPLE))
-                if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
+                if miss < 0 and (k + 1) >= np.log1p(-RANSAC_CONFIDENCE) / miss:
                     stopped = True
                     break
         k0, size = ks.stop, 2 * size

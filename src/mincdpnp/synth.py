@@ -115,7 +115,7 @@ class ScenePair:
         depth = depth.reshape(-1) if depth is not None else np.zeros(0)
         return cls(
             cloud=KeypointSet3D(points, feats3d),
-            pixels=KeypointSet2D(pixels.reshape(-1, 2) if pixels is not None else np.zeros((0, 2)), feats2d),
+            pixels=KeypointSet2D(pixels if pixels is not None else np.zeros((0, 2)), feats2d),
             T_gt=Pose.load(d / "pose_gt.json"),
             K=CameraIntrinsics.load(d / "intrinsics.json"),
             depth=depth,

@@ -25,6 +25,7 @@ from mincdpnp import (
     project_points,
 )
 from mincdpnp.chamfer import _minimize, _pair_residuals
+from mincdpnp import pnp
 from mincdpnp.pnp import LO_ROUNDS, MIN_PNP_POINTS, _p3p_batch, _refine_from_arrays
 
 
@@ -64,24 +65,24 @@ def reprojection_error_scalar(q, p, R, t, fu, fv, cu, cv):
     return du * du + dv * dv
 
 
-def feature_distance_scalar(a, b, normalize=True):
-    """L2 feature distance with explicit loops and no vectorization."""
+def feature_distance_scalar(a, b):
+    """L2 distance of the unit-normalized features (a zero vector stays
+    zero), with explicit loops and no vectorization."""
     a = [float(x) for x in a]
     b = [float(x) for x in b]
-    if normalize:
-        na = sum(x * x for x in a) ** 0.5
-        nb = sum(x * x for x in b) ** 0.5
-        a = [x / na for x in a] if na > 0 else a
-        b = [x / nb for x in b] if nb > 0 else b
+    na = sum(x * x for x in a) ** 0.5
+    nb = sum(x * x for x in b) ** 0.5
+    a = [x / na for x in a] if na > 0 else a
+    b = [x / nb for x in b] if nb > 0 else b
     return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
 
 
-def match_pairs_bruteforce(feats2d, feats3d, delta, normalize=True):
+def match_pairs_bruteforce(feats2d, feats3d, delta):
     """Exhaustive double loop over all 2D-3D feature pairs."""
     out = []
     for i, fa in enumerate(feats2d):
         for j, fb in enumerate(feats3d):
-            d = feature_distance_scalar(fa, fb, normalize)
+            d = feature_distance_scalar(fa, fb)
             if d <= delta:
                 out.append((i, j, d))
     return out
@@ -168,7 +169,7 @@ def chamfer_cost_bruteforce(pixels, points, R, t, fu, fv, cu, cv, z_min=1e-6):
     return float(np.sum(fwd) + np.sum(bwd))
 
 
-def chamfer_cost_dense(T, image_set, cloud_set, K, behind_penalty=None):
+def chamfer_cost_dense(T, image_set, cloud_set, K):
     """chamfer_cost through the whole N x M cdist matrix and np.argmin,
     whose ties go to the lowest index."""
     if len(image_set) == 0 or len(cloud_set) == 0:
@@ -186,9 +187,6 @@ def chamfer_cost_dense(T, image_set, cloud_set, K, behind_penalty=None):
     bwd_assign = np.full(len(cloud_set), -1, dtype=np.int64)
     bwd_assign[visible_idx] = bwd_nearest
     value = float(forward_terms.sum() + backward_terms[visible_idx].sum())
-    if behind_penalty is not None:
-        backward_terms[~in_front] = behind_penalty
-        value += behind_penalty * (len(cloud_set) - len(visible_idx))
     assignment = (visible_idx[fwd_nearest], bwd_assign)
     return ChamferReport(value, forward_terms, backward_terms, assignment)
 
@@ -225,22 +223,22 @@ def solve_chamfer_dense(T_init, image_set, cloud_set, K, cfg):
     )
 
 
-def nearest_match_bruteforce(feats2d, feats3d, normalize=True):
+def nearest_match_bruteforce(feats2d, feats3d):
     """Per-query argmin over all 3D features; ties keep the lowest index."""
     out = []
     for fa in feats2d:
         best_j, best_s = 0, np.inf
         for j, fb in enumerate(feats3d):
-            s = feature_distance_scalar(fa, fb, normalize)
+            s = feature_distance_scalar(fa, fb)
             if s < best_s:
                 best_j, best_s = j, s
         out.append((best_j, best_s))
     return out
 
 
-def nearest_features_dense(feats2d, feats3d, cfg):
+def nearest_features_dense(feats2d, feats3d):
     """The whole N x M feature_distance_matrix, then np.argmin per row."""
-    D = feature_distance_matrix(feats2d, feats3d, cfg)
+    D = feature_distance_matrix(feats2d, feats3d)
     best = np.argmin(D, axis=1)
     return best, D[np.arange(len(D)), best]
 
@@ -266,15 +264,13 @@ class DenseCorrectness:
         return np.flatnonzero((self.sq <= self.threshold_px**2).any(axis=1))
 
 
-def evaluate_selection_dense(image_set, cloud_set, T_gt, K, s_th, match_cfg):
+def evaluate_selection_dense(image_set, cloud_set, T_gt, K, s_th):
     """Keypoint selection from the dense argmin, graded by DenseCorrectness.
 
     Returns (cloud indices, source 2D indices, scores, precision, recall)
     with the selection rule of select_3d_keypoints written out.
     """
-    best, score = nearest_features_dense(
-        image_set.features, cloud_set.features, match_cfg
-    )
+    best, score = nearest_features_dense(image_set.features, cloud_set.features)
     keep = {}
     for q in range(len(image_set)):
         if score[q] > s_th:
@@ -303,14 +299,14 @@ def save_matrix_csv_scalar(path, matrix):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def select_keypoints_bruteforce(feats2d, feats3d, s_th, normalize=True):
+def select_keypoints_bruteforce(feats2d, feats3d, s_th):
     """Exhaustive confident-match filter with keep-best deduplication.
 
     Returns {cloud index: (score, query index)} so tests can compare
     whole selections as dictionaries.
     """
     keep = {}
-    for q, (j, s) in enumerate(nearest_match_bruteforce(feats2d, feats3d, normalize)):
+    for q, (j, s) in enumerate(nearest_match_bruteforce(feats2d, feats3d)):
         if s > s_th:
             continue
         if j not in keep or (s, q) < keep[j]:
@@ -319,11 +315,10 @@ def select_keypoints_bruteforce(feats2d, feats3d, s_th, normalize=True):
 
 
 def key_loss_flags_bruteforce(
-    pixels, feats2d, points, feats3d, R, t, fu, fv, cu, cv, tau, s_th,
-    normalize=True, z_min=1e-6,
+    pixels, feats2d, points, feats3d, R, t, fu, fv, cu, cv, tau, s_th, z_min=1e-6,
 ):
     """Per-query confident and correct flags, one scalar pair at a time."""
-    matches = nearest_match_bruteforce(feats2d, feats3d, normalize)
+    matches = nearest_match_bruteforce(feats2d, feats3d)
     confident, correct = [], []
     for q_idx, (j, s) in enumerate(matches):
         confident.append(s <= s_th)
@@ -519,7 +514,7 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
             break
         if w > 0.0:
             miss = np.log1p(-(w**3))
-            if miss < 0 and (k + 1) >= np.log1p(-cfg.confidence) / miss:
+            if miss < 0 and (k + 1) >= np.log1p(-pnp.RANSAC_CONFIDENCE) / miss:
                 break
 
     if best_pose is None or best_count < MIN_PNP_POINTS:

@@ -152,6 +152,23 @@ class TestEval:
         assert "FileNotFoundError" in bad[0]["error"]
         assert "KeyError" in bad[1]["error"]
 
+    def test_truncated_cloud_fails_its_scene_alone(self, tmp_path):
+        scenes = tmp_path / "scenes"
+        for i in range(2):
+            generate_scene(50, noise=NoiseSpec(seed=i)).save_dir(
+                scenes / f"scene_{i:04d}"
+            )
+        ply = scenes / "scene_0000" / "cloud.ply"
+        ply.write_text("".join(ply.read_text().splitlines(keepends=True)[:-5]))
+        records = tmp_path / "records.jsonl"
+        assert run(["eval", "--scenes", scenes, "--out", records]) == 1
+        rows = [json.loads(l) for l in records.read_text().splitlines()]
+        assert [r["scene_id"] for r in rows if "error" not in r] == ["scene_0001"]
+        bad = [r for r in rows if "error" in r]
+        assert [r["scene_id"] for r in bad] == ["scene_0000"]
+        assert bad[0]["error"].startswith("load: ValueError: ")
+        assert "declares 50 vertices but holds 45" in bad[0]["error"]
+
     def test_noisy_outlier_batch_has_no_divergence(self, tmp_path):
         # the second scene of this batch used to end its Chamfer solve in
         # Divergence after hundreds of zero-decrease steps

@@ -36,9 +36,9 @@ def make_sets(rng, m=5, n=7, dim=16):
     return kp2d, kp3d
 
 
-def pair_distance(a, b, cfg=MatchConfig()):
+def pair_distance(a, b):
     """The one entry of the distance matrix of two feature vectors."""
-    return float(feature_distance_matrix(a, b, cfg)[0, 0])
+    return float(feature_distance_matrix(a, b)[0, 0])
 
 
 class TestFeatureDistance:
@@ -74,10 +74,8 @@ class TestFeatureDistance:
         for _ in range(50):
             a = rng.normal(size=16)
             b = rng.normal(size=16)
-            for normalize in (True, False):
-                cfg = MatchConfig(delta=1.0, normalize=normalize)
-                want = feature_distance_scalar(a, b, normalize)
-                assert pair_distance(a, b, cfg) == pytest.approx(want, abs=1e-12)
+            want = feature_distance_scalar(a, b)
+            assert pair_distance(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_normalized_is_scale_invariant(self):
         rng = np.random.default_rng(67)
@@ -87,12 +85,6 @@ class TestFeatureDistance:
         for lam in (1e-3, 7.0, 1e4):
             assert pair_distance(lam * a, b) == pytest.approx(base, abs=1e-12)
             assert pair_distance(a, lam * b) == pytest.approx(base, abs=1e-12)
-
-    def test_unnormalized_plain_l2(self):
-        a = np.array([3.0, 0.0])
-        b = np.array([0.0, 4.0])
-        cfg = MatchConfig(delta=1.0, normalize=False)
-        assert pair_distance(a, b, cfg) == pytest.approx(5.0, abs=1e-15)
 
 
 class TestMatchByThreshold:
@@ -185,9 +177,9 @@ class TestNearest3DMatch:
             nearest_3d_match(np.zeros(4), kp3d)
 
 
-def assert_same_as_dense(feats2d, feats3d, cfg):
-    best, score = nearest_features(feats2d, feats3d, cfg)
-    want_best, want_score = nearest_features_dense(feats2d, feats3d, cfg)
+def assert_same_as_dense(feats2d, feats3d):
+    best, score = nearest_features(feats2d, feats3d)
+    want_best, want_score = nearest_features_dense(feats2d, feats3d)
     assert best.dtype == want_best.dtype
     assert np.array_equal(best, want_best)
     assert score.tobytes() == want_score.tobytes()
@@ -204,52 +196,46 @@ class TestNearestFeatures:
             s = generate_scene(
                 1000, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.5)
             )
-            assert_same_as_dense(s.pixels.features, s.cloud.features, cfg)
+            assert_same_as_dense(s.pixels.features, s.cloud.features)
             got = match_scene(s, cfg)
-            best, score = nearest_features_dense(s.pixels.features, s.cloud.features, cfg)
+            best, score = nearest_features_dense(s.pixels.features, s.cloud.features)
             keep = np.flatnonzero(score <= cfg.delta)
             assert np.array_equal(got.idx2d, keep)
             assert np.array_equal(got.idx3d, best[keep])
             assert got.scores.tobytes() == score[keep].tobytes()
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_small_scenes(self, normalize):
+    def test_small_scenes(self):
         for seed in range(5):
             s = generate_scene(
                 100, noise=NoiseSpec(seed=seed, feature_noise_sigma=0.3, outlier_rate=0.2)
             )
-            cfg = MatchConfig(normalize=normalize)
-            assert_same_as_dense(s.pixels.features, s.cloud.features, cfg)
+            assert_same_as_dense(s.pixels.features, s.cloud.features)
             # rows of very different norms: the slack scales with them
             scale = np.exp(np.random.default_rng(seed).uniform(-8, 8, size=(len(s.cloud), 1)))
-            assert_same_as_dense(s.pixels.features, s.cloud.features * scale, cfg)
+            assert_same_as_dense(s.pixels.features, s.cloud.features * scale)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_tripled_cloud_ties_go_to_lowest_index(self, normalize):
+    def test_tripled_cloud_ties_go_to_lowest_index(self):
         s = generate_scene(300, noise=NoiseSpec(seed=7, feature_noise_sigma=0.3))
         f3d = s.cloud.features
-        best = assert_same_as_dense(
-            s.pixels.features, np.vstack([f3d, f3d, f3d]), MatchConfig(normalize=normalize)
-        )
+        best = assert_same_as_dense(s.pixels.features, np.vstack([f3d, f3d, f3d]))
         assert best.max() < len(f3d)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_zero_feature_rows(self, normalize):
+    def test_zero_feature_rows(self):
         rng = np.random.default_rng(5)
         f2d = rng.normal(size=(40, 16))
         f3d = rng.normal(size=(30, 16))
         f2d[::7] = 0.0
         f3d[[3, 11, 12, 29]] = 0.0
-        assert_same_as_dense(f2d, f3d, MatchConfig(normalize=normalize))
-        assert_same_as_dense(f2d, np.zeros((5, 16)), MatchConfig(normalize=normalize))
-        assert_same_as_dense(np.ones((3, 0)), np.ones((4, 0)), MatchConfig(normalize=normalize))
+        assert_same_as_dense(f2d, f3d)
+        assert_same_as_dense(f2d, np.zeros((5, 16)))
+        assert_same_as_dense(np.ones((3, 0)), np.ones((4, 0)))
 
     @pytest.mark.parametrize("n_rows", [1, 511, 512, 513, 1025])
     def test_query_counts_across_block_edges(self, n_rows):
         rng = np.random.default_rng(n_rows)
         f3d = rng.normal(size=(200, 32))
         f2d = f3d[rng.integers(0, 200, size=n_rows)] + 0.4 * rng.normal(size=(n_rows, 32))
-        best = assert_same_as_dense(f2d, f3d, MatchConfig())
+        best = assert_same_as_dense(f2d, f3d)
         assert best.shape == (n_rows,)
 
     def test_no_query_rows(self):
@@ -258,7 +244,7 @@ class TestNearestFeatures:
 
     def test_empty_cloud_raises_like_dense_argmin(self):
         with pytest.raises(Exception) as dense:
-            nearest_features_dense(np.ones((3, 4)), np.zeros((0, 4)), MatchConfig())
+            nearest_features_dense(np.ones((3, 4)), np.zeros((0, 4)))
         with pytest.raises(Exception) as got:
             nearest_features(np.ones((3, 4)), np.zeros((0, 4)))
         assert type(got.value) is type(dense.value) is ValueError
@@ -349,6 +335,12 @@ class TestContainers:
         np.testing.assert_array_equal(back.idx2d, cs.idx2d)
         np.testing.assert_array_equal(back.idx3d, cs.idx3d)
         np.testing.assert_array_equal(back.scores, cs.scores)
+
+    def test_correspondence_csv_needs_three_columns(self, tmp_path):
+        path = tmp_path / "gt_pairs.csv"
+        path.write_text("0,1\n2,3\n")
+        with pytest.raises(ValueError, match="expected 3 columns"):
+            CorrespondenceSet.load_csv(path)
 
     def test_empty_correspondence_csv(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -7,7 +7,6 @@ from mincdpnp import (
     KeypointReport,
     KeypointSet2D,
     KeypointSet3D,
-    MatchConfig,
     NoiseSpec,
     Pose,
     SelectConfig,
@@ -303,9 +302,8 @@ def assert_same_as_dense(kp2d, kp3d, T, K, pixel_threshold=3.0):
     want = DenseCorrectness(kp2d, kp3d, T, K, pixel_threshold)
     assert got.q_with_partner.dtype == want.q_with_partner.dtype
     assert np.array_equal(got.q_with_partner, want.q_with_partner)
-    for q in range(len(kp2d)):
-        for j in range(len(kp3d)):
-            assert got.pair_ok(q, j) == want.pair_ok(q, j)
+    q, j = np.divmod(np.arange(len(kp2d) * len(kp3d)), len(kp3d))
+    assert got.pairs_ok(q, j).tolist() == [want.pair_ok(a, b) for a, b in zip(q, j)]
     return got
 
 
@@ -336,8 +334,7 @@ class TestReprojectionCorrectness:
         kp3d = KeypointSet3D(np.array([[0.0, 0.0, 5.0]]))
         kp2d = KeypointSet2D(np.array([[323.0, 240.0], [np.nextafter(323.0, 324.0), 240.0]]))
         gt = assert_same_as_dense(kp2d, kp3d, Pose.identity(), K_DEFAULT, 3.0)
-        assert gt.pair_ok(0, 0)
-        assert not gt.pair_ok(1, 0)
+        assert gt.pairs_ok([0, 1], [0, 0]).tolist() == [True, False]
         assert gt.q_with_partner.tolist() == [0]
 
     def test_every_point_behind_the_camera(self):
@@ -345,7 +342,7 @@ class TestReprojectionCorrectness:
         flipped = Pose(np.diag([1.0, -1.0, -1.0]) @ s.T_gt.R, s.T_gt.t - [0, 0, 50])
         gt = assert_same_as_dense(s.pixels, s.cloud, flipped, s.K)
         assert len(gt.q_with_partner) == 0
-        assert not gt.pair_ok(0, 0)
+        assert not gt.pairs_ok(0, 0)
 
     def test_selection_report_at_n4000(self):
         # a scene-io-n4000 benchmark scene
@@ -358,7 +355,7 @@ class TestReprojectionCorrectness:
         )
         rep = evaluate_selection(s.pixels, s.cloud, s.T_gt, s.K)
         cloud_idx, sources, scores, precision, recall = evaluate_selection_dense(
-            s.pixels, s.cloud, s.T_gt, s.K, SelectConfig().s_th, MatchConfig()
+            s.pixels, s.cloud, s.T_gt, s.K, SelectConfig().s_th
         )
         assert np.array_equal(rep.selected.cloud_indices, cloud_idx)
         assert np.array_equal(rep.selected.source_2d, sources)

@@ -276,12 +276,13 @@ class TestPnpRansac:
             err[ok] = np.einsum("nd,nd->n", d, d)
             assert (err[mask] <= cfg.threshold).all()
 
-    def test_consensus_at_least_any_explored_hypothesis(self):
+    def test_consensus_at_least_any_explored_hypothesis(self, monkeypatch):
         s = generate_scene(150, noise=NoiseSpec(seed=41, outlier_rate=0.4))
         C = s.pairs_with_outliers()
         # confidence close to 1 disables early exit so every iteration
         # is explored and can be replayed here
-        cfg = RansacConfig(seed=41, iterations=40, confidence=1 - 1e-12)
+        monkeypatch.setattr(pnp, "RANSAC_CONFIDENCE", 1 - 1e-12)
+        cfg = RansacConfig(seed=41, iterations=40)
         T, mask = pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
         pix = s.pixels.pixels[C.idx2d]
         pts = s.cloud.points[C.idx3d]
@@ -349,8 +350,6 @@ class TestPnpRansac:
             RansacConfig(seed=0, iterations=0)
         with pytest.raises(ValueError):
             RansacConfig(seed=0, threshold=0.0)
-        with pytest.raises(ValueError):
-            RansacConfig(seed=0, confidence=1.0)
 
 
 def blocked_and_sequential(C, image_set, cloud_set, K, cfg):
@@ -428,7 +427,7 @@ class TestRansacBlocks:
         got = blocked_and_sequential(C, kp2d, kp3d, K, cfg)
         assert got == [NoConsensus, NoConsensus]
 
-    def test_duplicated_points_give_the_same_degenerate_skips(self):
+    def test_duplicated_points_give_the_same_degenerate_skips(self, monkeypatch):
         # every cloud point appears three times, paired with the same
         # pixel, so a 3-sample that draws two copies of one point has no
         # P3P root
@@ -440,8 +439,9 @@ class TestRansacBlocks:
         # a sample with a root fits its own three pairs and their copies,
         # nine consensus pairs, so only a run whose every draw is skipped
         # finds none: seed 4 finds one in 60 draws, seed 32 skips all 3
+        monkeypatch.setattr(pnp, "RANSAC_CONFIDENCE", 1 - 1e-12)
         for seed, iterations, found in ((4, 60, True), (32, 3, False)):
-            cfg = RansacConfig(seed=seed, iterations=iterations, confidence=1 - 1e-12)
+            cfg = RansacConfig(seed=seed, iterations=iterations)
             blocked, sequential = blocked_and_sequential(C, s.pixels, kp3d, s.K, cfg)
             assert_bit_identical(blocked, sequential)
             if found:

@@ -138,6 +138,14 @@ class TestGenerateScene:
         np.testing.assert_array_equal(back.gt_pairs.idx3d, scene.gt_pairs.idx3d)
         assert back.meta == scene.meta
 
+    def test_load_rejects_pixels_with_three_columns(self, tmp_path):
+        scene = generate_scene(30, noise=NoiseSpec(seed=14), feature_dim=16)
+        scene.save_dir(tmp_path / "scene")
+        pixels = np.column_stack([scene.pixels.pixels, np.zeros(30)])
+        np.savetxt(tmp_path / "scene" / "pixels.csv", pixels, delimiter=",")
+        with pytest.raises(ValueError, match=r"pixels must be \(N, 2\), got \(30, 3\)"):
+            ScenePair.load_dir(tmp_path / "scene")
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             generate_scene(0, noise=NoiseSpec(seed=0))
