@@ -1,8 +1,9 @@
 """Classical PnP from matches, made robust to heavy contamination.
 
 P3P solves the pose from three clean pairs; RANSAC draws three-pair
-samples until one is clean inside a half-wrong matching, then refits
-linearly (six or more pairs) and refines on the consensus.
+samples until one is clean inside a half-wrong matching, refines each
+new best by a few Gauss-Newton steps on its inliers, and refines the
+final pose on the consensus.
 """
 
 import numpy as np

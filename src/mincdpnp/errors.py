@@ -55,7 +55,7 @@ class DegenerateConfiguration(MinCDError):
 
 
 class NoConsensus(MinCDError):
-    """RANSAC found no hypothesis with enough inliers to refit."""
+    """RANSAC found no pose whose consensus reaches pnp.MIN_PNP_POINTS pairs."""
 
 
 class MissingDepth(MinCDError):

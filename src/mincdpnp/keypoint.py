@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from scipy.spatial import cKDTree
@@ -164,7 +165,7 @@ class GroundTruthCorrectness:
     q_with_partner lists the 2D keypoints for which any 3D point does;
     a k-d tree over the projections in front of the camera proposes the
     candidates and pairs_ok rechecks each one, so no N x M matrix is
-    formed.
+    formed. It is computed on first access and kept.
     """
 
     pixels: np.ndarray
@@ -177,7 +178,7 @@ class GroundTruthCorrectness:
         sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
         return self.in_front[cloud_idx] & (sq <= self.threshold_px**2)
 
-    @property
+    @cached_property
     def q_with_partner(self) -> np.ndarray:
         front = np.flatnonzero(self.in_front)
         # subtraction rounds correctly, so the tree's and the recheck's

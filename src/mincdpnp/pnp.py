@@ -18,8 +18,8 @@ stacks, and a single fit or score is the stack of one, so the result
 does not depend on the block sizes. Hypothesis k's sample comes from a
 counter-based hash of (seed, k), drawn for a whole block in three
 vector steps, and each new best found by the replay is locally
-optimized (LO-RANSAC) by linear refits on its inliers before the
-adaptive stop reads its count.
+optimized (LO-RANSAC) by one short Gauss-Newton refine on its inliers
+before the adaptive stop reads its count.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .geometry import (
     project_points,
 )
 
-# pairs a linear fit needs; also the consensus a RANSAC result needs,
-# since its LO rounds and final refit are linear fits on the inliers
+# pairs pnp_linear needs; also the consensus a RANSAC result needs,
+# since every P3P root fits its own three pairs exactly and a floor of
+# three would accept any sample
 MIN_PNP_POINTS = 6
 # pairs in a RANSAC minimal sample, solved by P3P
 P3P_SAMPLE = 3
@@ -63,9 +64,10 @@ RANSAC_BLOCK_PAIRS = 1 << 16
 # confidence of the adaptive stop (see _ransac_from_arrays)
 RANSAC_CONFIDENCE = 0.999
 
-# Linear refits of a new best hypothesis on its own inliers, each kept
-# only while the inlier count grows (Chum, Matas & Kittler, DAGM 2003).
-LO_ROUNDS = 3
+# Gauss-Newton iterations of the LO step: one refine of a new best
+# hypothesis on its own inliers, kept only if the inlier count grows
+# (Lebeda, Matas & Chum, BMVC 2012; Chum, Matas & Kittler, DAGM 2003).
+LO_MAX_ITERS = 5
 
 # SplitMix64's golden-ratio increment (Steele, Lea & Flood, OOPSLA 2014)
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,7 +82,7 @@ class RansacConfig:
     (seed mod 2^64, k) and the number of pairs, drawn by a
     counter-based hash, so no generator state is carried between
     hypotheses. iterations caps the hypotheses drawn; the adaptive stop
-    at RANSAC_CONFIDENCE reads the inlier count after the LO rounds.
+    at RANSAC_CONFIDENCE reads the inlier count after the LO step.
     threshold is a squared pixel distance, the same inlier semantics
     the rest of the package uses.
     """
@@ -104,34 +106,6 @@ def _gather(C: CorrespondenceSet, image_set: KeypointSet2D, cloud_set: KeypointS
     ):
         raise IndexError("correspondence index out of range for the given sets")
     return image_set.pixels[C.idx2d], cloud_set.points[C.idx3d]
-
-
-def _linear_from_arrays(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics) -> Pose:
-    """Linear PnP on m >= MIN_PNP_POINTS pairs, pixels (m, 2), points (m, 3)."""
-    m = len(pixels)
-    if m < MIN_PNP_POINTS:
-        raise TooFewPoints(f"linear PnP needs {MIN_PNP_POINTS} pairs, got {m}")
-    xn = (pixels[:, 0] - K.cu) / K.fu
-    yn = (pixels[:, 1] - K.cv) / K.fv
-    Xh = np.column_stack([points, np.ones(m)])
-    A = np.zeros((2 * m, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -xn[:, None] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -yn[:, None] * Xh
-    _, S, Vt = np.linalg.svd(A, full_matrices=False)
-    # a second near-zero singular value means the pose is not unique
-    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
-        raise DegenerateConfiguration("linear system is rank deficient")
-    G = Vt[-1].reshape(3, 4)
-    if np.count_nonzero(points @ G[2, :3] + G[2, 3] > 0) * 2 < m:
-        G = -G
-    Um, Sm, Vmt = np.linalg.svd(G[:, :3])
-    R = Um @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Um @ Vmt))]) @ Vmt
-    scale = Sm.sum() / 3.0
-    if not np.isfinite(scale) or scale <= 0:
-        raise DegenerateConfiguration("projection matrix has no usable scale")
-    return Pose(R, G[:, 3] / scale)
 
 
 def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
@@ -271,10 +245,34 @@ def pnp_linear(
     Stacks the homogeneous projection constraints in normalized image
     coordinates, takes the SVD nullspace, fixes the sign so most depths
     come out positive, and projects the linear rotation onto SO(3) by
-    its orthogonal polar factor.
+    its orthogonal polar factor. It starts pnp_refine on clean pairs;
+    pnp_ransac does not use it.
     """
     pixels, points = _gather(C, image_set, cloud_set)
-    return _linear_from_arrays(pixels, points, K)
+    m = len(pixels)
+    if m < MIN_PNP_POINTS:
+        raise TooFewPoints(f"linear PnP needs {MIN_PNP_POINTS} pairs, got {m}")
+    xn = (pixels[:, 0] - K.cu) / K.fu
+    yn = (pixels[:, 1] - K.cv) / K.fv
+    Xh = np.column_stack([points, np.ones(m)])
+    A = np.zeros((2 * m, 12))
+    A[0::2, 0:4] = Xh
+    A[0::2, 8:12] = -xn[:, None] * Xh
+    A[1::2, 4:8] = Xh
+    A[1::2, 8:12] = -yn[:, None] * Xh
+    _, S, Vt = np.linalg.svd(A, full_matrices=False)
+    # a second near-zero singular value means the pose is not unique
+    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
+        raise DegenerateConfiguration("linear system is rank deficient")
+    G = Vt[-1].reshape(3, 4)
+    if np.count_nonzero(points @ G[2, :3] + G[2, 3] > 0) * 2 < m:
+        G = -G
+    Um, Sm, Vmt = np.linalg.svd(G[:, :3])
+    R = Um @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Um @ Vmt))]) @ Vmt
+    scale = Sm.sum() / 3.0
+    if not np.isfinite(scale) or scale <= 0:
+        raise DegenerateConfiguration("projection matrix has no usable scale")
+    return Pose(R, G[:, 3] / scale)
 
 
 def reprojection_cost(
@@ -376,21 +374,20 @@ def _score(T, pixels, points, K, threshold):
 
 
 def _local_opt(T, mask, count, pixels, points, K, threshold):
-    """LO step for a new best (T, mask, count): up to LO_ROUNDS linear
-    refits on the current inliers, each taken only if it keeps strictly
-    more inliers. Too few inliers or a degenerate refit ends the rounds."""
-    for _ in range(LO_ROUNDS):
-        inl = np.flatnonzero(mask)
-        try:
-            T_lo = _linear_from_arrays(pixels[inl], points[inl], K)
-        except (TooFewPoints, DegenerateConfiguration):
-            break
-        mask_lo, _ = _score(T_lo, pixels, points, K, threshold)
-        count_lo = int(np.count_nonzero(mask_lo))
-        if count_lo <= count:
-            break
-        T, mask, count = T_lo, mask_lo, count_lo
-    return T, mask, count
+    """LO step for a new best (T, mask, count): one Gauss-Newton refine
+    of at most LO_MAX_ITERS iterations on its inliers, taken only if it
+    keeps strictly more inliers. A refine that diverges or finds every
+    inlier behind the camera keeps the hypothesis."""
+    inl = np.flatnonzero(mask)
+    try:
+        T_lo, _, _ = _refine_from_arrays(
+            T, pixels[inl], points[inl], K, SolverConfig(max_iters=LO_MAX_ITERS)
+        )
+    except (AllPointsBehindCamera, Divergence):
+        return T, mask, count
+    mask_lo, _ = _score(T_lo, pixels, points, K, threshold)
+    count_lo = int(np.count_nonzero(mask_lo))
+    return (T_lo, mask_lo, count_lo) if count_lo > count else (T, mask, count)
 
 
 def pnp_ransac(
@@ -412,15 +409,15 @@ def pnp_ransac(
     RANSAC_BLOCK_START and doubling; the best-count update and the
     adaptive stop are then replayed over each block in order of k, so
     the result is the sequential loop's to the bit and fits past the
-    stop never count. Each new best is locally optimized in the replay:
-    up to LO_ROUNDS linear refits on its inliers, each kept only while
-    the inlier count grows, and the adaptive stop uses the refit count.
-    A best count below MIN_PNP_POINTS raises NoConsensus, and fewer
-    than MIN_PNP_POINTS pairs raise TooFewPoints.
-    The best pose is then refit linearly and refined on its inliers;
-    whichever of the three candidate poses keeps the most inliers (ties
-    broken toward lower inlier error, then toward the more refined
-    candidate) is returned with its mask.
+    stop never count. Each new best is locally optimized in the replay
+    by a Gauss-Newton refine of at most LO_MAX_ITERS iterations on its
+    inliers, kept only if the inlier count grows, and the adaptive stop
+    uses the count it leaves. A best count below MIN_PNP_POINTS raises
+    NoConsensus, and fewer than MIN_PNP_POINTS pairs raise TooFewPoints.
+    The best pose is then refined to convergence on its inliers; of it
+    and its refine, the pose that keeps more inliers (ties broken toward
+    lower inlier error, then toward the refine) is returned with its
+    mask.
     """
     pixels, points = _gather(C, image_set, cloud_set)
     T, mask, _, _ = _ransac_from_arrays(pixels, points, K, cfg)
@@ -486,20 +483,14 @@ def _ransac_from_arrays(pixels, points, K, cfg):
     if best_pose is None or best_count < MIN_PNP_POINTS:
         raise NoConsensus(
             f"best consensus {max(best_count, 0)} is below the {MIN_PNP_POINTS}-pair "
-            "floor of the linear refits"
+            "consensus floor"
         )
 
     candidates = [best_pose]
     inl = np.flatnonzero(best_mask)
     try:
-        candidates.append(_linear_from_arrays(pixels[inl], points[inl], K))
-    except (TooFewPoints, DegenerateConfiguration):
-        pass
-    try:
         candidates.append(
-            _refine_from_arrays(
-                candidates[-1], pixels[inl], points[inl], K, SolverConfig()
-            )[0]
+            _refine_from_arrays(best_pose, pixels[inl], points[inl], K, SolverConfig())[0]
         )
     except (AllPointsBehindCamera, Divergence):
         pass

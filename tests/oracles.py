@@ -13,7 +13,6 @@ from scipy.spatial.transform import Rotation
 from mincdpnp import (
     AllPointsBehindCamera,
     ChamferReport,
-    DegenerateConfiguration,
     Divergence,
     EmptySet,
     KeypointSet3D,
@@ -26,7 +25,7 @@ from mincdpnp import (
 )
 from mincdpnp.chamfer import _minimize, _pair_residuals
 from mincdpnp import pnp
-from mincdpnp.pnp import LO_ROUNDS, MIN_PNP_POINTS, _p3p_batch, _refine_from_arrays
+from mincdpnp.pnp import LO_MAX_ITERS, MIN_PNP_POINTS, _p3p_batch, _refine_from_arrays
 
 
 def se3_exp_expm(omega, v):
@@ -411,36 +410,6 @@ def ransac_sample_scalar(seed, k, n, s):
     return sample
 
 
-def _linear_pnp_sequential(pixels, points, K):
-    """One hypothesis of the sequential RANSAC loop: linear PnP on 2D arrays."""
-    n = len(pixels)
-    if n < 6:
-        raise TooFewPoints(f"linear PnP needs 6 pairs, got {n}")
-    xn = (pixels[:, 0] - K.cu) / K.fu
-    yn = (pixels[:, 1] - K.cv) / K.fv
-    Xh = np.column_stack([points, np.ones(n)])
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -xn[:, None] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -yn[:, None] * Xh
-    _, S, Vt = np.linalg.svd(A, full_matrices=False)
-    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
-        raise DegenerateConfiguration("linear system is rank deficient")
-    G = Vt[-1].reshape(3, 4)
-    depths = points @ G[2, :3] + G[2, 3]
-    if np.count_nonzero(depths > 0) * 2 < n:
-        G = -G
-    M = G[:, :3]
-    Um, Sm, Vmt = np.linalg.svd(M)
-    d = float(np.sign(np.linalg.det(Um @ Vmt)))
-    R = Um @ np.diag([1.0, 1.0, d]) @ Vmt
-    scale = Sm.sum() / 3.0
-    if not np.isfinite(scale) or scale <= 0:
-        raise DegenerateConfiguration("projection matrix has no usable scale")
-    return Pose(R, G[:, 3] / scale)
-
-
 def _score_sequential(T, pixels, points, K, threshold):
     """Inlier mask and summed inlier error of one pose, through project_points."""
     proj, in_front = project_points(points, T, K)
@@ -474,7 +443,7 @@ def _p3p_hypothesis_sequential(pixels, points, sample, K, threshold):
 def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
     """RANSAC-PnP one hypothesis at a time, in order of k.
 
-    Draw, P3P fit, score, best-count update with its LO rounds and
+    Draw, P3P fit, score, best-count update with its LO refine and
     adaptive stop run for hypothesis k before hypothesis k + 1 is drawn.
     Returns (pose, mask, hypotheses consumed, degenerate samples skipped).
     """
@@ -498,17 +467,16 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
         T_k, mask, count = hypothesis
         if count > best_count:
             best_count, best_pose, best_mask = count, T_k, mask
-            for _ in range(LO_ROUNDS):
-                inl = np.flatnonzero(best_mask)
-                try:
-                    T_lo = _linear_pnp_sequential(pixels[inl], points[inl], K)
-                except (TooFewPoints, DegenerateConfiguration):
-                    break
+            inl = np.flatnonzero(mask)
+            try:
+                T_lo = _refine_from_arrays(
+                    T_k, pixels[inl], points[inl], K, SolverConfig(max_iters=LO_MAX_ITERS)
+                )[0]
                 mask_lo, _ = _score_sequential(T_lo, pixels, points, K, cfg.threshold)
-                count_lo = int(mask_lo.sum())
-                if count_lo <= best_count:
-                    break
-                best_count, best_pose, best_mask = count_lo, T_lo, mask_lo
+            except (AllPointsBehindCamera, Divergence):
+                mask_lo = mask
+            if mask_lo.sum() > best_count:
+                best_count, best_pose, best_mask = int(mask_lo.sum()), T_lo, mask_lo
         w = best_count / n
         if w >= 1.0:
             break
@@ -525,14 +493,8 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
     candidates = [best_pose]
     inl = np.flatnonzero(best_mask)
     try:
-        candidates.append(_linear_pnp_sequential(pixels[inl], points[inl], K))
-    except (TooFewPoints, DegenerateConfiguration):
-        pass
-    try:
         candidates.append(
-            _refine_from_arrays(
-                candidates[-1], pixels[inl], points[inl], K, SolverConfig()
-            )[0]
+            _refine_from_arrays(best_pose, pixels[inl], points[inl], K, SolverConfig())[0]
         )
     except (AllPointsBehindCamera, Divergence):
         pass

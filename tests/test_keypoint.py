@@ -302,6 +302,7 @@ def assert_same_as_dense(kp2d, kp3d, T, K, pixel_threshold=3.0):
     want = DenseCorrectness(kp2d, kp3d, T, K, pixel_threshold)
     assert got.q_with_partner.dtype == want.q_with_partner.dtype
     assert np.array_equal(got.q_with_partner, want.q_with_partner)
+    assert got.q_with_partner is got.q_with_partner  # one tree query, then cached
     q, j = np.divmod(np.arange(len(kp2d) * len(kp3d)), len(kp3d))
     assert got.pairs_ok(q, j).tolist() == [want.pair_ok(a, b) for a, b in zip(q, j)]
     return got

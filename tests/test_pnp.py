@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mincdpnp import (
+    AllPointsBehindCamera,
     CameraIntrinsics,
     CorrespondenceSet,
     DegenerateConfiguration,
+    Divergence,
     KeypointSet2D,
     KeypointSet3D,
     MatchConfig,
@@ -408,13 +410,14 @@ class TestRansacBlocks:
                 assert got[1][2] == iterations
 
     def test_benchmark_scenes_match(self):
-        # the first scenes of the pnp-n1000 benchmark pool
-        for seed in range(3):
+        # the first scenes of the pnp-n1000 benchmark pool, then
+        # pnp-n1000-recipe seeds that once ended in NoConsensus
+        for seed in (0, 1, 2, 176, 316, 328, 3000013):
             s, C = pool_scene(seed)
             cfg = RansacConfig(seed=seed)
             got = blocked_and_sequential(C, s.pixels, s.cloud, s.K, cfg)
             assert_bit_identical(*got)
-            # P3P samples and the LO rounds stop the loop near the w^3 bound
+            # P3P samples and the LO step stop the loop near the w^3 bound
             assert got[0][2] < 100
 
     def test_no_consensus_matches(self):
@@ -602,15 +605,18 @@ class TestP3P:
         assert not ok.any()
 
 
-class TestLocalOptimization:
-    """The LO rounds the replay runs on each new best hypothesis."""
+def without_lo(T, mask, count, *_):
+    """_local_opt replaced by the identity: the replay without LO."""
+    return T, mask, count
 
-    def test_refit_whose_count_does_not_grow_is_not_taken(self, monkeypatch):
-        # without LO this pool scene needs 73 hypotheses, with LO 52
+
+class TestLocalOptimization:
+    """The Gauss-Newton LO step the replay runs on each new best hypothesis."""
+
+    def test_refine_whose_count_does_not_grow_is_refused(self, monkeypatch):
         s, C = pool_scene(1)
         pixels, points = s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d]
         cfg = RansacConfig(seed=1, iterations=60)
-        with_lo = _ransac_from_arrays(pixels, points, s.K, cfg)
         calls = []
 
         def no_inliers(T, pixels, points, K, threshold):
@@ -619,36 +625,58 @@ class TestLocalOptimization:
 
         monkeypatch.setattr(pnp, "_score", no_inliers)
         refused = _ransac_from_arrays(pixels, points, s.K, cfg)
-        refits = len(calls)
-        monkeypatch.setattr(pnp, "LO_ROUNDS", 0)
-        without_lo = _ransac_from_arrays(pixels, points, s.K, cfg)
-        # the refits were scored, refused, and left the replay as it is
-        # without LO, which runs to the budget here
-        assert refits > len(calls) - refits
-        assert_bit_identical(refused, without_lo)
-        assert with_lo[2] < without_lo[2] == cfg.iterations
-        # a refit that only ties the count is refused too, after one round
+        scored = len(calls)
+        monkeypatch.setattr(pnp, "_local_opt", without_lo)
+        # the refines were scored, refused, and left the replay as it is
+        # without LO (whose tail scores two candidates)
+        assert_bit_identical(refused, _ransac_from_arrays(pixels, points, s.K, cfg))
+        assert scored > 2 and len(calls) - scored == 2
+        # a refine that only ties the count is refused too, even when its
+        # inliers are other pairs
         monkeypatch.undo()
+        mask, _ = pnp._score(s.T_gt, pixels, points, s.K, cfg.threshold)
+        tie = np.roll(mask, 1)
+        assert tie.sum() == mask.sum() and not np.array_equal(tie, mask)
         calls.clear()
-        tie = np.ones(len(pixels), bool)
 
         def tied(T, *_):
             calls.append(T)
-            return tie.copy(), 0.0
+            return tie, 0.0
 
         monkeypatch.setattr(pnp, "_score", tied)
-        out = _local_opt(s.T_gt, tie, len(tie), pixels, points, s.K, cfg.threshold)
-        assert out[0] is s.T_gt and out[1] is tie and out[2] == len(tie) and len(calls) == 1
+        out = _local_opt(s.T_gt, mask, int(mask.sum()), pixels, points, s.K, cfg.threshold)
+        assert out[0] is s.T_gt and out[1] is mask and out[2] == mask.sum()
+        assert len(calls) == 1
 
-    def test_too_few_or_degenerate_inliers_end_the_rounds(self):
-        s, C = scene_instance(3, n=30)
+    def test_refine_that_raises_keeps_the_hypothesis(self, monkeypatch):
+        s, C = pool_scene(1)
         pixels, points = s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d]
-        few = np.zeros(len(pixels), bool)
-        few[:5] = True
-        out = _local_opt(s.T_gt, few, 5, pixels, points, s.K, 5.0)
-        assert out[0] is s.T_gt and out[1] is few and out[2] == 5
-        # eight copies of one pair leave a rank-deficient system
-        same = np.ones(8, bool)
-        pix8, pts8 = np.repeat(pixels[:1], 8, axis=0), np.repeat(points[:1], 8, axis=0)
-        out = _local_opt(s.T_gt, same, 8, pix8, pts8, s.K, 5.0)
-        assert out[0] is s.T_gt and out[1] is same and out[2] == 8
+        cfg = RansacConfig(seed=1, iterations=60)
+        # no inliers leave the refine nothing in front of the camera
+        none = np.zeros(len(pixels), bool)
+        out = _local_opt(s.T_gt, none, 0, pixels, points, s.K, cfg.threshold)
+        assert out[0] is s.T_gt and out[1] is none and out[2] == 0
+        mask, _ = pnp._score(s.T_gt, pixels, points, s.K, cfg.threshold)
+        for exc in (Divergence, AllPointsBehindCamera):
+
+            def failing(*_):
+                raise exc("refine failed")
+
+            monkeypatch.setattr(pnp, "_refine_from_arrays", failing)
+            out = _local_opt(s.T_gt, mask, int(mask.sum()), pixels, points, s.K, cfg.threshold)
+            assert out[0] is s.T_gt and out[1] is mask and out[2] == mask.sum()
+            # the tail's refine fails too, so the replay ends as it does
+            # without LO, on the best hypothesis
+            failed = _ransac_from_arrays(pixels, points, s.K, cfg)
+            monkeypatch.setattr(pnp, "_local_opt", without_lo)
+            assert_bit_identical(failed, _ransac_from_arrays(pixels, points, s.K, cfg))
+            monkeypatch.undo()
+
+    def test_lo_cuts_the_hypotheses_consumed(self, monkeypatch):
+        # pool scene 1 stops after 52 hypotheses with LO and 73 without
+        s, C = pool_scene(1)
+        pixels, points = s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d]
+        cfg = RansacConfig(seed=1)
+        with_lo = _ransac_from_arrays(pixels, points, s.K, cfg)[2]
+        monkeypatch.setattr(pnp, "_local_opt", without_lo)
+        assert with_lo < _ransac_from_arrays(pixels, points, s.K, cfg)[2]
