@@ -10,7 +10,6 @@ import numpy as np
 from mincdpnp import (
     CameraIntrinsics,
     Pose,
-    Twist,
     perturb_pose,
     pose_difference,
     se3_exp,
@@ -34,11 +33,11 @@ for p, uv, ok in zip(points, pixels, in_front):
     print(f"  {p} -> {where}")
 
 print()
-print("a twist is (omega, v); exp maps it to a pose, log maps back")
-xi = Twist(omega=np.array([0.02, -0.05, 0.01]), v=np.array([0.1, 0.0, -0.2]))
+print("a twist is the 6-vector (omega, v); exp maps it to a pose, log maps back")
+xi = np.array([0.02, -0.05, 0.01, 0.1, 0.0, -0.2])
 T = se3_exp(xi)
 xi_back = se3_log(T)
-gap = np.linalg.norm(xi.as_vector() - xi_back.as_vector())
+gap = np.linalg.norm(xi - xi_back)
 print(f"  round trip |xi - log(exp(xi))| = {gap:.2e}")
 
 T_perturbed = perturb_pose(T, rot_deg=5.0, trans_m=0.1, seed=0)
@@ -46,7 +45,7 @@ rot, trans = pose_difference(T_perturbed, T)
 print(f"  perturb_pose lands at exactly {rot:.6f} deg, {trans:.6f} m from T")
 
 # Left-composed small steps move the projected image smoothly.
-step = se3_exp(Twist.from_vector(np.array([0.0, 0.0, 0.0, 0.01, 0.0, 0.0])))
+step = se3_exp(np.array([0.0, 0.0, 0.0, 0.01, 0.0, 0.0]))
 before, _ = project_points(points[:2], T, K)
 after, _ = project_points(points[:2], step.compose(T), K)
 print(f"  a 1 cm x-step shifts pixels by {np.abs(after - before).max():.2f} px at most")

@@ -46,7 +46,7 @@ for deg in (0.0, 2.0, 10.0, 45.0):
     print(f"  {deg:4.0f} deg off -> kappa* = {kappa_star(T, scene.pixels, scene.cloud, scene.K, cfg)}")
 
 # A coarse grid around the truth already picks the right cell.
-center = tuple(se3_log(scene.T_gt).as_vector())
+center = tuple(se3_log(scene.T_gt))
 grid = GridSpec(
     center=center,
     half_width=(0.05, 0.05, 0.05, 0.1, 0.1, 0.1),

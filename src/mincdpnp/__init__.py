@@ -93,7 +93,6 @@ from .synth import (
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    Twist,
     exp_action_jacobian,
     pose_difference,
     project_points,

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptySet, GridTooLarge
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D, nearest_points
-from .geometry import CameraIntrinsics, Pose, Twist, project_points, se3_exp
+from .geometry import CameraIntrinsics, Pose, project_points, se3_exp
 
 DEFAULT_TAU = 5.0
 
@@ -47,7 +47,7 @@ class InlierConfig:
 class GridSpec:
     """Axis-aligned twist grid: per-component center, half-width, steps.
 
-    Component order matches Twist.as_vector(): three rotation entries
+    Component order is the twist's (omega, v): three rotation entries
     then three translation entries. An axis with steps == 1 stays at its
     center regardless of half-width.
     """
@@ -167,7 +167,7 @@ def brute_force_best_pose(
     for flat_idx in range(grid.cardinality()):
         idx = np.unravel_index(flat_idx, [len(a) for a in axes])
         xi = np.array([axes[d][idx[d]] for d in range(6)])
-        T = se3_exp(Twist.from_vector(xi))
+        T = se3_exp(xi)
         count = kappa_star(T, image_set, cloud_set, K, cfg)
         if count > best_count:
             best_pose, best_count = T, count

@@ -33,7 +33,6 @@ from .geometry import (
     Z_MIN,
     CameraIntrinsics,
     Pose,
-    Twist,
     exp_action_jacobian,
     pinhole,
     pose_difference,
@@ -144,7 +143,7 @@ def _frozen_terms(xi_vec, T0, image_set, cloud_set, K):
     """The report at T = exp(xi) o T0 and its term pairs, for gradient
     work: (report, pixels, pre-pose points)."""
     x0 = cloud_set.points @ T0.R.T + T0.t
-    T_delta = se3_exp(Twist.from_vector(xi_vec))
+    T_delta = se3_exp(xi_vec)
     report = chamfer_cost(T_delta, image_set, KeypointSet3D(x0), K)
     return report, *_term_pairs(report.assignment, image_set, x0)
 
@@ -167,7 +166,7 @@ def _pair_residuals(xi_vec, pixels, x0, K):
 
 
 def chamfer_grad_twist(
-    xi: Twist,
+    xi,
     T0: Pose,
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
@@ -175,11 +174,11 @@ def chamfer_grad_twist(
 ) -> np.ndarray:
     """Exact gradient of the frozen-assignment cost in the twist coordinates.
 
-    The pose is parameterized as se3_exp(xi) composed with T0, so the
-    returned 6-vector differentiates through both the projection and the
-    exponential map at the current xi, not at zero.
+    The pose is parameterized as se3_exp(xi) composed with T0, xi a (6,)
+    twist (omega, v), so the returned 6-vector differentiates through both
+    the projection and the exponential map at the current xi, not at zero.
     """
-    xi_vec = xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=np.float64)
+    xi_vec = np.asarray(xi, dtype=np.float64)
     _, q, x0 = _frozen_terms(xi_vec, T0, image_set, cloud_set, K)
     residuals, J = _pair_residuals(xi_vec, q, x0, K)
     # d/dxi sum ||q - pi(y)||^2 = -2 sum r^T J_pi J_exp
@@ -251,7 +250,7 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
         cost_before = cost
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            T_try = se3_exp(Twist.from_vector(alpha * direction)).compose(T)
+            T_try = se3_exp(alpha * direction).compose(T)
             try:
                 trial, trial_state = cost_fn(T_try)
             except AllPointsBehindCamera:

@@ -36,7 +36,7 @@ from .evaluation import (
     match_scene,
 )
 from .features import MatchConfig
-from .geometry import Twist, dumps_json, pose_difference, se3_exp
+from .geometry import dumps_json, pose_difference, se3_exp
 from .keypoint import (
     DEFAULT_S_TH,
     SelectConfig,
@@ -158,17 +158,16 @@ def cmd_solve_pnp(args) -> int:
 
 def _scan_scene_dirs(root: Path):
     """Scenes plus per-directory load failures; a bad scene file never
-    aborts the scan."""
+    aborts the scan, but a root that is missing or not a directory does."""
     out, failures = [], []
-    if root.is_dir():
-        for d in sorted(root.iterdir()):
-            if d.is_dir() and (d / "meta.json").exists():
-                # a missing, malformed or incomplete file fails its scene
-                # alone; any other exception is a bug and propagates
-                try:
-                    out.append((d.name, ScenePair.load_dir(d)))
-                except (MinCDError, OSError, ValueError, KeyError) as exc:
-                    failures.append((d.name, f"load: {type(exc).__name__}: {exc}"))
+    for d in sorted(root.iterdir()):
+        if d.is_dir() and (d / "meta.json").exists():
+            # a missing, malformed or incomplete file fails its scene
+            # alone; any other exception is a bug and propagates
+            try:
+                out.append((d.name, ScenePair.load_dir(d)))
+            except (MinCDError, OSError, ValueError, KeyError) as exc:
+                failures.append((d.name, f"load: {type(exc).__name__}: {exc}"))
     return out, failures
 
 
@@ -214,7 +213,7 @@ def _stable_assignments(T0, image_set, cloud_set, K, h: float) -> bool:
         for sign in (-1.0, 1.0):
             xi = np.zeros(6)
             xi[i] = sign * h
-            T = se3_exp(Twist.from_vector(xi)).compose(T0)
+            T = se3_exp(xi).compose(T0)
             a = chamfer_cost(T, image_set, cloud_set, K).assignment
             if a[0].tobytes() + a[1].tobytes() != ref:
                 return False
@@ -244,11 +243,11 @@ def cmd_grad_check(args) -> int:
         C = scene.gt_pairs
 
         def pnp_cost(xi):
-            T = se3_exp(Twist.from_vector(xi)).compose(T0)
+            T = se3_exp(xi).compose(T0)
             return reprojection_cost(T, C, scene.pixels, scene.cloud, scene.K)
 
         got = reprojection_grad_twist(
-            Twist.zero(), T0, C, scene.pixels, scene.cloud, scene.K
+            np.zeros(6), T0, C, scene.pixels, scene.cloud, scene.K
         )
         want = fd(pnp_cost)
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
@@ -260,11 +259,11 @@ def cmd_grad_check(args) -> int:
             continue
 
         def cd_cost(xi):
-            T = se3_exp(Twist.from_vector(xi)).compose(T0)
+            T = se3_exp(xi).compose(T0)
             return chamfer_cost(T, scene.pixels, scene.cloud, scene.K).value
 
         got = chamfer_grad_twist(
-            Twist.zero(), T0, scene.pixels, scene.cloud, scene.K
+            np.zeros(6), T0, scene.pixels, scene.cloud, scene.K
         )
         want = fd(cd_cost)
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
@@ -376,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except MinCDError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

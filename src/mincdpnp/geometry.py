@@ -7,9 +7,9 @@ Conventions used throughout the package:
   its camera-frame depth exceeds ``Z_MIN`` (1e-6 m).
 - Pixels are (u, v) with u along the image width, stored as length-2
   float arrays.  3D points are (x, y, z) length-3 float arrays, meters.
-- Twists order the rotation part first: xi = (omega, v).  se3_exp uses
-  the closed-form Rodrigues / V-matrix expressions with a second-order
-  Taylor branch below ``SMALL_ANGLE``.
+- A twist is a (6,) float array, rotation part first: xi = (omega, v).
+  se3_exp uses the closed-form Rodrigues / V-matrix expressions with a
+  second-order Taylor branch below ``SMALL_ANGLE``.
 - No lens distortion and no image-bounds clipping: projections falling
   outside the image are kept as-is.
 """
@@ -162,32 +162,6 @@ def _poses_pass_checks(R, t) -> np.ndarray:
     return finite & ortho & ~det_off
 
 
-@dataclass(frozen=True)
-class Twist:
-    """se(3) element, rotation part first: (omega, v)."""
-
-    omega: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _as_float_array(self.omega, (3,), "omega"))
-        object.__setattr__(self, "v", _as_float_array(self.v, (3,), "v"))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.omega, self.v])
-
-    @classmethod
-    def from_vector(cls, vec) -> "Twist":
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.shape != (6,):
-            raise ValueError(f"twist vector must have shape (6,), got {arr.shape}")
-        return cls(omega=arr[:3], v=arr[3:])
-
-    @classmethod
-    def zero(cls) -> "Twist":
-        return cls(omega=np.zeros(3), v=np.zeros(3))
-
-
 def dumps_json(data) -> str:
     """Canonical JSON used for every file this package writes.
 
@@ -245,16 +219,17 @@ def _rotation_coefficients(theta: float) -> tuple[float, float, float]:
     return a1, a2, a3
 
 
-def se3_exp(xi: Twist) -> Pose:
-    """Closed-form exponential map se(3) -> SE(3)."""
-    omega = xi.omega
+def se3_exp(xi) -> Pose:
+    """Closed-form exponential map se(3) -> SE(3) of a twist (omega, v)."""
+    xi = _as_float_array(xi, (6,), "twist")
+    omega = xi[:3]
     theta = float(np.linalg.norm(omega))
     W = skew(omega)
     W2 = W @ W
     a1, a2, a3 = _rotation_coefficients(theta)
     R = np.eye(3) + a1 * W + a2 * W2
     V = np.eye(3) + a2 * W + a3 * W2
-    return Pose(R, V @ xi.v, check=False)
+    return Pose(R, V @ xi[3:], check=False)
 
 
 def so3_exp(omega) -> np.ndarray:
@@ -266,8 +241,8 @@ def so3_exp(omega) -> np.ndarray:
     return np.eye(3) + a1 * W + a2 * (W @ W)
 
 
-def se3_log(T: Pose) -> Twist:
-    """Principal-branch inverse of se3_exp.
+def se3_log(T: Pose) -> np.ndarray:
+    """Principal-branch inverse of se3_exp, as a (6,) twist (omega, v).
 
     Raises NearPiRotation within 1e-6 of a half-turn, where the axis is
     numerically unrecoverable; callers should re-seed rather than trust
@@ -288,7 +263,7 @@ def se3_log(T: Pose) -> Twist:
     else:
         coeff = (1.0 - (theta * np.sin(theta)) / (2.0 * (1.0 - np.cos(theta)))) / t2
     V_inv = np.eye(3) - 0.5 * W + coeff * (W @ W)
-    return Twist(omega=omega, v=V_inv @ T.t)
+    return np.concatenate([omega, V_inv @ T.t])
 
 
 def rotation_angle_deg(R) -> float:

@@ -41,7 +41,6 @@ from .geometry import (
     Z_MIN,
     CameraIntrinsics,
     Pose,
-    Twist,
     _poses_pass_checks,
     pinhole,
     project_points,
@@ -300,17 +299,16 @@ def _cost_from_arrays(T, pixels, points, K) -> float:
 
 
 def reprojection_grad_twist(
-    xi: Twist,
+    xi,
     T0: Pose,
     C: CorrespondenceSet,
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
     K: CameraIntrinsics,
 ) -> np.ndarray:
-    """Exact gradient of reprojection_cost in the local twist at T0."""
-    xi_vec = (
-        xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=np.float64)
-    )
+    """Exact gradient of reprojection_cost at se3_exp(xi) composed with T0,
+    in the (6,) twist xi = (omega, v)."""
+    xi_vec = np.asarray(xi, dtype=np.float64)
     pixels, points = _gather(C, image_set, cloud_set)
     residuals, J = _pair_residuals(xi_vec, pixels, points @ T0.R.T + T0.t, K)
     return -2.0 * np.einsum("ni,nik->k", residuals, J)

@@ -15,7 +15,6 @@ from mincdpnp import (
     NoiseSpec,
     NotOneToOne,
     Pose,
-    Twist,
     brute_force_best_pose,
     check_inequality8,
     generate_scene,
@@ -269,7 +268,7 @@ class TestInequality8:
 class TestBruteForce:
     def test_grid_containing_truth_recovers_it(self):
         scene = generate_scene(10, noise=NoiseSpec(seed=15))
-        xi = se3_log(scene.T_gt).as_vector()
+        xi = se3_log(scene.T_gt)
         grid = GridSpec(
             center=tuple(xi),
             half_width=(0.1,) * 3 + (0.2,) * 3,
@@ -277,7 +276,7 @@ class TestBruteForce:
         )
         best, count = brute_force_best_pose(scene.pixels, scene.cloud, K, CFG, grid)
         assert count == 20
-        assert best.almost_equal(se3_exp(Twist.from_vector(xi)), atol=1e-12)
+        assert best.almost_equal(se3_exp(xi), atol=1e-12)
 
     def test_single_pose_grid(self):
         kp2d, kp3d = grid_instance(n=5)
@@ -288,7 +287,7 @@ class TestBruteForce:
 
     def test_matches_full_enumeration_oracle(self):
         scene = generate_scene(8, noise=NoiseSpec(seed=16, pixel_noise_sigma=1.0))
-        xi = se3_log(scene.T_gt).as_vector()
+        xi = se3_log(scene.T_gt)
         half = np.radians(5.0)
         grid = GridSpec(
             center=tuple(xi),
@@ -300,7 +299,7 @@ class TestBruteForce:
         axes = [grid.axis_values(i) for i in range(6)]
         want_count, want_vec = -1, None
         for combo in itertools.product(*axes):
-            T = se3_exp(Twist.from_vector(np.array(combo)))
+            T = se3_exp(np.array(combo))
             c = kappa_star_bruteforce(
                 scene.pixels.pixels,
                 scene.cloud.points,
@@ -315,7 +314,7 @@ class TestBruteForce:
             if c > want_count:
                 want_count, want_vec = c, np.array(combo)
         assert count == want_count
-        assert best.almost_equal(se3_exp(Twist.from_vector(want_vec)), atol=1e-12)
+        assert best.almost_equal(se3_exp(want_vec), atol=1e-12)
 
     def test_grid_too_large(self):
         grid = GridSpec(center=(0.0,) * 6, half_width=(1.0,) * 6, steps=(11,) * 6)

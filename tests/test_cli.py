@@ -134,6 +134,20 @@ class TestEval:
         assert records.read_text() == ""
         assert "| 0 | 0 | - | - | - |" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_scene_root_that_is_not_a_directory_fails(self, tmp_path, capsys, kind):
+        records = tmp_path / "records.jsonl"
+        root = tmp_path / "scenes"
+        if kind == "file":
+            root.write_text("")
+        assert run(["eval", "--scenes", root, "--out", records]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(root) in err[0]
+        assert not records.exists()
+
     def test_scene_failures_keep_batch_alive(self, tmp_path, capsys):
         scenes = tmp_path / "scenes"
         for i in range(3):

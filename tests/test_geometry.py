@@ -7,7 +7,6 @@ from mincdpnp import (
     CameraIntrinsics,
     NearPiRotation,
     Pose,
-    Twist,
     exp_action_jacobian,
     pose_difference,
     project_points,
@@ -32,7 +31,7 @@ def random_twist(rng, max_angle=3.0):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
-    return Twist(omega=angle * axis, v=rng.normal(scale=0.5, size=3))
+    return np.concatenate([angle * axis, rng.normal(scale=0.5, size=3)])
 
 
 def random_pose(rng, max_angle=3.0):
@@ -118,11 +117,11 @@ class TestProjection:
 
 class TestExpLog:
     def test_zero_twist_is_identity(self):
-        T = se3_exp(Twist.zero())
+        T = se3_exp(np.zeros(6))
         assert T.almost_equal(Pose.identity(), atol=0.0)
 
     def test_quarter_turn_about_z(self):
-        T = se3_exp(Twist(omega=np.array([0.0, 0.0, np.pi / 2]), v=np.zeros(3)))
+        T = se3_exp(np.array([0.0, 0.0, np.pi / 2, 0.0, 0.0, 0.0]))
         want = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(T.R, want, atol=1e-15)
         np.testing.assert_allclose(T.t, np.zeros(3), atol=1e-15)
@@ -132,7 +131,7 @@ class TestExpLog:
         for _ in range(50):
             xi = random_twist(rng)
             T = se3_exp(xi)
-            R_ref, t_ref = se3_exp_expm(xi.omega, xi.v)
+            R_ref, t_ref = se3_exp_expm(xi[:3], xi[3:])
             np.testing.assert_allclose(T.R, R_ref, atol=1e-12)
             np.testing.assert_allclose(T.t, t_ref, atol=1e-12)
 
@@ -140,32 +139,49 @@ class TestExpLog:
         rng = np.random.default_rng(23)
         for _ in range(50):
             xi = random_twist(rng)
-            np.testing.assert_allclose(se3_exp(xi).R, rotation_rotvec(xi.omega), atol=1e-12)
+            np.testing.assert_allclose(se3_exp(xi).R, rotation_rotvec(xi[:3]), atol=1e-12)
 
     def test_small_angle_branch_matches_expm(self):
         for scale in (1e-12, 1e-9, 5e-9):
             omega = np.array([1.0, -2.0, 0.5]) * scale
             v = np.array([0.3, 0.1, -0.2])
-            T = se3_exp(Twist(omega=omega, v=v))
+            T = se3_exp(np.concatenate([omega, v]))
             R_ref, t_ref = se3_exp_expm(omega, v)
             np.testing.assert_allclose(T.R, R_ref, atol=1e-14)
             np.testing.assert_allclose(T.t, t_ref, atol=1e-14)
 
     def test_log_of_identity_is_zero(self):
         xi = se3_log(Pose.identity())
-        assert np.all(xi.omega == 0.0)
-        assert np.all(xi.v == 0.0)
+        assert np.all(xi == 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             xi = random_twist(rng, max_angle=np.pi - 1e-3)
             back = se3_log(se3_exp(xi))
-            np.testing.assert_allclose(back.as_vector(), xi.as_vector(), atol=1e-9)
+            np.testing.assert_allclose(back, xi, atol=1e-9)
 
     def test_half_turn_raises(self):
         with pytest.raises(NearPiRotation):
-            se3_log(se3_exp(Twist(omega=np.array([np.pi, 0.0, 0.0]), v=np.zeros(3))))
+            se3_log(se3_exp(np.array([np.pi, 0.0, 0.0, 0.0, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (2, 3)])
+    def test_exp_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="twist must have shape"):
+            se3_exp(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_exp_rejects_non_finite(self, bad):
+        xi = np.zeros(6)
+        xi[4] = bad
+        with pytest.raises(ValueError, match="twist must be finite"):
+            se3_exp(xi)
+
+    def test_log_returns_float64_six_vector(self):
+        xi = se3_log(se3_exp(np.array([0.02, -0.05, 0.01, 0.1, 0.0, -0.2])))
+        assert isinstance(xi, np.ndarray)
+        assert xi.shape == (6,)
+        assert xi.dtype == np.float64
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -173,7 +189,7 @@ class TestExpLog:
         rng = np.random.default_rng(seed)
         xi = random_twist(rng, max_angle=np.pi - 1e-2)
         back = se3_log(se3_exp(xi))
-        np.testing.assert_allclose(back.as_vector(), xi.as_vector(), atol=1e-9)
+        np.testing.assert_allclose(back, xi, atol=1e-9)
 
 
 class TestPose:
@@ -278,13 +294,13 @@ class TestJacobians:
     def test_exp_action_matches_finite_differences(self):
         rng = np.random.default_rng(47)
         for _ in range(30):
-            xi0 = random_twist(rng, max_angle=2.5).as_vector()
+            xi0 = random_twist(rng, max_angle=2.5)
             pts = rng.normal(size=(5, 3))
 
             y, J = exp_action_jacobian(xi0, pts)
 
             def act(vec, pts=pts):
-                T = se3_exp(Twist.from_vector(vec))
+                T = se3_exp(vec)
                 return T.apply(pts).ravel()
 
             np.testing.assert_allclose(y.ravel(), act(xi0), atol=1e-12)
@@ -313,7 +329,7 @@ class TestJacobians:
             _, J = exp_action_jacobian(xi0, pts)
 
             def act(vec, pts=pts):
-                return se3_exp(Twist.from_vector(vec)).apply(pts).ravel()
+                return se3_exp(vec).apply(pts).ravel()
 
             J_num = numeric_jacobian(act, xi0, h=1e-7).reshape(len(pts), 3, 6)
             np.testing.assert_allclose(J, J_num, atol=1e-6)

@@ -18,7 +18,6 @@ from mincdpnp import (
     RansacConfig,
     SolverConfig,
     TooFewPoints,
-    Twist,
     generate_scene,
     match_scene,
     perturb_pose,
@@ -151,12 +150,10 @@ class TestGradTwist:
             T0 = s.T_gt
 
             def cost_at(xi_vec):
-                T = se3_exp(Twist.from_vector(xi_vec)).compose(T0)
+                T = se3_exp(xi_vec).compose(T0)
                 return reprojection_cost(T, C, s.pixels, s.cloud, s.K)
 
-            got = reprojection_grad_twist(
-                Twist.from_vector(xi0), T0, C, s.pixels, s.cloud, s.K
-            )
+            got = reprojection_grad_twist(xi0, T0, C, s.pixels, s.cloud, s.K)
             want = numeric_jacobian(cost_at, xi0, h=1e-6)
             rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
             worst = max(worst, rel)
@@ -597,7 +594,7 @@ class TestP3P:
             [p, q, q],  # two coincide
             [p, p, p],  # all three coincide
         ])
-        T = Pose(se3_exp(Twist.from_vector([0.1, -0.05, 0.02, 0.1, 0.0, 0.3])).R, [0.1, 0.0, 0.3])
+        T = Pose(se3_exp([0.1, -0.05, 0.02, 0.1, 0.0, 0.3]).R, [0.1, 0.0, 0.3])
         pixels = np.stack([project_points(pts, T, K)[0] for pts in points])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
