@@ -4,8 +4,8 @@ The nearest-feature search screens row blocks with one matrix product
 and rescores the few surviving candidates in the distance matrix's own
 arithmetic, so it gives the dense argmin's indices and score bits
 without forming the N x M matrix; nearest_points does so for image
-points with a k-d tree, O(log M) per query. `_save_matrix_csv` and
-`_load_matrix_csv` are the one matrix CSV writer and reader.
+points with a k-d tree, O(log M) per query. `_load_matrix_csv` is the
+one matrix CSV reader.
 """
 
 from __future__ import annotations
@@ -143,20 +143,8 @@ def nearest_points(tree: cKDTree, queries: np.ndarray) -> tuple[np.ndarray, np.n
     return best, best_sq
 
 
-def _save_matrix_csv(path, matrix) -> None:
-    """One line per row, each value as repr(float): shortest round-trip text.
-
-    None writes an empty file, which _load_matrix_csv reads back as None.
-    """
-    with open(path, "w") as fh:
-        if matrix is None:
-            return
-        rows = np.atleast_2d(np.asarray(matrix, dtype=np.float64)).tolist()
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
 def _load_matrix_csv(path):
-    """The (rows, cols) float64 matrix of a _save_matrix_csv file, bit for
+    """The (rows, cols) float64 matrix of a CSV file of repr floats, bit for
     bit; None for an empty file."""
     if not Path(path).read_text().strip():
         return None

@@ -37,12 +37,12 @@ def load_ply(path: str | Path) -> np.ndarray:
     body_at = None
     for idx, line in enumerate(text[1:], start=1):
         parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
+        if parts[:2] == ["element", "vertex"] and len(parts) == 3:
             n_vertices = int(parts[2])
         elif parts[:1] == ["end_header"]:
             body_at = idx + 1
             break
-    if n_vertices is None or body_at is None:
+    if n_vertices is None or body_at is None or n_vertices < 0:
         raise ValueError(f"{path} has a malformed PLY header")
     if len(text) - body_at < n_vertices:
         raise ValueError(

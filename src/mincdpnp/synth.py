@@ -32,8 +32,6 @@ from .features import (
     CorrespondenceSet,
     KeypointSet2D,
     KeypointSet3D,
-    _load_matrix_csv,
-    _save_matrix_csv,
 )
 from .geometry import CameraIntrinsics, Pose, dumps_json, pinhole, so3_exp
 from .plyio import load_ply, save_ply
@@ -59,6 +57,21 @@ class NoiseSpec:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.pixel_noise_sigma < 0 or self.feature_noise_sigma < 0:
             raise ValueError("noise sigmas must be nonnegative")
+
+
+def _save_array(path: Path, a) -> None:
+    """A little-endian float64 .npy, or a zero-byte file for None."""
+    if a is None:  # np.save(None) would write a pickled object array
+        path.write_bytes(b"")
+    else:
+        np.save(path, np.asarray(a, dtype="<f8"))
+
+
+def _load_array(path: Path):
+    """The array of a _save_array file; None for a zero-byte file."""
+    if path.stat().st_size == 0:
+        return None
+    return np.load(path, allow_pickle=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +108,12 @@ class ScenePair:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         save_ply(d / "cloud.ply", self.cloud.points)
-        _save_matrix_csv(d / "features_3d.csv", self.cloud.features)
-        _save_matrix_csv(d / "pixels.csv", self.pixels.pixels)
-        _save_matrix_csv(d / "features_2d.csv", self.pixels.features)
+        _save_array(d / "features_3d.npy", self.cloud.features)
+        _save_array(d / "pixels.npy", self.pixels.pixels)
+        _save_array(d / "features_2d.npy", self.pixels.features)
         self.T_gt.save(d / "pose_gt.json")
         self.K.save(d / "intrinsics.json")
-        _save_matrix_csv(d / "depth.csv", self.depth.reshape(-1, 1))
+        _save_array(d / "depth.npy", self.depth)
         self.gt_pairs.save_csv(d / "gt_pairs.csv")
         (d / "meta.json").write_text(dumps_json(self.meta))
 
@@ -108,17 +121,16 @@ class ScenePair:
     def load_dir(cls, directory: str | Path) -> "ScenePair":
         d = Path(directory)
         points = load_ply(d / "cloud.ply")
-        feats3d = _load_matrix_csv(d / "features_3d.csv")
-        pixels = _load_matrix_csv(d / "pixels.csv")
-        feats2d = _load_matrix_csv(d / "features_2d.csv")
-        depth = _load_matrix_csv(d / "depth.csv")
-        depth = depth.reshape(-1) if depth is not None else np.zeros(0)
+        feats3d = _load_array(d / "features_3d.npy")
+        pixels = _load_array(d / "pixels.npy")
+        feats2d = _load_array(d / "features_2d.npy")
+        depth = _load_array(d / "depth.npy")
         return cls(
             cloud=KeypointSet3D(points, feats3d),
             pixels=KeypointSet2D(pixels if pixels is not None else np.zeros((0, 2)), feats2d),
             T_gt=Pose.load(d / "pose_gt.json"),
             K=CameraIntrinsics.load(d / "intrinsics.json"),
-            depth=depth,
+            depth=depth if depth is not None else np.zeros(0),
             gt_pairs=CorrespondenceSet.load_csv(d / "gt_pairs.csv"),
             meta=json.loads((d / "meta.json").read_text()),
         )

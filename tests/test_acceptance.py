@@ -432,7 +432,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
 
         blob = {"stdout": stdout}
         for rel in (
-            "scenes/scene_0000/pixels.csv",
+            "scenes/scene_0000/pixels.npy",
+            "scenes/scene_0000/features_2d.npy",
             "scenes/scene_0000/pose_gt.json",
             "scenes/scene_0001/cloud.ply",
             "pairs.csv",

@@ -30,12 +30,12 @@ class TestSynth:
         files = {p.name for p in (out / "scene_0001").iterdir()}
         assert {
             "cloud.ply",
-            "features_3d.csv",
-            "pixels.csv",
-            "features_2d.csv",
+            "features_3d.npy",
+            "pixels.npy",
+            "features_2d.npy",
             "pose_gt.json",
             "intrinsics.json",
-            "depth.csv",
+            "depth.npy",
             "gt_pairs.csv",
             "meta.json",
         } <= files
@@ -44,7 +44,10 @@ class TestSynth:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert run(["synth", "--out", out, "--n-scenes", 1, "--seed", 9]) == 0
-        for name in ("pixels.csv", "pose_gt.json", "cloud.ply"):
+        names = sorted(p.name for p in (a / "scene_0000").iterdir())
+        assert names == sorted(p.name for p in (b / "scene_0000").iterdir())
+        assert len(names) == 9
+        for name in names:
             assert (a / "scene_0000" / name).read_bytes() == (
                 b / "scene_0000" / name
             ).read_bytes()
@@ -154,7 +157,7 @@ class TestEval:
             generate_scene(50, noise=NoiseSpec(seed=i)).save_dir(
                 scenes / f"scene_{i:04d}"
             )
-        (scenes / "scene_0000" / "pixels.csv").unlink()
+        (scenes / "scene_0000" / "pixels.npy").unlink()
         (scenes / "scene_0001" / "pose_gt.json").write_text("{}")
         records = tmp_path / "records.jsonl"
         assert run(["eval", "--scenes", scenes, "--out", records]) == 1
@@ -182,6 +185,43 @@ class TestEval:
         assert [r["scene_id"] for r in bad] == ["scene_0000"]
         assert bad[0]["error"].startswith("load: ValueError: ")
         assert "declares 50 vertices but holds 45" in bad[0]["error"]
+
+    @pytest.mark.parametrize(
+        "damage, error, detail",
+        [
+            ("ply_without_count", "load: ValueError: ", "malformed PLY header"),
+            ("ply_negative_count", "load: ValueError: ", "malformed PLY header"),
+            ("object_features_2d", "load: ValueError: ", "Object arrays cannot be loaded"),
+            ("half_features_3d", "load: ValueError: ", "Failed to read all data"),
+            ("empty_features_2d", "pnp: MissingFeatures: ", "carries no features"),
+        ],
+    )
+    def test_bad_scene_file_fails_its_scene_alone(self, tmp_path, damage, error, detail):
+        scenes = tmp_path / "scenes"
+        for i in range(2):
+            generate_scene(50, noise=NoiseSpec(seed=i)).save_dir(
+                scenes / f"scene_{i:04d}"
+            )
+        d = scenes / "scene_0000"
+        if damage.startswith("ply_"):
+            header = "element vertex" if damage == "ply_without_count" else "element vertex -5"
+            ply = d / "cloud.ply"
+            ply.write_text(ply.read_text().replace("element vertex 50", header))
+        elif damage == "object_features_2d":
+            np.save(d / "features_2d.npy", np.array([[1.0, None]] * 50), allow_pickle=True)
+        elif damage == "half_features_3d":
+            data = (d / "features_3d.npy").read_bytes()
+            (d / "features_3d.npy").write_bytes(data[: len(data) // 2])
+        else:
+            (d / "features_2d.npy").write_bytes(b"")
+        records = tmp_path / "records.jsonl"
+        assert run(["eval", "--scenes", scenes, "--out", records]) == 1
+        rows = [json.loads(l) for l in records.read_text().splitlines()]
+        assert [r["scene_id"] for r in rows if "error" not in r] == ["scene_0001"]
+        bad = [r for r in rows if "error" in r]
+        assert [r["scene_id"] for r in bad] == ["scene_0000"]
+        assert bad[0]["error"].startswith(error)
+        assert detail in bad[0]["error"]
 
     def test_noisy_outlier_batch_has_no_divergence(self, tmp_path):
         # the second scene of this batch used to end its Chamfer solve in

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mincdpnp import (
+    KeypointSet2D,
+    KeypointSet3D,
     NoiseSpec,
     Pose,
     ScenePair,
@@ -138,11 +142,27 @@ class TestGenerateScene:
         np.testing.assert_array_equal(back.gt_pairs.idx3d, scene.gt_pairs.idx3d)
         assert back.meta == scene.meta
 
+    def test_save_load_round_trip_without_features(self, tmp_path):
+        scene = generate_scene(40, noise=NoiseSpec(seed=13), feature_dim=16)
+        bare = dataclasses.replace(
+            scene,
+            cloud=KeypointSet3D(scene.cloud.points),
+            pixels=KeypointSet2D(scene.pixels.pixels),
+        )
+        bare.save_dir(tmp_path / "scene")
+        assert (tmp_path / "scene" / "features_2d.npy").read_bytes() == b""
+        assert (tmp_path / "scene" / "features_3d.npy").read_bytes() == b""
+        back = ScenePair.load_dir(tmp_path / "scene")
+        assert back.cloud.features is None and back.pixels.features is None
+        assert back.cloud.points.tobytes() == scene.cloud.points.tobytes()
+        assert back.pixels.pixels.tobytes() == scene.pixels.pixels.tobytes()
+        assert back.depth.tobytes() == scene.depth.tobytes()
+
     def test_load_rejects_pixels_with_three_columns(self, tmp_path):
         scene = generate_scene(30, noise=NoiseSpec(seed=14), feature_dim=16)
         scene.save_dir(tmp_path / "scene")
         pixels = np.column_stack([scene.pixels.pixels, np.zeros(30)])
-        np.savetxt(tmp_path / "scene" / "pixels.csv", pixels, delimiter=",")
+        np.save(tmp_path / "scene" / "pixels.npy", pixels)
         with pytest.raises(ValueError, match=r"pixels must be \(N, 2\), got \(30, 3\)"):
             ScenePair.load_dir(tmp_path / "scene")
 
