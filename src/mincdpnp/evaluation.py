@@ -20,7 +20,7 @@ import numpy as np
 
 from .chamfer import solve_pose_chamfer
 from .errors import EmptySet, MinCDError, MissingDepth
-from .features import CorrespondenceSet, MatchConfig, nearest_features
+from .features import CorrespondenceSet, MatchConfig
 from .geometry import Pose, pose_difference
 from .pnp import RansacConfig, pnp_ransac
 from .synth import ScenePair, perturb_pose
@@ -123,9 +123,7 @@ def match_scene(
     scene: ScenePair, match_cfg: MatchConfig = MatchConfig()
 ) -> CorrespondenceSet:
     """Nearest 3D partner per pixel, kept when within the match delta."""
-    best, score = nearest_features(
-        scene.pixels.require_features(), scene.cloud.require_features()
-    )
+    best, score = scene.pixels.nearest_in(scene.cloud)
     keep = np.flatnonzero(score <= match_cfg.delta)
     return CorrespondenceSet(
         keep,

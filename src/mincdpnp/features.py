@@ -1,11 +1,12 @@
 """Keypoint sets, feature matching, nearest-neighbour search.
 
-The nearest-feature search screens row blocks with one matrix product
-and rescores the few surviving candidates in the distance matrix's own
-arithmetic, so it gives the dense argmin's indices and score bits
-without forming the N x M matrix; nearest_points does so for image
-points with a k-d tree, O(log M) per query. `_load_matrix_csv` is the
-one matrix CSV reader.
+The nearest-feature search screens row blocks with one matrix product,
+a.b - bb/2, takes each row's argmax, and rescores in the distance
+matrix's own arithmetic only the rows whose runner-up comes within the
+screen's error bound, so it gives the dense argmin's indices and score
+bits without forming the N x M matrix; a KeypointSet2D keeps its last
+search. nearest_points does so for image points with a k-d tree,
+O(log M) per query. `_load_matrix_csv` is the one matrix CSV reader.
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ class KeypointSet2D:
     """Image keypoints: (N, 2) pixel array with optional (N, D) features.
 
     Duplicate pixels at bitwise-identical coordinates are rejected; they
-    would make nearest-neighbor assignments ambiguous downstream.
+    would make nearest-neighbor assignments ambiguous downstream. The
+    set is immutable, so it keeps what it derives: its pixel k-d tree
+    (tree) and its last nearest-feature search (nearest_in), whose cloud
+    set it holds by strong reference, so a freed set's id never aliases.
     """
 
-    __slots__ = ("pixels", "features", "_tree")
+    __slots__ = ("pixels", "features", "_tree", "_nearest")
 
     def __init__(self, pixels, features=None):
         px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
@@ -61,6 +65,7 @@ class KeypointSet2D:
         object.__setattr__(self, "pixels", _readonly(px))
         object.__setattr__(self, "features", _check_features(features, len(px)))
         object.__setattr__(self, "_tree", None)
+        object.__setattr__(self, "_nearest", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -73,6 +78,16 @@ class KeypointSet2D:
         if self._tree is None:
             object.__setattr__(self, "_tree", cKDTree(self.pixels))
         return self._tree
+
+    def nearest_in(self, cloud_set: "KeypointSet3D") -> tuple[np.ndarray, np.ndarray]:
+        """nearest_features of this set's features in cloud_set's, as
+        read-only arrays; run once while cloud_set is the last set asked."""
+        if self._nearest is None or self._nearest[0] is not cloud_set:
+            found = nearest_features(self.require_features(), cloud_set.require_features())
+            for arr in found:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_nearest", (cloud_set, *found))
+        return self._nearest[1:]
 
     def require_features(self) -> np.ndarray:
         if self.features is None:
@@ -271,7 +286,7 @@ def _pair_distances(a, b, rows, cols):
     """cdist's Euclidean values at (rows, cols), in cdist's own arithmetic:
     the squares summed in feature order, then the square root. Pairs go
     in chunks of NEAREST_BLOCK_ROWS, so the gathered differences stay
-    small even when many columns tie."""
+    one block's size however many pairs there are."""
     out = np.empty(len(rows))
     for k in range(0, len(rows), NEAREST_BLOCK_ROWS):
         chunk = slice(k, k + NEAREST_BLOCK_ROWS)
@@ -286,10 +301,12 @@ def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarr
     The same indices and distance bits as np.argmin over the rows of
     feature_distance_matrix, ties going to the lowest index, without the
     N x M matrix: each block of query rows is screened with one matrix
-    product, bb_j - 2 a.b_j (the row's own aa drops out of its argmin),
-    every column within NEAREST_SLACK of the row minimum is kept, and
-    the candidates are rescored with cdist's arithmetic. An empty 3D set
-    raises ValueError, as an argmin over nothing does.
+    product, a.b_j - bb_j/2 (its argmax is the argmin of the distance;
+    the row's own aa drops out). A row whose runner-up lies within half
+    of NEAREST_SLACK of its maximum keeps every column that close and
+    rescores them with cdist's arithmetic, one column per set of equal
+    3D rows (the lowest index); any other row takes its argmax. An empty
+    3D set raises ValueError, as an argmin over nothing does.
     """
     a, b = _prepared_features(feats2d, feats3d)
     if len(b) == 0:
@@ -298,33 +315,40 @@ def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarr
         return np.zeros(len(a), dtype=np.intp), np.zeros(len(a))
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
-    slack = NEAREST_SLACK * (a.shape[1] + 2) * (aa + bb.max())
+    half_slack = 0.5 * NEAREST_SLACK * (a.shape[1] + 2) * (aa + bb.max())
+    half_bb = 0.5 * bb
+    own = None  # per column: no equal 3D row has a lower index
     best = np.empty(len(a), dtype=np.intp)
-    score = np.empty(len(a))
     buf = np.empty((min(len(a), NEAREST_BLOCK_ROWS), len(b)))  # one block alive
     for start in range(0, len(a), NEAREST_BLOCK_ROWS):
         block = slice(start, start + NEAREST_BLOCK_ROWS)
-        queries = a[block]
-        screen = np.matmul(queries, b.T, out=buf[: len(queries)])
-        screen *= -2.0
-        screen += bb
-        limit = screen.min(axis=1) + slack[block]
-        # "not above" rather than "at or below": a NaN row keeps every
-        # column, and the argmin below then returns its first, as the
-        # dense argmin does
-        rows, cols = np.nonzero(~(screen > limit[:, None]))
-        counts = np.bincount(rows, minlength=len(screen))
+        screen = np.matmul(a[block], b.T, out=buf[: len(a[block])])
+        screen -= half_bb
+        r = np.arange(len(screen))
+        best[block] = pick = screen.argmax(axis=1)
+        top = screen[r, pick]
+        screen[r, pick] = -np.inf
+        limit = top - half_slack[block]
+        # "not below": a NaN row is rescored with every column, and the
+        # argmin there returns its first NaN, as the dense argmin does
+        close = np.flatnonzero(~(screen.max(axis=1) < limit))
+        if len(close) == 0:
+            continue
+        screen[r, pick] = top
+        if own is None:
+            _, lowest, inverse = np.unique(b, axis=0, return_index=True, return_inverse=True)
+            own = lowest[inverse.reshape(-1)] == np.arange(len(b))
+        rows, cols = np.nonzero((~(screen < limit[:, None]) & own)[close])
+        counts = np.bincount(rows, minlength=len(close))
         first = np.cumsum(counts) - counts
         # candidates of a row, in column order, padded with +inf: argmin
         # takes the lowest column among the smallest values
-        table = np.full((len(screen), counts.max()), np.inf)
+        table = np.full((len(close), counts.max()), np.inf)
         table[rows, np.arange(len(rows)) - first[rows]] = _pair_distances(
-            a, b, rows + start, cols
+            a, b, close[rows] + start, cols
         )
-        pick = np.argmin(table, axis=1)
-        best[block] = cols[first + pick]
-        score[block] = table[np.arange(len(table)), pick]
-    return best, score
+        best[close + start] = cols[first + np.argmin(table, axis=1)]
+    return best, _pair_distances(a, b, np.arange(len(a)), best)
 
 
 def match_by_threshold(

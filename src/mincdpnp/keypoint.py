@@ -18,7 +18,7 @@ from itertools import chain
 from scipy.spatial import cKDTree
 
 from .errors import EmptyGroundTruth
-from .features import KeypointSet2D, KeypointSet3D, nearest_features
+from .features import KeypointSet2D, KeypointSet3D
 from .geometry import CameraIntrinsics, Pose, project_points
 
 DEFAULT_S_TH = float(np.exp(-0.4))
@@ -71,10 +71,6 @@ class KeypointReport:
             raise ValueError("count must equal the selection size")
 
 
-def _nearest_matches(image_set, cloud_set):
-    return nearest_features(image_set.require_features(), cloud_set.require_features())
-
-
 def select_3d_keypoints(
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
@@ -86,18 +82,12 @@ def select_3d_keypoints(
     best (lowest) score; ties keep the lowest 2D index. Growing s_th
     only ever adds rows, so selections are nested across thresholds.
     """
-    best_j, best_s = _nearest_matches(image_set, cloud_set)
-    keep: dict[int, tuple[float, int]] = {}
-    for q_idx in range(len(image_set)):
-        if best_s[q_idx] > cfg.s_th:
-            continue
-        j = int(best_j[q_idx])
-        candidate = (float(best_s[q_idx]), q_idx)
-        if j not in keep or candidate < keep[j]:
-            keep[j] = candidate
-    cloud_idx = np.array(sorted(keep), dtype=np.int64)
-    scores = np.array([keep[j][0] for j in cloud_idx])
-    sources = np.array([keep[j][1] for j in cloud_idx], dtype=np.int64)
+    best_j, best_s = image_set.nearest_in(cloud_set)
+    q = np.flatnonzero(best_s <= cfg.s_th)
+    q = q[np.lexsort((q, best_s[q], best_j[q]))]  # by partner, then score, then q
+    sources = q[np.diff(best_j[q], prepend=-1) != 0].astype(np.int64)
+    cloud_idx = best_j[sources].astype(np.int64)
+    scores = best_s[sources]
     pts = cloud_set.points[cloud_idx] if len(cloud_idx) else np.zeros((0, 3))
     feats = (
         cloud_set.features[cloud_idx]
@@ -115,7 +105,7 @@ def select_3d_keypoints(
 def _nearest_partners(image_set, cloud_set, T, K):
     """Each 2D keypoint's nearest-feature partner: (match score, squared
     reprojection error under T, partner in front of the camera)."""
-    best_j, best_s = _nearest_matches(image_set, cloud_set)
+    best_j, best_s = image_set.nearest_in(cloud_set)
     proj, in_front = project_points(cloud_set.points, T, K)
     diff = image_set.pixels - proj[best_j]
     return best_s, np.einsum("nd,nd->n", diff, diff), in_front[best_j]

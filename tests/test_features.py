@@ -13,13 +13,17 @@ from mincdpnp import (
     MissingFeatures,
     NoiseSpec,
     NotOneToOne,
+    evaluate_selection,
     feature_distance_matrix,
     generate_scene,
+    guided_reprojection_total,
+    key_loss,
     match_by_threshold,
     match_scene,
     nearest_3d_match,
     nearest_features,
 )
+from mincdpnp import features
 from mincdpnp.features import _load_matrix_csv
 
 from oracles import (
@@ -249,6 +253,63 @@ class TestNearestFeatures:
             nearest_features(np.ones((3, 4)), np.zeros((0, 4)))
         assert type(got.value) is type(dense.value) is ValueError
 
+    def test_nudged_copies_of_cloud_rows(self):
+        # copies 1-3 ulps from a row, before and after it: the screen
+        # cannot rank them, so every query near one reaches the rescore
+        rng = np.random.default_rng(11)
+        f3d = rng.normal(size=(60, 32))
+        copies = f3d[:20].copy()
+        for k, row in enumerate(copies):
+            for _ in range(1 + k % 3):
+                row[k] = np.nextafter(row[k], np.inf if k % 2 else -np.inf)
+        cloud = np.vstack([copies[:10], f3d, copies[10:]])
+        queries = np.vstack([f3d[:20], copies, f3d[:20] + 1e-12 * rng.normal(size=(20, 32))])
+        assert_same_as_dense(queries, cloud)
+
+    @pytest.mark.parametrize("distinct", [1, 3, 7])
+    def test_exact_ties_from_repeated_rows(self, distinct):
+        rng = np.random.default_rng(distinct)
+        rows = rng.normal(size=(distinct, 24))
+        cloud = rows[rng.integers(0, distinct, size=90)]
+        queries = np.vstack([rows, rows + 0.3 * rng.normal(size=rows.shape)])
+        best = assert_same_as_dense(queries, cloud)
+        first = [np.flatnonzero((cloud == r).all(axis=1))[0] for r in rows]
+        assert best[:distinct].tolist() == first
+
+    def test_nan_rows_from_raw_arrays(self):
+        rng = np.random.default_rng(13)
+        f2d = rng.normal(size=(6, 16))
+        f3d = rng.normal(size=(50, 16))
+        f2d[1] = np.nan  # normalizes to a zero row: every unit row ties
+        f2d[2, 3] = np.inf  # normalizes to a NaN row
+        with np.errstate(invalid="ignore"):
+            best = assert_same_as_dense(f2d, f3d)
+            assert best[2] == 0  # the dense argmin's first NaN
+            f3d[7, 2] = np.inf  # a NaN column: every row's first NaN
+            assert_same_as_dense(f2d, f3d)
+
+    @pytest.mark.parametrize("kind", ["all_zero", "three_rows"])
+    def test_tied_cloud_rescores_one_column_per_copy(self, kind):
+        # every query ties across hundreds of columns; the rescore keeps
+        # the lowest index of each set of equal rows. 8000 queries, since
+        # one block's screen (512 x 2000) alone is over a quarter of a
+        # dense matrix with fewer than 2048 rows
+        rng = np.random.default_rng(17)
+        f2d = rng.normal(size=(8000, 128))
+        if kind == "all_zero":
+            f3d = np.zeros((2000, 128))
+        else:
+            f3d = rng.normal(size=(3, 128))[rng.integers(0, 3, size=2000)]
+        dense_bytes = len(f2d) * len(f3d) * 8
+        tracemalloc.start()
+        try:
+            nearest_features(f2d, f3d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+        assert_same_as_dense(f2d, f3d)
+
     def test_no_dense_matrix_allocated(self):
         # the screen holds NEAREST_BLOCK_ROWS rows of the N x M matrix
         s = generate_scene(3000, noise=NoiseSpec(seed=0, outlier_rate=0.2), feature_dim=16)
@@ -260,6 +321,68 @@ class TestNearestFeatures:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
+
+
+class TestNearestIn:
+    """A 2D set keeps its last nearest-feature search, one per cloud set."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = features.nearest_features
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(features, "nearest_features", counted)
+        return calls
+
+    @staticmethod
+    def scene():
+        return generate_scene(
+            300, noise=NoiseSpec(seed=5, feature_noise_sigma=0.3, outlier_rate=0.2)
+        )
+
+    def test_one_search_serves_matching_and_selection(self, searches):
+        s = self.scene()
+        got = match_scene(s)
+        evaluate_selection(s.pixels, s.cloud, s.T_gt, s.K)
+        key_loss(s.pixels, s.cloud, s.T_gt, s.K)
+        guided_reprojection_total(s.pixels, s.cloud, s.T_gt, s.K)
+        assert len(searches) == 1
+        best, score = nearest_features_dense(s.pixels.features, s.cloud.features)
+        keep = np.flatnonzero(score <= MatchConfig().delta)
+        assert np.array_equal(got.idx2d, keep)
+        assert np.array_equal(got.idx3d, best[keep])
+        assert got.scores.tobytes() == score[keep].tobytes()
+
+    def test_an_equal_but_new_cloud_set_searches_again(self, searches):
+        s = self.scene()
+        first = s.pixels.nearest_in(s.cloud)
+        twin = KeypointSet3D(s.cloud.points, s.cloud.features)
+        second = s.pixels.nearest_in(twin)
+        s.pixels.nearest_in(twin)
+        assert len(searches) == 2
+        s.pixels.nearest_in(s.cloud)  # only the last cloud set is kept
+        assert len(searches) == 3
+        for got, want in zip(second, first):
+            assert got.tobytes() == want.tobytes()
+
+    def test_results_are_read_only(self):
+        s = self.scene()
+        best, score = s.pixels.nearest_in(s.cloud)
+        with pytest.raises(ValueError):
+            best[0] = 1
+        with pytest.raises(ValueError):
+            score[0] = 0.0
+
+    def test_missing_features_raise(self):
+        s = self.scene()
+        with pytest.raises(MissingFeatures):
+            KeypointSet2D(s.pixels.pixels).nearest_in(s.cloud)
+        with pytest.raises(MissingFeatures):
+            s.pixels.nearest_in(KeypointSet3D(s.cloud.points))
 
 
 class TestMatrixCsv:

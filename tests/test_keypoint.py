@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mincdpnp import (
+    DEFAULT_S_TH,
     CameraIntrinsics,
     EmptyGroundTruth,
     KeypointReport,
@@ -15,6 +16,7 @@ from mincdpnp import (
     guided_reprojection_total,
     key_loss,
     keypoint_precision_recall,
+    project_points,
     reprojection_correctness,
     select_3d_keypoints,
     tau_criterion,
@@ -112,6 +114,33 @@ class TestSelect3DKeypoints:
         pts_a = set(map(tuple, a.points.points))
         pts_b = set(map(tuple, b.points.points))
         assert pts_a == pts_b
+
+    def test_equals_the_dense_loop(self):
+        # the sorted selection against the oracle's per-query loop, bit
+        # for bit, across thresholds and with many nominations per point
+        scenes = [
+            generate_scene(
+                n, noise=NoiseSpec(seed=seed, feature_noise_sigma=0.3, outlier_rate=0.2)
+            )
+            for n, seed in ((100, 0), (100, 1), (300, 2))
+        ]
+        instances = [(s.pixels, s.cloud, s.T_gt, s.K) for s in scenes]
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            kp2d, kp3d = random_instance(rng, m=60, n=8)
+            pixels = kp2d.pixels.copy()  # ground truth for the oracle's recall
+            pixels[:8] = project_points(kp3d.points, Pose.identity(), K_DEFAULT)[0]
+            instances.append((KeypointSet2D(pixels, kp2d.features), kp3d, Pose.identity(), K_DEFAULT))
+        for kp2d, kp3d, T, K in instances:
+            for s_th in (0.3, DEFAULT_S_TH, 1.0, 2.0):
+                sel = select_3d_keypoints(kp2d, kp3d, SelectConfig(s_th=s_th))
+                cloud_idx, sources, scores, _, _ = evaluate_selection_dense(
+                    kp2d, kp3d, T, K, s_th
+                )
+                assert sel.cloud_indices.dtype == sel.source_2d.dtype == np.int64
+                assert np.array_equal(sel.cloud_indices, cloud_idx)
+                assert np.array_equal(sel.source_2d, sources)
+                assert sel.scores.tobytes() == scores.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
