@@ -13,9 +13,10 @@ Behind-camera points cannot be projected, so they count as non-inliers
 on their own side and are excluded from the other side's minima; the
 counting effect is the same as assigning them infinite distance.
 
-kappa_star searches with k-d trees (features.nearest_points), O(N log N)
-and no N x M matrix; its minima are cdist's bits, so a pair at exactly
-sq == tau counts as the dense comparison counts it.
+kappa_star runs chamfer_cost's two k-d tree searches
+(features.nearest_points), O(N log N) and no N x M matrix; its minima
+are cdist's bits, so a pair at exactly sq == tau counts as the dense
+comparison counts it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import EmptySet, GridTooLarge
-from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D, nearest_points
+from .chamfer import _projected_search
+from .errors import AllPointsBehindCamera, EmptySet, GridTooLarge
+from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
 from .geometry import CameraIntrinsics, Pose, project_points, se3_exp
 
+# tau, the squared-pixel inlier radius of kappa, kappa*, keypoint
+# selection and the RANSAC consensus: the one default of all four
 DEFAULT_TAU = 5.0
 
 
@@ -117,12 +120,10 @@ def kappa_star(
     """Correspondence-free two-sided inlier count at pose T."""
     if len(image_set) == 0 or len(cloud_set) == 0:
         raise EmptySet("kappa_star needs a nonempty pixel set and cloud")
-    proj, in_front = project_points(cloud_set.points, T, K)
-    visible = proj[in_front]
-    if len(visible) == 0:
+    try:
+        _, (_, forward), (_, backward) = _projected_search(T, image_set, cloud_set, K)
+    except AllPointsBehindCamera:
         return 0
-    _, forward = nearest_points(cKDTree(visible), image_set.pixels)
-    _, backward = nearest_points(image_set.tree(), visible)
     return int(np.count_nonzero(forward <= cfg.tau) + np.count_nonzero(backward <= cfg.tau))
 
 

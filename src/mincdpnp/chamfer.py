@@ -100,6 +100,19 @@ class TraceRow:
     trans_err_m: float | None = None
 
 
+def _projected_search(T, image_set, cloud_set, K):
+    """chamfer_cost's and kappa_star's search at T: (visible cloud indices,
+    (index into them, squared distance) per pixel, (pixel index, squared
+    distance) per visible projection)."""
+    proj, in_front = project_points(cloud_set.points, T, K)
+    if not in_front.any():
+        raise AllPointsBehindCamera("no cloud point projects in front of the camera")
+    visible_idx = np.flatnonzero(in_front)
+    visible = proj[visible_idx]
+    forward = nearest_points(cKDTree(visible), image_set.pixels)
+    return visible_idx, forward, nearest_points(image_set.tree(), visible)
+
+
 def chamfer_cost(
     T: Pose,
     image_set: KeypointSet2D,
@@ -113,13 +126,9 @@ def chamfer_cost(
     """
     if len(image_set) == 0 or len(cloud_set) == 0:
         raise EmptySet("chamfer_cost needs a nonempty pixel set and cloud")
-    proj, in_front = project_points(cloud_set.points, T, K)
-    if not in_front.any():
-        raise AllPointsBehindCamera("no cloud point projects in front of the camera")
-    visible_idx = np.flatnonzero(in_front)
-    visible = proj[visible_idx]
-    fwd_nearest, forward_terms = nearest_points(cKDTree(visible), image_set.pixels)
-    bwd_nearest, bwd_sq = nearest_points(image_set.tree(), visible)
+    visible_idx, (fwd_nearest, forward_terms), (bwd_nearest, bwd_sq) = _projected_search(
+        T, image_set, cloud_set, K
+    )
     backward_terms = np.full(len(cloud_set), np.nan)
     backward_terms[visible_idx] = bwd_sq
     bwd_assign = np.full(len(cloud_set), -1, dtype=np.int64)

@@ -3,9 +3,10 @@
 Verbs: synth writes scene directories, match and the two solve verbs
 work on one scene, eval runs the batch pipeline over a directory or a
 freshly generated batch, and grad-check and bound-check are
-self-contained diagnostics. Every verb takes the shared flags (seed,
-thresholds, weights, output path) and prints and writes
-deterministically for a fixed flag set.
+self-contained diagnostics. A verb accepts only the flags its command
+reads, with the library's defaults; the library's own checks reject a
+bad value while parsing, before any scene is touched. Output is
+deterministic for a fixed flag set.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .chamfer import (
 )
 from .errors import MinCDError
 from .evaluation import (
+    DEFAULT_INIT_ROT_DEG,
+    DEFAULT_INIT_TRANS_M,
     run_pipeline,
     summary_from_records,
     summary_markdown,
@@ -38,7 +41,6 @@ from .evaluation import (
 from .features import MatchConfig
 from .geometry import dumps_json, pose_difference, se3_exp
 from .keypoint import (
-    DEFAULT_S_TH,
     SelectConfig,
     guided_reprojection_total,
     key_loss,
@@ -48,57 +50,75 @@ from .pnp import RansacConfig, pnp_ransac, reprojection_cost, reprojection_grad_
 from .synth import NoiseSpec, ScenePair, generate_scene, perturb_pose
 
 
-def _global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=float, default=5.0,
-                   help="inlier threshold in squared pixels")
-    p.add_argument("--s-th", type=float, default=DEFAULT_S_TH, dest="s_th",
-                   help="keypoint confidence threshold")
-    p.add_argument("--delta", type=float, default=0.5,
-                   help="feature match threshold")
-    p.add_argument("--lambda1", type=float, default=0.2)
-    p.add_argument("--lambda2", type=float, default=1e-4)
-    p.add_argument("--out", type=Path, default=None)
+def _checked(convert, check):
+    """An argparse type: convert the text, then let check, the library
+    call that takes the value, refuse it with its own message."""
+
+    def parse(text):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-points", type=int, default=100)
-    p.add_argument("--pixel-noise", type=float, default=0.0)
-    p.add_argument("--feature-noise", type=float, default=0.0)
-    p.add_argument("--outlier-rate", type=float, default=0.0)
-    p.add_argument("--dropout-rate", type=float, default=0.0)
+def _library(cls, field: str, convert=float, **fixed) -> dict:
+    """A flag whose default is cls's and whose value cls checks."""
+    check = _checked(convert, lambda v: cls(**fixed, **{field: v}))
+    return dict(type=check, default=getattr(cls, field))
 
 
-def _gen_scene(args, seed: int) -> ScenePair:
-    return generate_scene(
-        args.n_points,
-        noise=NoiseSpec(
-            seed=seed,
-            pixel_noise_sigma=args.pixel_noise,
-            feature_noise_sigma=args.feature_noise,
-            outlier_rate=args.outlier_rate,
-            dropout_rate=args.dropout_rate,
-        ),
-    )
+def _at_least_one(n: int) -> None:
+    if n < 1:
+        raise ValueError("must be at least 1")
 
 
-def _load_scene(args) -> ScenePair:
-    return ScenePair.load_dir(args.scene)
+_COUNT = _checked(int, _at_least_one)
+
+# Flags that several verbs read; each verb names the ones its command reads.
+_SHARED = {
+    "--scene": dict(type=Path, required=True),
+    "--out": dict(type=Path, default=None),
+    "--seed": dict(type=_checked(int, lambda v: RansacConfig(seed=v)), default=0),
+    "--tau": dict(_library(InlierConfig, "tau"), help="inlier threshold in squared pixels"),
+    "--delta": dict(_library(MatchConfig, "delta"), help="feature match threshold"),
+    "--iterations": _library(RansacConfig, "iterations", int, seed=0),
+    "--init-rot": dict(type=float, default=DEFAULT_INIT_ROT_DEG),
+    "--init-trans": dict(type=float, default=DEFAULT_INIT_TRANS_M),
+    "--n-points": dict(type=_COUNT, default=100),
+    "--pixel-noise": _library(NoiseSpec, "pixel_noise_sigma", seed=0),
+    "--feature-noise": _library(NoiseSpec, "feature_noise_sigma", seed=0),
+    "--outlier-rate": _library(NoiseSpec, "outlier_rate", seed=0),
+    "--dropout-rate": _library(NoiseSpec, "dropout_rate", seed=0),
+}
+_NOISE = ("--n-points", "--pixel-noise", "--feature-noise", "--outlier-rate", "--dropout-rate")
+
+
+def _gen_scenes(args, count: int):
+    """(scene_id, scene) for count scenes seeded from args.seed up: synth's
+    directory names and eval --gen's scene ids."""
+    levels = (args.pixel_noise, args.feature_noise, args.outlier_rate, args.dropout_rate)
+    for i in range(count):
+        noise = NoiseSpec(args.seed + i, *levels)
+        yield f"scene_{i:04d}", generate_scene(args.n_points, noise=noise)
 
 
 def cmd_synth(args) -> int:
     if args.out is None:
         print("synth requires --out DIRECTORY", file=sys.stderr)
         return 2
-    for i in range(args.n_scenes):
-        scene = _gen_scene(args, args.seed + i)
-        scene.save_dir(args.out / f"scene_{i:04d}")
+    for name, scene in _gen_scenes(args, args.n_scenes):
+        scene.save_dir(args.out / name)
     print(f"wrote {args.n_scenes} scenes to {args.out}")
     return 0
 
 
 def cmd_match(args) -> int:
-    scene = _load_scene(args)
+    scene = ScenePair.load_dir(args.scene)
     C = match_scene(scene, MatchConfig(delta=args.delta))
     if args.out is not None:
         C.save_csv(args.out)
@@ -123,36 +143,32 @@ def cmd_match(args) -> int:
 
 
 def cmd_solve_chamfer(args) -> int:
-    scene = _load_scene(args)
+    scene = ScenePair.load_dir(args.scene)
     T_init = perturb_pose(scene.T_gt, args.init_rot, args.init_trans, args.seed)
     cfg = SolverConfig(max_iters=args.max_iters, method=args.method)
     T, trace = solve_pose_chamfer(
         T_init, scene.pixels, scene.cloud, scene.K, cfg, T_gt=scene.T_gt
     )
-    if args.out is not None:
-        T.save(args.out)
     if args.trace is not None:
         save_trace_csv(args.trace, trace)
-    rot, trans = pose_difference(T, scene.T_gt)
-    print(
-        f"cost {trace[-1].cost:.6e} after {trace[-1].iteration} iterations; "
-        f"error vs truth: {rot:.6f} deg, {trans:.6e} m"
-    )
-    return 0
+    head = f"cost {trace[-1].cost:.6e} after {trace[-1].iteration} iterations"
+    return _report_pose(T, scene, args.out, head)
 
 
 def cmd_solve_pnp(args) -> int:
-    scene = _load_scene(args)
+    scene = ScenePair.load_dir(args.scene)
     C = match_scene(scene, MatchConfig(delta=args.delta))
     cfg = RansacConfig(seed=args.seed, iterations=args.iterations, threshold=args.tau)
     T, mask = pnp_ransac(C, scene.pixels, scene.cloud, scene.K, cfg)
-    if args.out is not None:
-        T.save(args.out)
+    return _report_pose(T, scene, args.out, f"{int(mask.sum())}/{len(C)} inliers")
+
+
+def _report_pose(T, scene, out, head: str) -> int:
+    """Save a solved pose to out, if given, and print head and its error."""
+    if out is not None:
+        T.save(out)
     rot, trans = pose_difference(T, scene.T_gt)
-    print(
-        f"{int(mask.sum())}/{len(C)} inliers; "
-        f"error vs truth: {rot:.6f} deg, {trans:.6e} m"
-    )
+    print(f"{head}; error vs truth: {rot:.6f} deg, {trans:.6e} m")
     return 0
 
 
@@ -176,10 +192,7 @@ def cmd_eval(args) -> int:
     if args.scenes is not None:
         scenes, load_errors = _scan_scene_dirs(args.scenes)
     else:
-        scenes = [
-            (f"scene_{i:04d}", _gen_scene(args, args.seed + i))
-            for i in range(args.gen)
-        ]
+        scenes = list(_gen_scenes(args, args.gen))
     records, errors = run_pipeline(
         scenes,
         solver=args.solver,
@@ -205,75 +218,53 @@ def cmd_eval(args) -> int:
     return 1 if errors else 0
 
 
-def _stable_assignments(T0, image_set, cloud_set, K, h: float) -> bool:
-    """True when no nearest-neighbor assignment flips inside the FD stencil."""
-    base = chamfer_cost(T0, image_set, cloud_set, K).assignment
-    ref = base[0].tobytes() + base[1].tobytes()
-    for i in range(6):
-        for sign in (-1.0, 1.0):
-            xi = np.zeros(6)
-            xi[i] = sign * h
-            T = se3_exp(xi).compose(T0)
-            a = chamfer_cost(T, image_set, cloud_set, K).assignment
-            if a[0].tobytes() + a[1].tobytes() != ref:
-                return False
-    return True
+def _assignment_bytes(report) -> bytes:
+    return report.assignment[0].tobytes() + report.assignment[1].tobytes()
 
 
 def cmd_grad_check(args) -> int:
-    h = args.h
     worst = 0.0
     skipped = 0
-    checked = 0
     for i in range(args.n_instances):
         scene = generate_scene(
             20, noise=NoiseSpec(seed=args.seed + i, pixel_noise_sigma=1.0)
         )
         T0 = perturb_pose(scene.T_gt, 3.0, 0.05, args.seed + i)
+        sets = (scene.pixels, scene.cloud, scene.K)
 
-        def fd(cost_at):
-            g = np.zeros(6)
+        def stencil(cost_at):
+            """cost_at(exp(xi) o T0) for xi = +h and -h along each twist axis."""
+            pairs = []
             for k in range(6):
                 xi = np.zeros(6)
-                xi[k] = h
-                g[k] = (cost_at(xi) - cost_at(-xi)) / (2.0 * h)
-            return g
+                xi[k] = args.h
+                pairs.append([cost_at(se3_exp(s).compose(T0)) for s in (xi, -xi)])
+            return pairs
+
+        def rel_error(got, pairs):
+            want = np.array([(plus - minus) / (2.0 * args.h) for plus, minus in pairs])
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
 
         # fixed-pair gradient is smooth everywhere, check it always
         C = scene.gt_pairs
+        got = reprojection_grad_twist(np.zeros(6), T0, C, *sets)
+        worst = max(worst, rel_error(got, stencil(lambda T: reprojection_cost(T, C, *sets))))
 
-        def pnp_cost(xi):
-            T = se3_exp(xi).compose(T0)
-            return reprojection_cost(T, C, scene.pixels, scene.cloud, scene.K)
-
-        got = reprojection_grad_twist(
-            np.zeros(6), T0, C, scene.pixels, scene.cloud, scene.K
-        )
-        want = fd(pnp_cost)
-        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
-        checked += 1
-
-        # the chamfer cost is only differentiable while assignments hold
-        if not _stable_assignments(T0, scene.pixels, scene.cloud, scene.K, h):
+        # the chamfer cost is only differentiable while no nearest-neighbor
+        # assignment flips inside the stencil
+        reports = stencil(lambda T: chamfer_cost(T, *sets))
+        base = _assignment_bytes(chamfer_cost(T0, *sets))
+        if any(_assignment_bytes(r) != base for pair in reports for r in pair):
             skipped += 1
             continue
-
-        def cd_cost(xi):
-            T = se3_exp(xi).compose(T0)
-            return chamfer_cost(T, scene.pixels, scene.cloud, scene.K).value
-
-        got = chamfer_grad_twist(
-            np.zeros(6), T0, scene.pixels, scene.cloud, scene.K
-        )
-        want = fd(cd_cost)
-        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
-        checked += 1
+        got = chamfer_grad_twist(np.zeros(6), T0, *sets)
+        worst = max(worst, rel_error(got, [[r.value for r in pair] for pair in reports]))
 
     ok = worst <= args.tol
     print(
-        f"{checked} gradients checked ({skipped} switch-crossing chamfer "
-        f"instances skipped); worst relative error {worst:.3e} "
-        f"{'<=' if ok else '>'} {args.tol:g}"
+        f"{2 * args.n_instances - skipped} gradients checked ({skipped} "
+        f"switch-crossing chamfer instances skipped); worst relative error "
+        f"{worst:.3e} {'<=' if ok else '>'} {args.tol:g}"
     )
     return 0 if ok else 1
 
@@ -291,23 +282,15 @@ def cmd_bound_check(args) -> int:
                 outlier_rate=float(rng.uniform(0.0, 0.4)),
             ),
         )
-        poses = [
-            scene.T_gt,
-            perturb_pose(
-                scene.T_gt,
-                float(rng.uniform(0.0, 30.0)),
-                float(rng.uniform(0.0, 0.5)),
-                args.seed + i,
-            ),
-        ]
-        for T in poses:
+        rot, trans = float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 0.5))
+        for T in (scene.T_gt, perturb_pose(scene.T_gt, rot, trans, args.seed + i)):
             _, _, ok = check_inequality8(
                 T, scene.gt_pairs, scene.pixels, scene.cloud, scene.K, cfg
             )
             if not ok:
                 violations += 1
     print(
-        f"{args.n_instances} instances x {len(poses)} poses checked; "
+        f"{args.n_instances} instances x 2 poses checked; "
         f"{violations} bound violations"
     )
     return 1 if violations else 0
@@ -320,50 +303,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def verb(name, fn, help_text):
+    def verb(name, fn, help_text, *shared):
         p = sub.add_parser(name, help=help_text)
-        _global_flags(p)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
         p.set_defaults(fn=fn)
         return p
 
-    p = verb("synth", cmd_synth, "generate scene directories")
-    _noise_flags(p)
-    p.add_argument("--n-scenes", type=int, default=4)
+    p = verb("synth", cmd_synth, "generate scene directories", "--out", "--seed", *_NOISE)
+    p.add_argument("--n-scenes", type=_COUNT, default=4)
 
-    p = verb("match", cmd_match, "match one scene's features")
-    p.add_argument("--scene", type=Path, required=True)
+    p = verb("match", cmd_match, "match one scene's features",
+             "--scene", "--out", "--delta", "--tau")
+    p.add_argument("--s-th", **_library(SelectConfig, "s_th"),
+                   help="keypoint confidence threshold")
+    p.add_argument("--lambda1", **_library(LossWeights, "lambda1"))
+    p.add_argument("--lambda2", **_library(LossWeights, "lambda2"))
 
-    p = verb("solve-chamfer", cmd_solve_chamfer, "solve one scene without matches")
-    p.add_argument("--scene", type=Path, required=True)
-    p.add_argument("--init-rot", type=float, default=5.0)
-    p.add_argument("--init-trans", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--method", choices=("gn", "gd"), default="gn")
+    p = verb("solve-chamfer", cmd_solve_chamfer, "solve one scene without matches",
+             "--scene", "--out", "--seed", "--init-rot", "--init-trans")
+    p.add_argument("--max-iters", **_library(SolverConfig, "max_iters", int))
+    p.add_argument("--method", choices=("gn", "gd"), default=SolverConfig.method)
     p.add_argument("--trace", type=Path, default=None)
 
-    p = verb("solve-pnp", cmd_solve_pnp, "match then solve one scene robustly")
-    p.add_argument("--scene", type=Path, required=True)
-    p.add_argument("--iterations", type=int, default=1000)
+    verb("solve-pnp", cmd_solve_pnp, "match then solve one scene robustly",
+         "--scene", "--out", "--seed", "--delta", "--tau", "--iterations")
 
-    p = verb("eval", cmd_eval, "batch pipeline with JSON-lines records")
+    p = verb("eval", cmd_eval, "batch pipeline with JSON-lines records",
+             "--out", "--seed", "--delta", "--tau", "--iterations", "--init-rot",
+             "--init-trans", *_NOISE)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenes", type=Path, help="directory of scene dirs")
-    group.add_argument("--gen", type=int, help="generate this many scenes")
-    _noise_flags(p)
+    group.add_argument("--gen", type=_COUNT, help="generate this many scenes")
     p.add_argument("--solver", choices=("pnp", "chamfer", "both"), default="pnp")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--init-rot", type=float, default=5.0)
-    p.add_argument("--init-trans", type=float, default=0.1)
     p.add_argument("--include-timings", action="store_true")
     p.add_argument("--summary", type=Path, default=None)
 
-    p = verb("grad-check", cmd_grad_check, "finite-difference gradient audit")
-    p.add_argument("--n-instances", type=int, default=30)
+    p = verb("grad-check", cmd_grad_check, "finite-difference gradient audit", "--seed")
+    p.add_argument("--n-instances", type=_COUNT, default=30)
     p.add_argument("--h", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-5)
 
-    p = verb("bound-check", cmd_bound_check, "inlier bound sweep")
-    p.add_argument("--n-instances", type=int, default=200)
+    p = verb("bound-check", cmd_bound_check, "inlier bound sweep", "--seed", "--tau")
+    p.add_argument("--n-instances", type=_COUNT, default=200)
 
     return parser
 

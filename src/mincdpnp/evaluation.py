@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blindpnp import DEFAULT_TAU
 from .chamfer import solve_pose_chamfer
 from .errors import EmptySet, MinCDError, MissingDepth
 from .features import CorrespondenceSet, MatchConfig
@@ -26,6 +27,10 @@ from .pnp import RansacConfig, pnp_ransac
 from .synth import ScenePair, perturb_pose
 
 RECORD_SCHEMA = 1
+
+# the Chamfer solver's start: the truth offset by this rotation and translation
+DEFAULT_INIT_ROT_DEG = 5.0
+DEFAULT_INIT_TRANS_M = 0.1
 
 
 @dataclass(frozen=True)
@@ -155,10 +160,10 @@ def run_pipeline(
     *,
     solver: str = "pnp",
     match_cfg: MatchConfig = MatchConfig(),
-    ransac_iterations: int = 1000,
-    ransac_threshold: float = 5.0,
-    init_rot_deg: float = 5.0,
-    init_trans_m: float = 0.1,
+    ransac_iterations: int = RansacConfig.iterations,
+    ransac_threshold: float = DEFAULT_TAU,
+    init_rot_deg: float = DEFAULT_INIT_ROT_DEG,
+    init_trans_m: float = DEFAULT_INIT_TRANS_M,
     seed: int = 0,
 ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
     """match -> solve -> metrics over a batch of (scene_id, scene).

@@ -17,6 +17,7 @@ from itertools import chain
 
 from scipy.spatial import cKDTree
 
+from .blindpnp import DEFAULT_TAU
 from .errors import EmptyGroundTruth
 from .features import KeypointSet2D, KeypointSet3D
 from .geometry import CameraIntrinsics, Pose, project_points
@@ -30,7 +31,7 @@ class SelectConfig:
     """Confidence and reprojection thresholds for keypoint selection."""
 
     s_th: float = DEFAULT_S_TH
-    tau: float = 5.0
+    tau: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
         if not (self.s_th > 0):

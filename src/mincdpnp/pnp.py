@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blindpnp import DEFAULT_TAU
 from .chamfer import SolverConfig, TraceRow, _minimize, _pair_residuals
 from .errors import (
     AllPointsBehindCamera,
@@ -88,7 +89,7 @@ class RansacConfig:
 
     seed: int
     iterations: int = 1000
-    threshold: float = 5.0
+    threshold: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
         if self.seed < 0:

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import shutil
 import subprocess
@@ -5,8 +8,23 @@ import subprocess
 import numpy as np
 import pytest
 
-from mincdpnp import NoiseSpec, Pose, generate_scene
-from mincdpnp.cli import main
+from mincdpnp import (
+    DEFAULT_S_TH,
+    DEFAULT_TAU,
+    InlierConfig,
+    LossWeights,
+    MatchConfig,
+    NoiseSpec,
+    Pose,
+    RansacConfig,
+    ScenePair,
+    SelectConfig,
+    SolverConfig,
+    generate_scene,
+    run_pipeline,
+)
+from mincdpnp import cli
+from mincdpnp.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -273,6 +291,110 @@ class TestDiagnostics:
     def test_bound_check(self, capsys):
         assert run(["bound-check", "--n-instances", 20]) == 0
         assert "0 bound violations" in capsys.readouterr().out
+
+
+def verb_parsers():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices
+
+
+def accepted_dests(parser):
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def args_read(fn_name):
+    """The args attributes a cli function reads, itself or through the
+    module's functions it hands args to."""
+    funcs = {
+        n.name: n
+        for n in ast.parse(inspect.getsource(cli)).body
+        if isinstance(n, ast.FunctionDef)
+    }
+    read, todo, seen = set(), [fn_name], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in funcs.keys() - seen
+                and any(getattr(a, "id", None) == "args" for a in node.args)
+            ):
+                todo.append(node.func.id)
+    return read
+
+
+class TestSurface:
+    def test_each_verb_accepts_exactly_what_its_command_reads(self):
+        verbs = verb_parsers()
+        assert len(verbs) == 7
+        for name, parser in verbs.items():
+            fn = parser.get_default("fn")
+            assert accepted_dests(parser) == args_read(fn.__name__), name
+        assert sum(len(accepted_dests(p)) for p in verbs.values()) == 53
+
+    def test_parser_defaults_are_the_librarys(self):
+        verbs = verb_parsers()
+        start = inspect.signature(run_pipeline).parameters
+
+        def defaults(dest, *names):
+            return {verbs[n].get_default(dest) for n in names}
+
+        assert DEFAULT_TAU == InlierConfig.tau == SelectConfig.tau == RansacConfig.threshold
+        assert defaults("tau", "match", "solve-pnp", "eval", "bound-check") == {DEFAULT_TAU}
+        assert start["ransac_threshold"].default == DEFAULT_TAU
+        assert defaults("iterations", "solve-pnp", "eval") == {RansacConfig.iterations}
+        assert start["ransac_iterations"].default == RansacConfig.iterations
+        assert defaults("max_iters", "solve-chamfer") == {SolverConfig.max_iters}
+        assert defaults("method", "solve-chamfer") == {SolverConfig.method}
+        assert defaults("delta", "match", "solve-pnp", "eval") == {MatchConfig.delta}
+        w = verbs["match"]
+        assert LossWeights(w.get_default("lambda1"), w.get_default("lambda2")) == LossWeights()
+        assert defaults("s_th", "match") == {DEFAULT_S_TH}
+        assert defaults("init_rot", "solve-chamfer", "eval") == {start["init_rot_deg"].default}
+        assert defaults("init_trans", "solve-chamfer", "eval") == {start["init_trans_m"].default}
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bound-check", "--n-instances", "0"], "--n-instances"),
+            (["grad-check", "--n-instances", "0"], "--n-instances"),
+            (["synth", "--out", "{tmp}/out", "--n-scenes", "-2"], "--n-scenes"),
+            (["synth", "--out", "{tmp}/out", "--n-points", "0"], "--n-points"),
+            (["eval", "--gen", "2", "--n-points", "0"], "--n-points"),
+            (["eval", "--gen", "-1"], "--gen"),
+            (["solve-pnp", "--scene", "{tmp}/scene", "--iterations", "0"], "--iterations"),
+            (["eval", "--gen", "2", "--iterations", "0"], "--iterations"),
+            (["solve-chamfer", "--scene", "{tmp}/scene", "--max-iters", "0"], "--max-iters"),
+            (["bound-check", "--tau", "0"], "--tau"),
+            (["eval", "--gen", "2", "--outlier-rate", "1.5"], "--outlier-rate"),
+            (["match", "--scene", "{tmp}/scene", "--delta", "0"], "--delta"),
+            (["synth", "--out", "{tmp}/out", "--seed", "-1"], "--seed"),
+            (["synth", "--out", "{tmp}/out", "--tau", "1"], "--tau"),
+            (["grad-check", "--out", "x"], "--out"),
+            (["solve-chamfer", "--scene", "{tmp}/scene", "--lambda1", "9"], "--lambda1"),
+        ],
+    )
+    def test_bad_or_unread_flag_exits_2_before_any_scene(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scene was touched before parsing finished")
+
+        monkeypatch.setattr(cli, "generate_scene", forbidden)
+        monkeypatch.setattr(ScenePair, "load_dir", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mincdpnp")
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and flag in errors[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:
