@@ -47,7 +47,7 @@ from .keypoint import (
     select_3d_keypoints,
 )
 from .pnp import RansacConfig, pnp_ransac, reprojection_cost, reprojection_grad_twist
-from .synth import NoiseSpec, ScenePair, generate_scene, perturb_pose
+from .synth import NoiseSpec, ScenePair, check_rot_deg, generate_scene, perturb_pose, point_budget
 
 
 def _checked(convert, check):
@@ -77,7 +77,13 @@ def _at_least_one(n: int) -> None:
         raise ValueError("must be at least 1")
 
 
+def _finite_positive(x: float) -> None:
+    if not (0 < x < np.inf):
+        raise ValueError("must be finite and positive")
+
+
 _COUNT = _checked(int, _at_least_one)
+_POSITIVE = _checked(float, _finite_positive)
 
 # Flags that several verbs read; each verb names the ones its command reads.
 _SHARED = {
@@ -87,7 +93,7 @@ _SHARED = {
     "--tau": dict(_library(InlierConfig, "tau"), help="inlier threshold in squared pixels"),
     "--delta": dict(_library(MatchConfig, "delta"), help="feature match threshold"),
     "--iterations": _library(RansacConfig, "iterations", int, seed=0),
-    "--init-rot": dict(type=float, default=DEFAULT_INIT_ROT_DEG),
+    "--init-rot": dict(type=_checked(float, check_rot_deg), default=DEFAULT_INIT_ROT_DEG),
     "--init-trans": dict(type=float, default=DEFAULT_INIT_TRANS_M),
     "--n-points": dict(type=_COUNT, default=100),
     "--pixel-noise": _library(NoiseSpec, "pixel_noise_sigma", seed=0),
@@ -307,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag in shared:
             p.add_argument(flag, **_SHARED[flag])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, verb_parser=p)
         return p
 
     p = verb("synth", cmd_synth, "generate scene directories", "--out", "--seed", *_NOISE)
@@ -341,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("grad-check", cmd_grad_check, "finite-difference gradient audit", "--seed")
     p.add_argument("--n-instances", type=_COUNT, default=30)
-    p.add_argument("--h", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--h", type=_POSITIVE, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-5)
 
     p = verb("bound-check", cmd_bound_check, "inlier bound sweep", "--seed", "--tau")
     p.add_argument("--n-instances", type=_COUNT, default=200)
@@ -352,6 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "outlier_rate" in vars(args):  # the noise flags, checked together
+        try:
+            point_budget(args.n_points, args.outlier_rate, args.dropout_rate)
+        except ValueError as exc:
+            args.verb_parser.error(f"--n-points, --outlier-rate, --dropout-rate: {exc}")
     try:
         return args.fn(args)
     except MinCDError as exc:

@@ -1,10 +1,11 @@
 """Keypoint sets, feature matching, nearest-neighbour search.
 
-The nearest-feature search screens row blocks with one matrix product,
-a.b - bb/2, takes each row's argmax, and rescores in the distance
-matrix's own arithmetic only the rows whose runner-up comes within the
-screen's error bound, so it gives the dense argmin's indices and score
-bits without forming the N x M matrix; a KeypointSet2D keeps its last
+The nearest-feature search is a float32 screen, a float64 rescore: it
+screens row blocks with one float32 matrix product, a.b - bb/2, takes
+each row's argmax, and rescores in the distance matrix's own float64
+arithmetic only the rows whose runner-up comes within the screen's
+error bound, so it gives the dense argmin's indices and score bits
+without forming the N x M matrix; a KeypointSet2D keeps its last
 search. nearest_points does so for image points with a k-d tree,
 O(log M) per query. `_load_matrix_csv` is the one matrix CSV reader.
 """
@@ -246,14 +247,14 @@ class CorrespondenceSet:
 
 
 def normalize_features(feats: np.ndarray) -> np.ndarray:
-    """Unit-L2 rows; zero rows stay zero."""
+    """Unit-L2 rows; zero rows stay zero and a row holding a NaN stays NaN."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    return np.divide(feats, norms, out=np.zeros_like(feats), where=norms > 0)
+    return np.divide(feats, norms, out=np.zeros_like(feats), where=norms != 0)
 
 
 def _prepared_features(feats2d, feats3d):
-    """Both feature sets with unit-L2 rows (zero rows stay zero)."""
+    """Both feature sets through normalize_features."""
     a = np.atleast_2d(np.asarray(feats2d, dtype=np.float64))
     b = np.atleast_2d(np.asarray(feats3d, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -266,20 +267,29 @@ def feature_distance_matrix(feats2d: np.ndarray, feats3d: np.ndarray) -> np.ndar
     return cdist(*_prepared_features(feats2d, feats3d), metric="euclidean")
 
 
-# Query rows screened per matrix product: the block's screen is a
-# (NEAREST_BLOCK_ROWS, M) array, about 16 MB at M = 4000.
+# Query rows screened per matrix product: the block's float32 screen is a
+# (NEAREST_BLOCK_ROWS, M) array, about 8 MB at M = 4000.
 NEAREST_BLOCK_ROWS = 512
 
 # Screen slack, in units of (D + 2) * (aa_i + max bb), D the feature
-# dimension. A computed n-term dot product lies within n * eps/2 * |a| |b|
-# of the exact one in any summation order (Higham, "Accuracy and
-# Stability of Numerical Algorithms", sec. 3.1), and |a| |b| is at most
-# (aa + bb) / 2. So a screen value bb_j - 2 a.b_j (aa_i dropped) and a
-# squared cdist value each lie within about (D + 2) * eps * (aa_i + bb_j)
-# of exact, and the column that cdist's argmin picks lies at most about
-# 4 (D + 2) * eps * (aa_i + max bb) above the screen's row minimum. The
-# slack is 2^13 times that bound: about 1e-9 * (aa_i + max bb) at D = 128.
-NEAREST_SLACK = 2.0**13 * 4 * np.finfo(np.float64).eps
+# dimension. The screen is a.b_j - bb_j/2 in float32; exactly, it is e_j,
+# and cdist's squared distance is aa_i - 2 e_j. With u the float32 unit
+# roundoff (eps32 / 2), and |a| |b| at most (aa + bb) / 2:
+# - rounding a and b to float32 moves each product by at most 2u |a_k b_k|,
+#   and a computed n-term dot product lies within n u |a| |b| of the exact
+#   one in any summation order (Higham, "Accuracy and Stability of
+#   Numerical Algorithms", sec. 3.1): together (D + 2) u |a| |b_j|;
+# - rounding bb_j / 2 to float32 adds u bb_j / 2, and the subtraction
+#   u (|a| |b_j| + bb_j / 2).
+# So a screen value lies within (D + 5) u (aa_i + max bb) / 2 of e_j, and
+# the gap between two of them moves by at most 2 (D + 2) eps32
+# (aa_i + max bb) in squared-distance units (D >= 1). cdist's float64
+# sums move it by about 2 (D + 2) eps64 (aa_i + max bb) more, so the
+# column that cdist's argmin picks lies at most 4 (D + 2) eps32
+# (aa_i + max bb) below the screen's row maximum, in squared-distance
+# units. The slack is 2^4 times that bound: about 1e-3 (aa_i + max bb)
+# at D = 128, and half of it in screen units.
+NEAREST_SLACK = 2.0**4 * 4 * np.finfo(np.float32).eps
 
 
 def _pair_distances(a, b, rows, cols):
@@ -295,18 +305,29 @@ def _pair_distances(a, b, rows, cols):
     return out
 
 
+def _first_copies(b, cols):
+    """The columns of cols whose 3D row no earlier column of cols repeats
+    bit for bit, in order: one per set of equal candidates."""
+    rows = np.ascontiguousarray(b[cols])
+    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(as_bytes, return_index=True)
+    return cols[np.sort(first)]
+
+
 def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest 3D feature of each 2D feature: (index array, distance array).
 
     The same indices and distance bits as np.argmin over the rows of
     feature_distance_matrix, ties going to the lowest index, without the
-    N x M matrix: each block of query rows is screened with one matrix
-    product, a.b_j - bb_j/2 (its argmax is the argmin of the distance;
-    the row's own aa drops out). A row whose runner-up lies within half
-    of NEAREST_SLACK of its maximum keeps every column that close and
-    rescores them with cdist's arithmetic, one column per set of equal
-    3D rows (the lowest index); any other row takes its argmax. An empty
-    3D set raises ValueError, as an argmin over nothing does.
+    N x M matrix: a float32 screen, a float64 rescore. Each block of
+    query rows is screened with one float32 matrix product,
+    a.b_j - bb_j/2 (its argmax is the argmin of the distance; the row's
+    own aa drops out). A row whose runner-up lies within half of
+    NEAREST_SLACK of its maximum keeps every column that close and
+    rescores them in float64 with cdist's arithmetic, one column per set
+    of bitwise-equal candidate 3D rows (the lowest index); any other row
+    takes its argmax. Scores are always the float64 rescore. An empty 3D
+    set raises ValueError, as an argmin over nothing does.
     """
     a, b = _prepared_features(feats2d, feats3d)
     if len(b) == 0:
@@ -316,17 +337,18 @@ def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarr
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
     half_slack = 0.5 * NEAREST_SLACK * (a.shape[1] + 2) * (aa + bb.max())
-    half_bb = 0.5 * bb
-    own = None  # per column: no equal 3D row has a lower index
+    a32 = a.astype(np.float32)
+    bT32 = b.T.astype(np.float32)
+    half_bb = (0.5 * bb).astype(np.float32)
     best = np.empty(len(a), dtype=np.intp)
-    buf = np.empty((min(len(a), NEAREST_BLOCK_ROWS), len(b)))  # one block alive
+    buf = np.empty((min(len(a), NEAREST_BLOCK_ROWS), len(b)), dtype=np.float32)
     for start in range(0, len(a), NEAREST_BLOCK_ROWS):
         block = slice(start, start + NEAREST_BLOCK_ROWS)
-        screen = np.matmul(a[block], b.T, out=buf[: len(a[block])])
+        screen = np.matmul(a32[block], bT32, out=buf[: len(a32[block])])
         screen -= half_bb
         r = np.arange(len(screen))
         best[block] = pick = screen.argmax(axis=1)
-        top = screen[r, pick]
+        top = screen[r, pick].astype(np.float64)
         screen[r, pick] = -np.inf
         limit = top - half_slack[block]
         # "not below": a NaN row is rescored with every column, and the
@@ -335,10 +357,10 @@ def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarr
         if len(close) == 0:
             continue
         screen[r, pick] = top
-        if own is None:
-            _, lowest, inverse = np.unique(b, axis=0, return_index=True, return_inverse=True)
-            own = lowest[inverse.reshape(-1)] == np.arange(len(b))
-        rows, cols = np.nonzero((~(screen < limit[:, None]) & own)[close])
+        mask = ~(screen[close] < limit[close, None])
+        cand = _first_copies(b, np.flatnonzero(mask.any(axis=0)))
+        rows, cols = np.nonzero(mask[:, cand])
+        cols = cand[cols]
         counts = np.bincount(rows, minlength=len(close))
         first = np.cumsum(counts) - counts
         # candidates of a row, in column order, padded with +inf: argmin

@@ -25,7 +25,7 @@ def save_ply(path: str | Path, points) -> None:
         "property double z",
         "end_header",
     ]
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in pts)
+    lines.extend(" ".join(map(repr, row)) for row in pts.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -144,6 +144,25 @@ def random_pose(rng: np.random.Generator, max_rot_deg: float = 60.0, trans_sigma
     return Pose(so3_exp(axis * angle), rng.normal(scale=trans_sigma, size=3), check=False)
 
 
+def check_rot_deg(rot_deg: float) -> None:
+    """perturb_pose's rotation range, [0, 180) degrees."""
+    if not (0.0 <= rot_deg < 180.0):
+        raise ValueError("rot_deg must lie in [0, 180)")
+
+
+def point_budget(n_points: int, outlier_rate: float, dropout_rate: float) -> tuple[int, int]:
+    """(dropped, outlier) point counts of a scene, floors of rate * n_points;
+    ValueError when together they exceed n_points."""
+    n_dropped = int(np.floor(dropout_rate * n_points))
+    n_outliers = int(np.floor(outlier_rate * n_points))
+    if n_dropped + n_outliers > n_points:
+        raise ValueError(
+            f"{n_dropped} dropped and {n_outliers} outlier points exceed "
+            f"the budget of {n_points} points"
+        )
+    return n_dropped, n_outliers
+
+
 def perturb_pose(T: Pose, rot_deg: float, trans_m: float, seed: int) -> Pose:
     """Offset a pose by exactly rot_deg of rotation and trans_m of translation.
 
@@ -151,8 +170,7 @@ def perturb_pose(T: Pose, rot_deg: float, trans_m: float, seed: int) -> Pose:
     the magnitudes are exact, so pose_difference(result, T) reads back
     (rot_deg, trans_m) up to roundoff.
     """
-    if not (0.0 <= rot_deg < 180.0):
-        raise ValueError("rot_deg must lie in [0, 180)")
+    check_rot_deg(rot_deg)
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -199,10 +217,7 @@ def generate_scene(
     latent = rng.normal(size=(n_points, feature_dim))
     feats3d = latent + noise.feature_noise_sigma * rng.normal(size=latent.shape)
 
-    n_dropped = int(np.floor(noise.dropout_rate * n_points))
-    n_outliers = int(np.floor(noise.outlier_rate * n_points))
-    if n_dropped + n_outliers > n_points:
-        raise ValueError("dropout and outlier counts exceed the point budget")
+    n_dropped, n_outliers = point_budget(n_points, noise.outlier_rate, noise.dropout_rate)
     order = rng.permutation(n_points)
     dropped = np.sort(order[:n_dropped])
     outlier_cloud = np.sort(order[n_dropped : n_dropped + n_outliers])

@@ -58,6 +58,13 @@ class TestSynth:
             "meta.json",
         } <= files
 
+    def test_noise_flags_that_fill_the_point_budget_exactly(self, tmp_path):
+        # 5 dropped + 5 outliers of 10 points: the budget, not over it
+        flags = ["--n-points", 10, "--outlier-rate", 0.5, "--dropout-rate", 0.5]
+        assert run(["synth", "--out", tmp_path / "s", "--n-scenes", 1, *flags]) == 0
+        meta = json.loads((tmp_path / "s" / "scene_0000" / "meta.json").read_text())
+        assert (meta["n_dropped"], meta["n_outliers"]) == (5, 5)
+
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -377,6 +384,17 @@ class TestSurface:
             (["synth", "--out", "{tmp}/out", "--tau", "1"], "--tau"),
             (["grad-check", "--out", "x"], "--out"),
             (["solve-chamfer", "--scene", "{tmp}/scene", "--lambda1", "9"], "--lambda1"),
+            (["eval", "--gen", "1", "--outlier-rate", "0.6", "--dropout-rate", "0.6"],
+             "--dropout-rate"),
+            (["synth", "--out", "{tmp}/out", "--n-points", "10", "--outlier-rate", "0.5",
+              "--dropout-rate", "0.6"], "--outlier-rate"),
+            (["eval", "--gen", "1", "--solver", "chamfer", "--init-rot", "200"], "--init-rot"),
+            (["solve-chamfer", "--scene", "{tmp}/scene", "--init-rot", "-1"], "--init-rot"),
+            (["eval", "--gen", "1", "--init-rot", "nan"], "--init-rot"),
+            (["grad-check", "--h", "0"], "--h"),
+            (["grad-check", "--h", "inf"], "--h"),
+            (["grad-check", "--tol", "-1e-5"], "--tol"),
+            (["grad-check", "--tol", "nan"], "--tol"),
         ],
     )
     def test_bad_or_unread_flag_exits_2_before_any_scene(

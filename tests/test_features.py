@@ -280,13 +280,64 @@ class TestNearestFeatures:
         rng = np.random.default_rng(13)
         f2d = rng.normal(size=(6, 16))
         f3d = rng.normal(size=(50, 16))
-        f2d[1] = np.nan  # normalizes to a zero row: every unit row ties
+        f2d[1] = np.nan  # stays a NaN row: its distances are all NaN
         f2d[2, 3] = np.inf  # normalizes to a NaN row
         with np.errstate(invalid="ignore"):
             best = assert_same_as_dense(f2d, f3d)
-            assert best[2] == 0  # the dense argmin's first NaN
+            assert best[1] == best[2] == 0  # the dense argmin's first NaN
+            assert np.isnan(nearest_features(f2d, f3d)[1][1])
             f3d[7, 2] = np.inf  # a NaN column: every row's first NaN
             assert_same_as_dense(f2d, f3d)
+
+    def test_gaps_at_the_float32_slack(self):
+        # each query has two unit cloud rows whose screen values differ by
+        # a set fraction of the half slack, from far below float32's
+        # resolution (the float32 screen ranks the pair wrongly or ties
+        # it) to just inside and just outside the slack, in both column
+        # orders, among random distractors
+        rng = np.random.default_rng(19)
+        dim = 128
+        half_slack = 0.5 * features.NEAREST_SLACK * (dim + 2) * 2.0
+        gaps = half_slack * np.array(
+            [1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0]
+        )
+        queries, cloud = [], [rng.normal(size=(200, dim))]
+        for gap in np.repeat(gaps, 8):
+            q, w1, w2 = np.linalg.qr(rng.normal(size=(dim, 3)))[0].T
+            c1 = 0.9
+            c2 = c1 - gap
+            pair = [c1 * q + np.sqrt(1 - c1 * c1) * w1, c2 * q + np.sqrt(1 - c2 * c2) * w2]
+            queries.append(q)
+            cloud.append(pair[:: rng.choice([1, -1])])
+        f2d, f3d = np.array(queries), np.vstack(cloud)
+        a, b = features._prepared_features(f2d, f3d)
+        bb = np.einsum("ij,ij->i", b, b)
+        exact = a @ b.T - 0.5 * bb
+        single = a.astype(np.float32) @ b.T.astype(np.float32) - (0.5 * bb).astype(np.float32)
+        assert (single.argmax(axis=1) != exact.argmax(axis=1)).any()
+        assert_same_as_dense(f2d, f3d)
+
+    @pytest.mark.parametrize("rel", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_near_tie_sweep(self, rel):
+        # every cloud row has a twin rel away, and the queries sit near
+        # both, so the two candidates are near-tied at D = 128
+        rng = np.random.default_rng(23)
+        rows = rng.normal(size=(150, 128))
+        twins = rows * (1 + rel * rng.normal(size=rows.shape))
+        cloud = np.vstack([rows, twins])[rng.permutation(300)]
+        queries = rows[rng.integers(0, 150, size=400)]
+        queries = queries + rel * rng.normal(size=queries.shape) * np.abs(queries)
+        assert_same_as_dense(queries, cloud)
+
+    def test_one_duplicated_row_in_a_large_cloud(self):
+        # M = 4000, one 3D row repeated at the end; queries near it tie
+        rng = np.random.default_rng(29)
+        f3d = rng.normal(size=(4000, 128))
+        f3d[3999] = f3d[17]
+        near = f3d[[17] * 40] + 0.2 * rng.normal(size=(40, 128))
+        f2d = np.vstack([f3d[[17, 3999]], near, rng.normal(size=(500, 128))])
+        best = assert_same_as_dense(f2d, f3d)
+        assert best[0] == best[1] == 17
 
     @pytest.mark.parametrize("kind", ["all_zero", "three_rows"])
     def test_tied_cloud_rescores_one_column_per_copy(self, kind):

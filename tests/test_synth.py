@@ -15,7 +15,8 @@ from mincdpnp import (
     project_points,
     rotation_angle_deg,
 )
-from mincdpnp.synth import DEFAULT_INTRINSICS, random_pose
+from mincdpnp import synth
+from mincdpnp.synth import DEFAULT_INTRINSICS, check_rot_deg, point_budget, random_pose
 
 
 class TestGenerateScene:
@@ -82,6 +83,16 @@ class TestGenerateScene:
     def test_budget_overflow_raises(self):
         with pytest.raises(ValueError):
             generate_scene(10, noise=NoiseSpec(seed=0, outlier_rate=0.6, dropout_rate=0.5))
+
+    def test_point_budget_is_the_generators_check(self):
+        assert point_budget(100, 0.5, 0.5) == (50, 50)
+        assert point_budget(10, 0.19, 0.29) == (2, 1)
+        with pytest.raises(ValueError, match="6 dropped and 5 outlier points exceed"):
+            point_budget(10, 0.5, 0.6)
+        with pytest.raises(ValueError, match="6 dropped and 5 outlier points exceed"):
+            generate_scene(10, noise=NoiseSpec(seed=0, outlier_rate=0.5, dropout_rate=0.6))
+        scene = generate_scene(10, noise=NoiseSpec(seed=0, outlier_rate=0.5, dropout_rate=0.5))
+        assert len(scene.pixels) == 5 and len(scene.gt_pairs) == 0
 
     def test_depths_positive_and_within_window(self):
         scene = generate_scene(90, noise=NoiseSpec(seed=8, outlier_rate=0.1), d_max=10.0)
@@ -211,6 +222,17 @@ class TestPerturbPose:
     def test_rejects_out_of_range_rotation(self):
         with pytest.raises(ValueError):
             perturb_pose(Pose.identity(), 180.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize("rot_deg", [-1e-9, 180.0, 200.0, np.nan, np.inf])
+    def test_rotation_range_rejects(self, rot_deg):
+        with pytest.raises(ValueError, match=r"\[0, 180\)"):
+            check_rot_deg(rot_deg)
+
+    def test_rotation_range_is_the_one_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(synth, "check_rot_deg", calls.append)
+        perturb_pose(Pose.identity(), 5.0, 0.0, seed=0)
+        assert calls == [5.0]
 
 
 def test_default_intrinsics_match_depth_sensor_convention():
