@@ -7,7 +7,6 @@ from .errors import (
     Divergence,
     EmptyGroundTruth,
     EmptySet,
-    GridTooLarge,
     MinCDError,
     MissingDepth,
     MissingFeatures,
@@ -24,8 +23,6 @@ from .features import (
     KeypointSet3D,
     MatchConfig,
     feature_distance_matrix,
-    match_by_threshold,
-    nearest_3d_match,
     nearest_features,
     normalize_features,
 )
@@ -67,9 +64,7 @@ from .keypoint import (
 )
 from .blindpnp import (
     DEFAULT_TAU,
-    GridSpec,
     InlierConfig,
-    brute_force_best_pose,
     check_inequality8,
     kappa,
     kappa_star,
@@ -77,7 +72,6 @@ from .blindpnp import (
 from .pnp import (
     MIN_PNP_POINTS,
     RansacConfig,
-    pnp_linear,
     pnp_ransac,
     pnp_refine,
     reprojection_cost,

@@ -5,9 +5,7 @@ kappa_star is its correspondence-free relaxation, counting two-sided
 nearest-neighbor inliers between the pixel set and the projected cloud.
 For any one-to-one matching, kappa never exceeds kappa_star, which is
 what makes the relaxation usable as a surrogate objective; see
-check_inequality8. brute_force_best_pose maximizes kappa_star over an
-explicit twist grid and serves as the small-instance ground truth for
-the iterative solvers.
+check_inequality8.
 
 Behind-camera points cannot be projected, so they count as non-inliers
 on their own side and are excluded from the other side's minima; the
@@ -26,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chamfer import _projected_search
-from .errors import AllPointsBehindCamera, EmptySet, GridTooLarge
+from .errors import AllPointsBehindCamera, EmptySet
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
-from .geometry import CameraIntrinsics, Pose, project_points, se3_exp
+from .geometry import CameraIntrinsics, Pose, project_points
 
 # tau, the squared-pixel inlier radius of kappa, kappa*, keypoint
 # selection and the RANSAC consensus: the one default of all four
@@ -44,41 +42,6 @@ class InlierConfig:
     def __post_init__(self) -> None:
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned twist grid: per-component center, half-width, steps.
-
-    Component order is the twist's (omega, v): three rotation entries
-    then three translation entries. An axis with steps == 1 stays at its
-    center regardless of half-width.
-    """
-
-    center: tuple
-    half_width: tuple
-    steps: tuple
-
-    def __post_init__(self) -> None:
-        for name in ("center", "half_width", "steps"):
-            if len(getattr(self, name)) != 6:
-                raise ValueError(f"{name} must have 6 entries")
-        if any(s < 1 for s in self.steps):
-            raise ValueError("steps must all be at least 1")
-        if any(h < 0 for h in self.half_width):
-            raise ValueError("half widths must be nonnegative")
-
-    def cardinality(self) -> int:
-        out = 1
-        for s in self.steps:
-            out *= int(s)
-        return out
-
-    def axis_values(self, i: int) -> np.ndarray:
-        c, h, n = self.center[i], self.half_width[i], int(self.steps[i])
-        if n == 1:
-            return np.array([float(c)])
-        return np.linspace(c - h, c + h, n)
 
 
 def _validated_indices(C: CorrespondenceSet, n2d: int, n3d: int):
@@ -145,31 +108,3 @@ def check_inequality8(
     k = kappa(T, C, image_set, cloud_set, K, cfg)
     ks = kappa_star(T, image_set, cloud_set, K, cfg)
     return k, ks, k <= ks
-
-
-def brute_force_best_pose(
-    image_set: KeypointSet2D,
-    cloud_set: KeypointSet3D,
-    K: CameraIntrinsics,
-    cfg: InlierConfig,
-    grid: GridSpec,
-    limit: int = 10**6,
-) -> tuple[Pose, int]:
-    """Exhaustively maximize kappa_star over an explicit twist grid.
-
-    Enumeration runs in row-major order over the six axes (first twist
-    component outermost); ties keep the earliest pose.
-    """
-    if grid.cardinality() > limit:
-        raise GridTooLarge(f"grid has {grid.cardinality()} cells, limit {limit}")
-    axes = [grid.axis_values(i) for i in range(6)]
-    best_pose = None
-    best_count = -1
-    for flat_idx in range(grid.cardinality()):
-        idx = np.unravel_index(flat_idx, [len(a) for a in axes])
-        xi = np.array([axes[d][idx[d]] for d in range(6)])
-        T = se3_exp(xi)
-        count = kappa_star(T, image_set, cloud_set, K, cfg)
-        if count > best_count:
-            best_pose, best_count = T, count
-    return best_pose, best_count

@@ -33,7 +33,6 @@ from .geometry import (
     Z_MIN,
     CameraIntrinsics,
     Pose,
-    exp_action_jacobian,
     pinhole,
     pose_difference,
     project_points,
@@ -148,34 +147,19 @@ def _term_pairs(assignment, image_set, x0):
     return image_set.pixels[q_idx], x0[p_idx]
 
 
-def _frozen_terms(xi_vec, T0, image_set, cloud_set, K):
-    """The report at T = exp(xi) o T0 and its term pairs, for gradient
-    work: (report, pixels, pre-pose points)."""
-    x0 = cloud_set.points @ T0.R.T + T0.t
-    T_delta = se3_exp(xi_vec)
-    report = chamfer_cost(T_delta, image_set, KeypointSet3D(x0), K)
-    return report, *_term_pairs(report.assignment, image_set, x0)
-
-
-def _pair_residuals(xi_vec, pixels, x0, K):
-    """Residuals pixel - pi(exp(xi) x0) (n, 2) and their twist Jacobians
-    (n, 2, 6), over the pairs whose point is in front of the camera.
-    At xi = 0, where both solvers linearize, the point action is taken
-    in closed form."""
-    if xi_vec.any():
-        y, J_exp = exp_action_jacobian(xi_vec, x0)
-    else:
-        y, J_exp = x0, zero_twist_jacobian(x0)
-    in_front = y[:, 2] > Z_MIN
+def _pair_residuals(pixels, x0, K):
+    """Residuals pixel - pi(x0) (n, 2) over the pairs whose point is in
+    front of the camera, and their Jacobians (n, 2, 6) in the twist xi of
+    exp(xi) x0 at xi = 0, where both solvers linearize."""
+    in_front = x0[:, 2] > Z_MIN
     if not in_front.any():
         raise AllPointsBehindCamera("no paired point is in front of the camera")
-    y = y[in_front]
-    J_pi = projection_jacobian(y, K)
-    return pixels[in_front] - pinhole(y, K), np.einsum("nij,njk->nik", J_pi, J_exp[in_front])
+    y = x0[in_front]
+    J = np.einsum("nij,njk->nik", projection_jacobian(y, K), zero_twist_jacobian(y))
+    return pixels[in_front] - pinhole(y, K), J
 
 
 def chamfer_grad_twist(
-    xi,
     T0: Pose,
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
@@ -184,12 +168,12 @@ def chamfer_grad_twist(
     """Exact gradient of the frozen-assignment cost in the twist coordinates.
 
     The pose is parameterized as se3_exp(xi) composed with T0, xi a (6,)
-    twist (omega, v), so the returned 6-vector differentiates through both
-    the projection and the exponential map at the current xi, not at zero.
+    twist (omega, v); the returned 6-vector is the derivative at xi = 0
+    through the projection, under the assignments of chamfer_cost at T0.
     """
-    xi_vec = np.asarray(xi, dtype=np.float64)
-    _, q, x0 = _frozen_terms(xi_vec, T0, image_set, cloud_set, K)
-    residuals, J = _pair_residuals(xi_vec, q, x0, K)
+    report = chamfer_cost(T0, image_set, cloud_set, K)
+    x0 = cloud_set.points @ T0.R.T + T0.t
+    residuals, J = _pair_residuals(*_term_pairs(report.assignment, image_set, x0), K)
     # d/dxi sum ||q - pi(y)||^2 = -2 sum r^T J_pi J_exp
     return -2.0 * np.einsum("ni,nik->k", residuals, J)
 
@@ -294,7 +278,7 @@ def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
 
     def residuals(T, assignment):
         x0 = cloud_set.points @ T.R.T + T.t
-        return _pair_residuals(np.zeros(6), *_term_pairs(assignment, image_set, x0), K)
+        return _pair_residuals(*_term_pairs(assignment, image_set, x0), K)
 
     return _minimize(cost, residuals, T_init, cfg, T_gt)
 

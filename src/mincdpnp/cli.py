@@ -253,7 +253,7 @@ def cmd_grad_check(args) -> int:
 
         # fixed-pair gradient is smooth everywhere, check it always
         C = scene.gt_pairs
-        got = reprojection_grad_twist(np.zeros(6), T0, C, *sets)
+        got = reprojection_grad_twist(T0, C, *sets)
         worst = max(worst, rel_error(got, stencil(lambda T: reprojection_cost(T, C, *sets))))
 
         # the chamfer cost is only differentiable while no nearest-neighbor
@@ -263,7 +263,7 @@ def cmd_grad_check(args) -> int:
         if any(_assignment_bytes(r) != base for pair in reports for r in pair):
             skipped += 1
             continue
-        got = chamfer_grad_twist(np.zeros(6), T0, *sets)
+        got = chamfer_grad_twist(T0, *sets)
         worst = max(worst, rel_error(got, [[r.value for r in pair] for pair in reports]))
 
     ok = worst <= args.tol

@@ -30,10 +30,6 @@ class NotOneToOne(MinCDError):
     """A correspondence set required to be a matching repeats an index."""
 
 
-class GridTooLarge(MinCDError):
-    """A pose grid exceeds the configured enumeration limit."""
-
-
 class AllPointsBehindCamera(MinCDError):
     """No 3D point projects in front of the camera at the given pose."""
 

@@ -82,8 +82,11 @@ class KeypointSet2D:
 
     def nearest_in(self, cloud_set: "KeypointSet3D") -> tuple[np.ndarray, np.ndarray]:
         """nearest_features of this set's features in cloud_set's, as
-        read-only arrays; run once while cloud_set is the last set asked."""
+        read-only arrays; run once while cloud_set is the last set asked.
+        An empty cloud_set raises EmptySet."""
         if self._nearest is None or self._nearest[0] is not cloud_set:
+            if len(cloud_set) == 0:
+                raise EmptySet("3D keypoint set is empty")
             found = nearest_features(self.require_features(), cloud_set.require_features())
             for arr in found:
                 arr.setflags(write=False)
@@ -262,6 +265,7 @@ def _prepared_features(feats2d, feats3d):
     return normalize_features(a), normalize_features(b)
 
 
+# No pipeline caller; kept while perfbench/tracing.py TARGETS names it.
 def feature_distance_matrix(feats2d: np.ndarray, feats3d: np.ndarray) -> np.ndarray:
     """All-pairs distance matrix D with D[i, j] = d(f2d_i, f3d_j)."""
     return cdist(*_prepared_features(feats2d, feats3d), metric="euclidean")
@@ -371,23 +375,3 @@ def nearest_features(feats2d: np.ndarray, feats3d: np.ndarray) -> tuple[np.ndarr
         )
         best[close + start] = cols[first + np.argmin(table, axis=1)]
     return best, _pair_distances(a, b, np.arange(len(a)), best)
-
-
-def match_by_threshold(
-    image_set: KeypointSet2D, cloud_set: KeypointSet3D, cfg: MatchConfig = MatchConfig()
-) -> CorrespondenceSet:
-    """All pairs whose feature distance is at or below cfg.delta."""
-    D = feature_distance_matrix(image_set.require_features(), cloud_set.require_features())
-    i, j = np.nonzero(D <= cfg.delta)
-    return CorrespondenceSet(i, j, D[i, j], n2d=len(image_set), n3d=len(cloud_set))
-
-
-def nearest_3d_match(q_feature, cloud_set: KeypointSet3D) -> tuple[int, float]:
-    """Closest 3D keypoint in feature space: (argmin index, min distance).
-
-    Ties break toward the lowest index.
-    """
-    if len(cloud_set) == 0:
-        raise EmptySet("3D keypoint set is empty")
-    best, score = nearest_features(q_feature, cloud_set.require_features())
-    return int(best[0]), float(score[0])

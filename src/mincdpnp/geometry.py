@@ -282,6 +282,7 @@ def pose_difference(a: Pose, b: Pose) -> tuple[float, float]:
 _BASIS_SKEWS = [skew(e) for e in np.eye(3)]
 
 
+# No pipeline caller; kept while perfbench/tracing.py TARGETS names it.
 def exp_action_jacobian(xi_vec, x0) -> tuple[np.ndarray, np.ndarray]:
     """Point action of exp(xi) and its derivative in the twist coordinates.
 

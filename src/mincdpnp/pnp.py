@@ -1,13 +1,13 @@
 """Correspondence-based pose estimation.
 
-Given explicit 2D-3D pairs this module recovers the camera pose three
-ways: a direct linear initializer, damped Gauss-Newton refinement of
-the summed squared reprojection error, and a consensus wrapper that
-tolerates outlier pairs. The refinement runs the Chamfer solver's loop,
-chamfer._minimize, so both share the twist parameterization, the Armijo
-line search and the stop reasons (cost_tol, grad_tol, converged,
-stalled, max_iters); here correspondences are fixed inputs rather than
-nearest-neighbor assignments.
+Given explicit 2D-3D pairs this module recovers the camera pose two
+ways: damped Gauss-Newton refinement of the summed squared reprojection
+error, and a consensus wrapper that tolerates outlier pairs. The
+refinement runs the Chamfer solver's loop, chamfer._minimize, so both
+share the twist parameterization, the Armijo line search and the stop
+reasons (cost_tol, grad_tol, converged, stalled, max_iters); here
+correspondences are fixed inputs rather than nearest-neighbor
+assignments.
 
 The consensus loop draws minimal samples of three pairs, solves each
 by P3P (up to four poses), and scores the valid poses of a whole block
@@ -32,7 +32,6 @@ from .blindpnp import DEFAULT_TAU
 from .chamfer import SolverConfig, TraceRow, _minimize, _pair_residuals
 from .errors import (
     AllPointsBehindCamera,
-    DegenerateConfiguration,
     Divergence,
     NoConsensus,
     TooFewPoints,
@@ -47,9 +46,8 @@ from .geometry import (
     project_points,
 )
 
-# pairs pnp_linear needs; also the consensus a RANSAC result needs,
-# since every P3P root fits its own three pairs exactly and a floor of
-# three would accept any sample
+# the consensus a RANSAC result needs: every P3P root fits its own
+# three pairs exactly, so a floor of three would accept any sample
 MIN_PNP_POINTS = 6
 # pairs in a RANSAC minimal sample, solved by P3P
 P3P_SAMPLE = 3
@@ -234,47 +232,6 @@ def _fit_block(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
     return R, t, ok, failed
 
 
-def pnp_linear(
-    C: CorrespondenceSet,
-    image_set: KeypointSet2D,
-    cloud_set: KeypointSet3D,
-    K: CameraIntrinsics,
-) -> Pose:
-    """Direct linear pose estimate from at least six 2D-3D pairs.
-
-    Stacks the homogeneous projection constraints in normalized image
-    coordinates, takes the SVD nullspace, fixes the sign so most depths
-    come out positive, and projects the linear rotation onto SO(3) by
-    its orthogonal polar factor. It starts pnp_refine on clean pairs;
-    pnp_ransac does not use it.
-    """
-    pixels, points = _gather(C, image_set, cloud_set)
-    m = len(pixels)
-    if m < MIN_PNP_POINTS:
-        raise TooFewPoints(f"linear PnP needs {MIN_PNP_POINTS} pairs, got {m}")
-    xn = (pixels[:, 0] - K.cu) / K.fu
-    yn = (pixels[:, 1] - K.cv) / K.fv
-    Xh = np.column_stack([points, np.ones(m)])
-    A = np.zeros((2 * m, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -xn[:, None] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -yn[:, None] * Xh
-    _, S, Vt = np.linalg.svd(A, full_matrices=False)
-    # a second near-zero singular value means the pose is not unique
-    if S[0] <= 0 or S[-2] < 1e-8 * S[0]:
-        raise DegenerateConfiguration("linear system is rank deficient")
-    G = Vt[-1].reshape(3, 4)
-    if np.count_nonzero(points @ G[2, :3] + G[2, 3] > 0) * 2 < m:
-        G = -G
-    Um, Sm, Vmt = np.linalg.svd(G[:, :3])
-    R = Um @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Um @ Vmt))]) @ Vmt
-    scale = Sm.sum() / 3.0
-    if not np.isfinite(scale) or scale <= 0:
-        raise DegenerateConfiguration("projection matrix has no usable scale")
-    return Pose(R, G[:, 3] / scale)
-
-
 def reprojection_cost(
     T: Pose,
     C: CorrespondenceSet,
@@ -300,27 +257,24 @@ def _cost_from_arrays(T, pixels, points, K) -> float:
 
 
 def reprojection_grad_twist(
-    xi,
     T0: Pose,
     C: CorrespondenceSet,
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
     K: CameraIntrinsics,
 ) -> np.ndarray:
-    """Exact gradient of reprojection_cost at se3_exp(xi) composed with T0,
-    in the (6,) twist xi = (omega, v)."""
-    xi_vec = np.asarray(xi, dtype=np.float64)
+    """Exact gradient of reprojection_cost in the (6,) twist xi = (omega, v)
+    of se3_exp(xi) composed with T0, at xi = 0."""
     pixels, points = _gather(C, image_set, cloud_set)
-    residuals, J = _pair_residuals(xi_vec, pixels, points @ T0.R.T + T0.t, K)
+    residuals, J = _pair_residuals(pixels, points @ T0.R.T + T0.t, K)
     return -2.0 * np.einsum("ni,nik->k", residuals, J)
 
 
 def _refine_from_arrays(T_init, pixels, points, K, cfg):
     """pnp_refine on gathered pairs: (pose, trace, stop reason)."""
-    zero = np.zeros(6)
     return _minimize(
         lambda T: (_cost_from_arrays(T, pixels, points, K), None),
-        lambda T, _: _pair_residuals(zero, pixels, points @ T.R.T + T.t, K),
+        lambda T, _: _pair_residuals(pixels, points @ T.R.T + T.t, K),
         T_init, cfg,
     )
 

@@ -214,7 +214,7 @@ def solve_chamfer_dense(T_init, image_set, cloud_set, K, cfg):
         visible = np.flatnonzero(bwd >= 0)
         q_idx = np.concatenate([np.arange(len(image_set)), bwd[visible]])
         p_idx = np.concatenate([fwd, visible])
-        return _pair_residuals(np.zeros(6), image_set.pixels[q_idx], x0[p_idx], K)
+        return _pair_residuals(image_set.pixels[q_idx], x0[p_idx], K)
 
     return _minimize(
         lambda T: (chamfer_cost_dense(T, image_set, cloud_set, K).value, None),

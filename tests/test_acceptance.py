@@ -15,10 +15,12 @@ from mincdpnp import (
     InlierConfig,
     KeypointSet2D,
     KeypointSet3D,
+    MatchConfig,
     MetricConfig,
     NoiseSpec,
     Pose,
     RansacConfig,
+    ScenePair,
     SelectConfig,
     SolverConfig,
     chamfer_cost,
@@ -29,8 +31,8 @@ from mincdpnp import (
     inlier_ratio,
     kappa,
     kappa_star,
-    match_by_threshold,
-    nearest_3d_match,
+    match_scene,
+    nearest_features,
     perturb_pose,
     pnp_ransac,
     pose_difference,
@@ -46,10 +48,10 @@ from mincdpnp.synth import random_pose
 
 from oracles import (
     chamfer_cost_bruteforce,
-    feature_distance_scalar,
     kappa_bruteforce,
     kappa_star_bruteforce,
     match_pairs_bruteforce,
+    nearest_match_bruteforce,
 )
 
 K585 = CameraIntrinsics(585.0, 585.0, 320.0, 240.0)
@@ -155,9 +157,7 @@ def test_criterion_04_gradients_match_finite_differences():
                 T = se3_exp(xi).compose(T0)
                 return reprojection_cost(T, s.gt_pairs, s.pixels, s.cloud, s.K)
 
-            got = reprojection_grad_twist(
-                np.zeros(6), T0, s.gt_pairs, s.pixels, s.cloud, s.K
-            )
+            got = reprojection_grad_twist(T0, s.gt_pairs, s.pixels, s.cloud, s.K)
             want = _fd_gradient(pnp_cost, h)
             worst_pnp = max(
                 worst_pnp, np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -169,7 +169,7 @@ def test_criterion_04_gradients_match_finite_differences():
                 T = se3_exp(xi).compose(T0)
                 return chamfer_cost(T, s.pixels, s.cloud, s.K).value
 
-            got = chamfer_grad_twist(np.zeros(6), T0, s.pixels, s.cloud, s.K)
+            got = chamfer_grad_twist(T0, s.pixels, s.cloud, s.K)
             want = _fd_gradient(cd_cost, h)
             worst_cd = max(
                 worst_cd, np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -357,18 +357,21 @@ def test_criterion_09_oracle_equivalence():
         )
         worst = max(worst, abs(cd - cd_want) / max(1.0, abs(cd_want)))
 
-        got_pairs = match_by_threshold(kp2d, kp3d).pairs()
-        want_pairs = {
-            (i2, j2) for i2, j2, _ in match_pairs_bruteforce(f2d, f3d, 0.5)
-        }
-        counts_ok &= got_pairs == want_pairs
-
-        q = int(rng.integers(0, m))
-        j_got, s_got = nearest_3d_match(f2d[q], kp3d)
-        dists = [feature_distance_scalar(f2d[q], fb) for fb in f3d]
-        j_want = int(np.argmin(dists))
-        counts_ok &= j_got == j_want
-        worst = max(worst, abs(s_got - dists[j_want]))
+        # the pipeline's matcher: every row's nearest 3D feature, then
+        # match_scene's score <= delta cut at a few deltas
+        best, score = nearest_features(f2d, f3d)
+        want = nearest_match_bruteforce(f2d, f3d)
+        counts_ok &= best.tolist() == [j2 for j2, _ in want]
+        worst = max(worst, max(abs(s2 - w2) for s2, (_, w2) in zip(score, want)))
+        nearest = {(i2, j2) for i2, (j2, _) in enumerate(want)}
+        scene = ScenePair(
+            kp3d, kp2d, T, K585, np.full(m, np.nan), CorrespondenceSet([], []), {}
+        )
+        pairs = match_pairs_bruteforce(f2d, f3d, 1.3)
+        for delta in (0.5, 1.0, 1.3):
+            got_pairs = match_scene(scene, MatchConfig(delta=delta)).pairs()
+            want_pairs = {(i2, j2) for i2, j2, d in pairs if d <= delta} & nearest
+            counts_ok &= got_pairs == want_pairs
     dt = time.perf_counter() - t0
     ok = counts_ok and worst <= 1e-9 and dt <= 10.0
     report(

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,22 +6,17 @@ import pytest
 from mincdpnp import (
     CorrespondenceSet,
     EmptySet,
-    GridSpec,
-    GridTooLarge,
     InlierConfig,
     KeypointSet2D,
     KeypointSet3D,
     NoiseSpec,
     NotOneToOne,
     Pose,
-    brute_force_best_pose,
     check_inequality8,
     generate_scene,
     kappa,
     kappa_star,
     project_points,
-    se3_exp,
-    se3_log,
 )
 from mincdpnp.geometry import CameraIntrinsics
 from mincdpnp.synth import DEFAULT_INTRINSICS, perturb_pose, random_pose
@@ -263,68 +257,3 @@ class TestInequality8:
             tau = float(rng.uniform(0.5, 50.0))
             _, _, holds = check_inequality8(T, C, kp2d, kp3d, K, InlierConfig(tau=tau))
             assert holds
-
-
-class TestBruteForce:
-    def test_grid_containing_truth_recovers_it(self):
-        scene = generate_scene(10, noise=NoiseSpec(seed=15))
-        xi = se3_log(scene.T_gt)
-        grid = GridSpec(
-            center=tuple(xi),
-            half_width=(0.1,) * 3 + (0.2,) * 3,
-            steps=(3, 3, 3, 1, 1, 1),
-        )
-        best, count = brute_force_best_pose(scene.pixels, scene.cloud, K, CFG, grid)
-        assert count == 20
-        assert best.almost_equal(se3_exp(xi), atol=1e-12)
-
-    def test_single_pose_grid(self):
-        kp2d, kp3d = grid_instance(n=5)
-        grid = GridSpec(center=(0.0,) * 6, half_width=(0.0,) * 6, steps=(1,) * 6)
-        best, count = brute_force_best_pose(kp2d, kp3d, K, CFG, grid)
-        assert best.almost_equal(Pose.identity(), atol=0.0)
-        assert count == 10
-
-    def test_matches_full_enumeration_oracle(self):
-        scene = generate_scene(8, noise=NoiseSpec(seed=16, pixel_noise_sigma=1.0))
-        xi = se3_log(scene.T_gt)
-        half = np.radians(5.0)
-        grid = GridSpec(
-            center=tuple(xi),
-            half_width=(half, half, half, 0.0, 0.0, 0.0),
-            steps=(5, 5, 5, 1, 1, 1),
-        )
-        best, count = brute_force_best_pose(scene.pixels, scene.cloud, K, CFG, grid)
-
-        axes = [grid.axis_values(i) for i in range(6)]
-        want_count, want_vec = -1, None
-        for combo in itertools.product(*axes):
-            T = se3_exp(np.array(combo))
-            c = kappa_star_bruteforce(
-                scene.pixels.pixels,
-                scene.cloud.points,
-                T.R,
-                T.t,
-                K.fu,
-                K.fv,
-                K.cu,
-                K.cv,
-                CFG.tau,
-            )
-            if c > want_count:
-                want_count, want_vec = c, np.array(combo)
-        assert count == want_count
-        assert best.almost_equal(se3_exp(want_vec), atol=1e-12)
-
-    def test_grid_too_large(self):
-        grid = GridSpec(center=(0.0,) * 6, half_width=(1.0,) * 6, steps=(11,) * 6)
-        with pytest.raises(GridTooLarge):
-            brute_force_best_pose(*grid_instance(n=4), K, CFG, grid)
-
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(center=(0.0,) * 5, half_width=(0.0,) * 6, steps=(1,) * 6)
-        with pytest.raises(ValueError):
-            GridSpec(center=(0.0,) * 6, half_width=(0.0,) * 6, steps=(0,) * 6)
-        with pytest.raises(ValueError):
-            GridSpec(center=(0.0,) * 6, half_width=(-1.0,) * 6, steps=(1,) * 6)

@@ -25,6 +25,7 @@ from mincdpnp import (
 )
 from mincdpnp import cli
 from mincdpnp.cli import build_parser, main
+from mincdpnp.synth import save_ply
 
 
 @pytest.fixture()
@@ -219,6 +220,7 @@ class TestEval:
             ("object_features_2d", "load: ValueError: ", "Object arrays cannot be loaded"),
             ("half_features_3d", "load: ValueError: ", "Failed to read all data"),
             ("empty_features_2d", "pnp: MissingFeatures: ", "carries no features"),
+            ("empty_cloud", "pnp: EmptySet: ", "3D keypoint set is empty"),
         ],
     )
     def test_bad_scene_file_fails_its_scene_alone(self, tmp_path, damage, error, detail):
@@ -237,6 +239,9 @@ class TestEval:
         elif damage == "half_features_3d":
             data = (d / "features_3d.npy").read_bytes()
             (d / "features_3d.npy").write_bytes(data[: len(data) // 2])
+        elif damage == "empty_cloud":
+            save_ply(d / "cloud.ply", np.zeros((0, 3)))
+            np.save(d / "features_3d.npy", np.zeros((0, 128)))
         else:
             (d / "features_2d.npy").write_bytes(b"")
         records = tmp_path / "records.jsonl"

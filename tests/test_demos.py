@@ -1,9 +1,9 @@
 """Every demo script runs to the end.
 
-The demos are the only callers of some public names (GridSpec,
-match_by_threshold, brute_force_best_pose), so running them keeps those
-names exercised. Each runs in-process as __main__, inside a temporary
-working and temp directory, with its stdout captured.
+The demos call the pipeline's public names as a user would, so running
+them keeps those call patterns working. Each runs in-process as
+__main__, inside a temporary working and temp directory, with its
+stdout captured.
 """
 
 import runpy

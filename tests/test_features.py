@@ -13,23 +13,25 @@ from mincdpnp import (
     MissingFeatures,
     NoiseSpec,
     NotOneToOne,
+    Pose,
+    ScenePair,
     evaluate_selection,
     feature_distance_matrix,
     generate_scene,
     guided_reprojection_total,
     key_loss,
-    match_by_threshold,
     match_scene,
-    nearest_3d_match,
     nearest_features,
 )
 from mincdpnp import features
 from mincdpnp.features import _load_matrix_csv
+from mincdpnp.synth import DEFAULT_INTRINSICS
 
 from oracles import (
     feature_distance_scalar,
     match_pairs_bruteforce,
     nearest_features_dense,
+    nearest_match_bruteforce,
     save_matrix_csv_scalar,
 )
 
@@ -91,30 +93,49 @@ class TestFeatureDistance:
             assert pair_distance(a, lam * b) == pytest.approx(base, abs=1e-12)
 
 
+def scene_of(kp2d, kp3d):
+    """The two sets as the ScenePair that match_scene takes."""
+    return ScenePair(
+        kp3d, kp2d, Pose.identity(), DEFAULT_INTRINSICS,
+        np.full(len(kp2d), np.nan), CorrespondenceSet([], []), {},
+    )
+
+
 class TestMatchByThreshold:
+    """match_scene's cut: each pixel's nearest 3D feature, kept when its
+    distance is at most delta."""
+
     def test_zero_ish_delta_distinct_features_empty(self):
         rng = np.random.default_rng(71)
         kp2d, kp3d = make_sets(rng)
-        matches = match_by_threshold(kp2d, kp3d, MatchConfig(delta=1e-12))
+        matches = match_scene(scene_of(kp2d, kp3d), MatchConfig(delta=1e-12))
         assert len(matches) == 0
 
     def test_huge_delta_gives_all_pairs(self):
         rng = np.random.default_rng(73)
         kp2d, kp3d = make_sets(rng, m=4, n=6)
-        matches = match_by_threshold(kp2d, kp3d, MatchConfig(delta=10.0))
-        assert len(matches) == 24
-        assert matches.pairs() == {(i, j) for i in range(4) for j in range(6)}
+        matches = match_scene(scene_of(kp2d, kp3d), MatchConfig(delta=10.0))
+        best, _ = nearest_features_dense(kp2d.features, kp3d.features)
+        assert len(matches) == 4
+        assert matches.pairs() == {(i, int(best[i])) for i in range(4)}
 
     def test_median_delta_matches_bruteforce(self):
         rng = np.random.default_rng(79)
-        kp2d, kp3d = make_sets(rng, m=5, n=7)
+        kp2d, kp3d = make_sets(rng, m=8, n=7)
         D = feature_distance_matrix(kp2d.features, kp3d.features)
-        # midpoint between the two middle distances, so no pair sits on
-        # the threshold and fp rounding cannot flip membership
-        flat = np.sort(D.ravel())
-        delta = float(0.5 * (flat[len(flat) // 2] + flat[len(flat) // 2 + 1]))
-        got = match_by_threshold(kp2d, kp3d, MatchConfig(delta=delta))
-        want = match_pairs_bruteforce(kp2d.features, kp3d.features, delta)
+        # midpoint between the two middle row minima, so no kept distance
+        # sits on the threshold and fp rounding cannot flip membership
+        flat = np.sort(D.min(axis=1))
+        delta = float(0.5 * (flat[len(flat) // 2 - 1] + flat[len(flat) // 2]))
+        got = match_scene(scene_of(kp2d, kp3d), MatchConfig(delta=delta))
+        nearest = {(i, j) for i, (j, _) in enumerate(
+            nearest_match_bruteforce(kp2d.features, kp3d.features)
+        )}
+        want = [
+            (i, j, d) for i, j, d in match_pairs_bruteforce(kp2d.features, kp3d.features, delta)
+            if (i, j) in nearest
+        ]
+        assert len(want) == 4
         assert got.pairs() == {(i, j) for i, j, _ in want}
         got_scores = {(i, j): s for i, j, s in got}
         for i, j, s in want:
@@ -123,9 +144,10 @@ class TestMatchByThreshold:
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(83)
         kp2d, kp3d = make_sets(rng, m=8, n=9)
+        scene = scene_of(kp2d, kp3d)
         previous = set()
         for delta in (0.2, 0.5, 0.9, 1.4, 2.1):
-            current = match_by_threshold(kp2d, kp3d, MatchConfig(delta=delta)).pairs()
+            current = match_scene(scene, MatchConfig(delta=delta)).pairs()
             assert previous <= current
             previous = current
 
@@ -133,52 +155,53 @@ class TestMatchByThreshold:
         kp2d = KeypointSet2D(np.array([[1.0, 2.0]]))
         kp3d = KeypointSet3D(np.array([[0.0, 0.0, 1.0]]), np.ones((1, 4)))
         with pytest.raises(MissingFeatures):
-            match_by_threshold(kp2d, kp3d)
+            match_scene(scene_of(kp2d, kp3d))
 
 
 class TestNearest3DMatch:
+    """nearest_features on single queries, and nearest_in's empty cloud."""
+
     def test_singleton(self):
-        kp3d = KeypointSet3D(np.zeros((1, 3)), np.array([[1.0, 0.0]]))
-        idx, score = nearest_3d_match(np.array([0.0, 1.0]), kp3d)
-        assert idx == 0
-        assert score == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        idx, score = nearest_features(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        assert idx.tolist() == [0]
+        assert score[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_exact_hit(self):
         rng = np.random.default_rng(89)
         feats = rng.normal(size=(6, 8))
-        kp3d = KeypointSet3D(rng.normal(size=(6, 3)), feats)
-        idx, score = nearest_3d_match(feats[3], kp3d)
-        assert idx == 3
-        assert score == pytest.approx(0.0, abs=1e-12)
+        idx, score = nearest_features(feats[3:4], feats)
+        assert idx.tolist() == [3]
+        assert score[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_linear_scan(self):
         rng = np.random.default_rng(97)
-        kp3d = KeypointSet3D(rng.normal(size=(64, 3)), rng.normal(size=(64, 16)))
-        for _ in range(20):
-            q = rng.normal(size=16)
-            idx, score = nearest_3d_match(q, kp3d)
-            dists = [feature_distance_scalar(q, f) for f in kp3d.features]
-            assert idx == int(np.argmin(dists))
-            assert score == pytest.approx(min(dists), abs=1e-12)
+        f3d = rng.normal(size=(64, 16))
+        queries = rng.normal(size=(20, 16))
+        idx, score = nearest_features(queries, f3d)
+        for q, i, s in zip(queries, idx, score):
+            dists = [feature_distance_scalar(q, f) for f in f3d]
+            assert i == int(np.argmin(dists))
+            assert s == pytest.approx(min(dists), abs=1e-12)
 
     def test_tie_breaks_low_index(self):
         f = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        kp3d = KeypointSet3D(np.zeros((3, 3)) + np.arange(3)[:, None], f)
-        idx, _ = nearest_3d_match(np.array([1.0, 0.0]), kp3d)
-        assert idx == 1
+        idx, _ = nearest_features(np.array([[1.0, 0.0]]), f)
+        assert idx.tolist() == [1]
 
     def test_score_equals_row_minimum(self):
         rng = np.random.default_rng(101)
         kp2d, kp3d = make_sets(rng, m=6, n=11)
         D = feature_distance_matrix(kp2d.features, kp3d.features)
-        for i in range(len(kp2d)):
-            _, score = nearest_3d_match(kp2d.features[i], kp3d)
-            assert score == pytest.approx(D[i].min(), abs=1e-12)
+        _, score = nearest_features(kp2d.features, kp3d.features)
+        assert score.tobytes() == D.min(axis=1).tobytes()
 
     def test_empty_set_raises(self):
+        kp2d = KeypointSet2D(np.array([[1.0, 2.0]]), np.ones((1, 4)))
         kp3d = KeypointSet3D(np.zeros((0, 3)), np.zeros((0, 4)))
         with pytest.raises(EmptySet):
-            nearest_3d_match(np.zeros(4), kp3d)
+            kp2d.nearest_in(kp3d)
+        with pytest.raises(EmptySet):
+            match_scene(scene_of(kp2d, kp3d))
 
 
 def assert_same_as_dense(feats2d, feats3d):

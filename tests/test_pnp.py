@@ -7,7 +7,6 @@ from mincdpnp import (
     AllPointsBehindCamera,
     CameraIntrinsics,
     CorrespondenceSet,
-    DegenerateConfiguration,
     Divergence,
     KeypointSet2D,
     KeypointSet3D,
@@ -21,7 +20,6 @@ from mincdpnp import (
     generate_scene,
     match_scene,
     perturb_pose,
-    pnp_linear,
     pnp_ransac,
     pnp_refine,
     pose_difference,
@@ -49,68 +47,19 @@ def scene_instance(seed, n=30, **noise):
     return s, s.gt_pairs
 
 
+def linear_start(s, C):
+    """The linear PnP oracle's pose from scene s's pairs C: a refine start."""
+    R, t = linear_pnp_full_svd(
+        s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d], s.K.fu, s.K.fv, s.K.cu, s.K.cv
+    )
+    return Pose(R, t)
+
+
 def pool_scene(seed):
     """Scene `seed` of the pnp-n1000 benchmark pool and its matches."""
     noise = NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.5)
     s = generate_scene(1000, noise=noise)
     return s, match_scene(s, MatchConfig(delta=2.0))
-
-
-class TestPnpLinear:
-    def test_minimal_noiseless_sample(self):
-        s, C = scene_instance(3, n=6)
-        T = pnp_linear(C, s.pixels, s.cloud, s.K)
-        proj, in_front = project_points(s.cloud.points, T, s.K)
-        assert in_front.all()
-        err = np.linalg.norm(s.pixels.pixels[C.idx2d] - proj[C.idx3d], axis=1)
-        assert err.max() <= 1e-6
-
-    def test_many_noiseless_pairs_recover_pose(self):
-        for seed in range(10):
-            s, C = scene_instance(seed)
-            T = pnp_linear(C, s.pixels, s.cloud, s.K)
-            rot, trans = pose_difference(T, s.T_gt)
-            # the arccos in the angle metric bottoms out near 1.2e-6 deg
-            assert rot <= 1e-5
-            assert trans <= 1e-9
-            proj, _ = project_points(s.cloud.points[C.idx3d], T, s.K)
-            err = np.linalg.norm(s.pixels.pixels[C.idx2d] - proj, axis=1)
-            assert err.max() <= 1e-6
-
-    def test_five_pairs_too_few(self):
-        s, C = scene_instance(5, n=5)
-        with pytest.raises(TooFewPoints):
-            pnp_linear(C, s.pixels, s.cloud, s.K)
-
-    def test_collinear_points_degenerate(self):
-        K = CameraIntrinsics(585.0, 585.0, 320.0, 240.0)
-        ts = np.linspace(-1.0, 1.0, 8)
-        pts = np.column_stack([ts, 0.2 * ts, np.full(8, 5.0) + 0.5 * ts])
-        proj, _ = project_points(pts, Pose.identity(), K)
-        kp2d = KeypointSet2D(proj)
-        kp3d = KeypointSet3D(pts)
-        C = CorrespondenceSet(np.arange(8), np.arange(8))
-        with pytest.raises(DegenerateConfiguration):
-            pnp_linear(C, kp2d, kp3d, K)
-
-    def test_thin_svd_matches_full_svd_oracle(self):
-        # up to the 992 x 12 system of a refit on 496 consensus pairs
-        for seed, n, sigma in ((60, 6, 0.0), (61, 50, 0.5), (62, 496, 0.5)):
-            s = generate_scene(n, noise=NoiseSpec(seed=seed, pixel_noise_sigma=sigma))
-            C = s.gt_pairs
-            T = pnp_linear(C, s.pixels, s.cloud, s.K)
-            R, t = linear_pnp_full_svd(
-                s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d],
-                s.K.fu, s.K.fv, s.K.cu, s.K.cv,
-            )
-            np.testing.assert_allclose(T.R, R, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(T.t, t, rtol=0, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        s, _ = scene_instance(7, n=8)
-        bad = CorrespondenceSet(np.arange(8), np.arange(8) + 5)
-        with pytest.raises(IndexError):
-            pnp_linear(bad, s.pixels, s.cloud, s.K)
 
 
 class TestReprojectionCost:
@@ -137,6 +86,14 @@ class TestReprojectionCost:
         s, C = scene_instance(13)
         assert reprojection_cost(s.T_gt, C, s.pixels, s.cloud, s.K) == 0.0
 
+    def test_index_out_of_range(self):
+        s, _ = scene_instance(7, n=8)
+        bad = CorrespondenceSet(np.arange(8), np.arange(8) + 5)
+        with pytest.raises(IndexError):
+            reprojection_cost(s.T_gt, bad, s.pixels, s.cloud, s.K)
+        with pytest.raises(IndexError):
+            pnp_refine(s.T_gt, bad, s.pixels, s.cloud, s.K)
+
 
 class TestGradTwist:
     def test_matches_finite_differences(self):
@@ -147,14 +104,15 @@ class TestGradTwist:
             xi0 = np.concatenate(
                 [rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.02, 0.02, 3)]
             )
-            T0 = s.T_gt
+            # the gradient at xi = 0 around a pose off the truth
+            T0 = se3_exp(xi0).compose(s.T_gt)
 
             def cost_at(xi_vec):
                 T = se3_exp(xi_vec).compose(T0)
                 return reprojection_cost(T, C, s.pixels, s.cloud, s.K)
 
-            got = reprojection_grad_twist(xi0, T0, C, s.pixels, s.cloud, s.K)
-            want = numeric_jacobian(cost_at, xi0, h=1e-6)
+            got = reprojection_grad_twist(T0, C, s.pixels, s.cloud, s.K)
+            want = numeric_jacobian(cost_at, np.zeros(6), h=1e-6)
             rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
             worst = max(worst, rel)
         assert worst <= 1e-5
@@ -175,7 +133,7 @@ class TestPnpRefine:
                 100, noise=NoiseSpec(seed=seed, pixel_noise_sigma=sigma)
             )
             C = s.gt_pairs
-            T0 = pnp_linear(C, s.pixels, s.cloud, s.K)
+            T0 = linear_start(s, C)
             T = pnp_refine(T0, C, s.pixels, s.cloud, s.K)
             rms = np.sqrt(reprojection_cost(T, C, s.pixels, s.cloud, s.K) / len(C))
             assert rms <= 2 * sigma
@@ -198,7 +156,7 @@ class TestPnpRefine:
         for seed in range(10):
             s = generate_scene(100, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5))
             C = s.gt_pairs
-            T0 = pnp_linear(C, s.pixels, s.cloud, s.K)
+            T0 = linear_start(s, C)
             _, rows, reason = _refine_from_arrays(
                 T0, s.pixels.pixels[C.idx2d], s.cloud.points[C.idx3d], s.K,
                 SolverConfig(),
@@ -240,9 +198,7 @@ class TestPnpRansac:
         cfg = RansacConfig(seed=0, iterations=100)
         T, mask = pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
         assert mask.all()
-        T_ref = pnp_refine(
-            pnp_linear(C, s.pixels, s.cloud, s.K), C, s.pixels, s.cloud, s.K
-        )
+        T_ref = pnp_refine(linear_start(s, C), C, s.pixels, s.cloud, s.K)
         rot, trans = pose_difference(T, T_ref)
         assert rot <= 1e-6
         assert trans <= 1e-8
@@ -338,9 +294,10 @@ class TestPnpRansac:
 
     def test_too_few_pairs(self):
         s, _ = scene_instance(59, n=6)
-        C = CorrespondenceSet(np.arange(4), np.arange(4))
-        with pytest.raises(TooFewPoints):
-            pnp_ransac(C, s.pixels, s.cloud, s.K, RansacConfig(seed=0))
+        for n in (4, pnp.MIN_PNP_POINTS - 1):
+            C = CorrespondenceSet(np.arange(n), np.arange(n))
+            with pytest.raises(TooFewPoints):
+                pnp_ransac(C, s.pixels, s.cloud, s.K, RansacConfig(seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
