@@ -2,7 +2,6 @@
 
 from .errors import (
     AllPointsBehindCamera,
-    DegenerateConfiguration,
     DimensionMismatch,
     Divergence,
     EmptyGroundTruth,

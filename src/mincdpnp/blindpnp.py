@@ -11,10 +11,10 @@ Behind-camera points cannot be projected, so they count as non-inliers
 on their own side and are excluded from the other side's minima; the
 counting effect is the same as assigning them infinite distance.
 
-kappa_star runs chamfer_cost's two k-d tree searches
-(features.nearest_points), O(N log N) and no N x M matrix; its minima
-are cdist's bits, so a pair at exactly sq == tau counts as the dense
-comparison counts it.
+kappa_star runs chamfer_cost's two-sided search (one dense matrix up to
+chamfer.DENSE_CELLS pairs, else two k-d tree queries, O(N log N)); its
+minima are cdist's bits, so a pair at exactly sq == tau counts as the
+dense comparison counts it.
 """
 
 from __future__ import annotations

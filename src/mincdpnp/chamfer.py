@@ -6,11 +6,14 @@ distance from its projection to the nearest pixel. Minimizing it aligns
 the projected cloud with the pixel set without any explicit matching,
 which is what lets a pose be solved from unmatched keypoint sets.
 
-Both searches are k-d tree queries (features.nearest_points): the pixel
-set keeps one tree for a whole solve, the projections get one per pose.
-An evaluation is O(N log N) and gives the dense N x M argmin's
-assignments, terms and values to the bit (ties to the lowest index), so
-the cost at the true pose of a clean scene is exactly 0.0.
+Up to DENSE_CELLS pixel-projection pairs, one dense cdist matrix serves
+both searches: its row argmins are the forward search, its column
+argmins the backward one. Larger searches are two k-d tree queries
+(features.nearest_points), O(N log N): the pixel set keeps one tree for
+a whole solve, the projections get one per pose. Either way an
+evaluation gives the dense N x M argmin's assignments, terms and values
+to the bit (ties to the lowest index), so the cost at the true pose of
+a clean scene is exactly 0.0.
 
 The cost is piecewise smooth: it switches faces whenever a nearest
 neighbor changes. Gradient and Gauss-Newton steps freeze the
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import AllPointsBehindCamera, Divergence, EmptySet, NonFiniteInput
 from .features import KeypointSet2D, KeypointSet3D, nearest_points
@@ -99,6 +103,13 @@ class TraceRow:
     trans_err_m: float | None = None
 
 
+# Pixel-projection pairs up to which _projected_search reads one dense
+# cdist matrix both ways instead of making two k-d tree queries. One
+# search on a Xeon with 1 BLAS thread, tree -> dense: N=100 234 -> 73 us,
+# N=300 572 -> 331 us, N=400 742 us -> 1.5 ms; so 256 x 256 cells.
+DENSE_CELLS = 2**16
+
+
 def _projected_search(T, image_set, cloud_set, K):
     """chamfer_cost's and kappa_star's search at T: (visible cloud indices,
     (index into them, squared distance) per pixel, (pixel index, squared
@@ -107,9 +118,14 @@ def _projected_search(T, image_set, cloud_set, K):
     if not in_front.any():
         raise AllPointsBehindCamera("no cloud point projects in front of the camera")
     visible_idx = np.flatnonzero(in_front)
-    visible = proj[visible_idx]
-    forward = nearest_points(cKDTree(visible), image_set.pixels)
-    return visible_idx, forward, nearest_points(image_set.tree(), visible)
+    visible, pixels = proj[visible_idx], image_set.pixels
+    if len(pixels) * len(visible) > DENSE_CELLS:
+        forward = nearest_points(cKDTree(visible), pixels)
+        return visible_idx, forward, nearest_points(image_set.tree(), visible)
+    D = cdist(pixels, visible, "sqeuclidean")  # (v-p)^2 == (p-v)^2 bit for bit
+    fwd, bwd = D.argmin(axis=1), D.argmin(axis=0)
+    forward = fwd, D[np.arange(len(pixels)), fwd]
+    return visible_idx, forward, (bwd, D[bwd, np.arange(len(visible))])
 
 
 def chamfer_cost(
@@ -120,8 +136,8 @@ def chamfer_cost(
 ) -> ChamferReport:
     """Two-sided sum of squared nearest-neighbor distances at pose T.
 
-    Cloud points behind the camera are excluded. Each search is a k-d
-    tree query; ties go to the lowest index.
+    Cloud points behind the camera are excluded. Ties go to the lowest
+    index.
     """
     if len(image_set) == 0 or len(cloud_set) == 0:
         raise EmptySet("chamfer_cost needs a nonempty pixel set and cloud")

@@ -46,10 +46,6 @@ class TooFewPoints(MinCDError):
     """Fewer correspondences than the solver's minimum sample size."""
 
 
-class DegenerateConfiguration(MinCDError):
-    """The linear pose system is rank deficient (collinear/coplanar points)."""
-
-
 class NoConsensus(MinCDError):
     """RANSAC found no pose whose consensus reaches pnp.MIN_PNP_POINTS pairs."""
 

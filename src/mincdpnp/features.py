@@ -7,7 +7,8 @@ arithmetic only the rows whose runner-up comes within the screen's
 error bound, so it gives the dense argmin's indices and score bits
 without forming the N x M matrix; a KeypointSet2D keeps its last
 search. nearest_points does so for image points with a k-d tree,
-O(log M) per query. `_load_matrix_csv` is the one matrix CSV reader.
+O(log M) per query; chamfer uses it only above chamfer.DENSE_CELLS
+pairs. `_load_matrix_csv` is the one matrix CSV reader.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def _check_features(features, count: int):
 class KeypointSet2D:
     """Image keypoints: (N, 2) pixel array with optional (N, D) features.
 
-    Duplicate pixels at bitwise-identical coordinates are rejected; they
-    would make nearest-neighbor assignments ambiguous downstream. The
-    set is immutable, so it keeps what it derives: its pixel k-d tree
+    Duplicate pixels at equal coordinates are rejected; they would make
+    nearest-neighbor assignments ambiguous downstream. The set is
+    immutable, so it keeps what it derives: its pixel k-d tree
     (tree) and its last nearest-feature search (nearest_in), whose cloud
     set it holds by strong reference, so a freed set's id never aliases.
     """
@@ -61,7 +62,8 @@ class KeypointSet2D:
             raise ValueError(f"pixels must be (N, 2), got {px.shape}")
         if not np.all(np.isfinite(px)):
             raise ValueError("pixels must be finite")
-        if len(np.unique(px, axis=0)) != len(px):
+        rows = px[np.lexsort(px.T)]  # equal rows adjacent; -0.0 sorts as 0.0
+        if np.any((rows[1:] == rows[:-1]).all(axis=1)):
             raise ValueError("duplicate pixel coordinates")
         object.__setattr__(self, "pixels", _readonly(px))
         object.__setattr__(self, "features", _check_features(features, len(px)))

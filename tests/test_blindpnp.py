@@ -18,6 +18,7 @@ from mincdpnp import (
     kappa_star,
     project_points,
 )
+from mincdpnp import chamfer
 from mincdpnp.geometry import CameraIntrinsics
 from mincdpnp.synth import DEFAULT_INTRINSICS, perturb_pose, random_pose
 
@@ -173,7 +174,8 @@ class TestKappaStar:
 
 
 class TestKappaStarTree:
-    """The k-d tree count against the dense N x M minima."""
+    """The count (one dense matrix up to chamfer.DENSE_CELLS pairs, k-d
+    trees above) against the dense N x M minima."""
 
     def test_matches_the_dense_oracle(self):
         for n in (1, 100, 1000):
@@ -205,8 +207,36 @@ class TestKappaStarTree:
         assert kappa_star_dense(flipped, scene.pixels, scene.cloud, K, CFG) == 0
         assert kappa_star(flipped, scene.pixels, scene.cloud, K, CFG) == 0
 
+    def test_dense_and_tree_branches_count_alike(self, monkeypatch):
+        # integer-lattice pixels with projections at exact distances, some
+        # exactly at tau = 16.0 and 64.0: ties and boundary pairs on both sides
+        exact = CameraIntrinsics(fu=512.0, fv=512.0, cu=320.0, cv=240.0)
+        g = np.arange(-3, 4) * 8.0
+        lattice = KeypointSet2D(np.stack(np.meshgrid(g + 320.0, g + 240.0), -1).reshape(-1, 2))
+        uv = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [8.0, 4.0], [-20.0, 12.0]])
+        on_lattice = KeypointSet3D(np.column_stack([uv / 512.0, np.ones(5)]))
+        one_visible = KeypointSet3D([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        T0 = Pose.identity()
+        cases = [(T0, lattice, on_lattice, exact), (T0, lattice, one_visible, exact)]
+        for n in (1, 100):
+            for seed in range(3):
+                scene = generate_scene(
+                    n, noise=NoiseSpec(seed=seed, pixel_noise_sigma=1.0, outlier_rate=0.2)
+                )
+                T = perturb_pose(scene.T_gt, 2.0, 0.05, seed)
+                cases.append((T, scene.pixels, scene.cloud, K))
+        for T, kp2d, kp3d, K_ in cases:
+            for tau in (0.5, 5.0, 16.0, 64.0):
+                cfg = InlierConfig(tau=tau)
+                counts = []
+                for cells in (0, 2**62):
+                    monkeypatch.setattr(chamfer, "DENSE_CELLS", cells)
+                    counts.append(kappa_star(T, kp2d, kp3d, K_, cfg))
+                assert counts[0] == counts[1] == kappa_star_dense(T, kp2d, kp3d, K_, cfg)
+
     def test_peak_memory_at_n4000_far_below_the_dense_matrix(self):
         scene = generate_scene(4000, noise=NoiseSpec(seed=9, outlier_rate=0.1))
+        assert len(scene.pixels) * len(scene.cloud) > chamfer.DENSE_CELLS  # the tree branch
         # tracemalloc sees numpy's buffers, not cKDTree's C++ node
         # vectors; those hold a few nodes per 16 points
         dense_bytes = len(scene.pixels) * len(scene.cloud) * 8

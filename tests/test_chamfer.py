@@ -135,7 +135,8 @@ K_EXACT = CameraIntrinsics(fu=512.0, fv=512.0, cu=320.0, cv=240.0)
 
 
 class TestTreeSearch:
-    """The k-d tree searches against the dense N x M argmin."""
+    """The two-sided search (one dense matrix up to DENSE_CELLS pairs, k-d
+    trees above) against the dense N x M argmin."""
 
     @pytest.mark.parametrize("n", [1, 2, 100, 1000])
     def test_reports_match_the_dense_oracle(self, n):
@@ -246,6 +247,117 @@ class TestTreeSearch:
             )
             assert len(trace) > 3
             assert len(calls) == 1 + trials
+
+
+def on_both_branches(monkeypatch, fn):
+    """fn() with every search on the k-d trees, then on one dense matrix."""
+    out = []
+    for cells in (0, 2**62):
+        monkeypatch.setattr(chamfer, "DENSE_CELLS", cells)
+        out.append(fn())
+    return out
+
+
+def assert_searches_identical(got, want):
+    for a, b in zip((got[0], *got[1], *got[2]), (want[0], *want[1], *want[2])):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def lattice_instance():
+    """Pixels on a 16-px lattice; projections on lattice points, edge
+    midpoints (two-way ties) and cell centres (four-way ties), some of
+    them coincident at other depths: every distance is an exact float."""
+    g = np.arange(-4, 5) * 16.0
+    pixels = np.stack(np.meshgrid(g + 320.0, g + 240.0), axis=-1).reshape(-1, 2)
+    offsets = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0], [24.0, 40.0]])
+    shifts = np.tile([[-32.0, 16.0], [48.0, -16.0], [0.0, 0.0]], (5, 1))
+    uv = np.repeat(offsets, 3, axis=0) + shifts
+    z = np.resize([1.0, 2.0, 0.5, 4.0], len(uv) + 3)
+    uv = np.concatenate([uv, uv[:3]])  # the same rays at other depths
+    pts = np.column_stack([uv / 512.0 * z[:, None], z])
+    return KeypointSet2D(pixels), KeypointSet3D(pts)
+
+
+class TestSearchBranches:
+    """The dense-matrix search against the k-d tree search, bit for bit."""
+
+    def instances(self):
+        for n in (1, 2, 30, 100):
+            for seed in range(2):
+                scene = generate_scene(
+                    n, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.2)
+                )
+                for cloud in (scene.cloud, doubled(scene)):
+                    for T in (scene.T_gt, perturb_pose(scene.T_gt, 5.0, 0.1, seed)):
+                        yield T, scene.pixels, cloud, K
+        kp2d, kp3d = lattice_instance()
+        yield Pose.identity(), kp2d, kp3d, K_EXACT
+        # one visible point among points behind the camera, and one pixel
+        one = KeypointSet3D([[0.0, 0.0, -1.0], [0.0625, 0.0, 1.0], [0.0, 0.5, -2.0]])
+        yield Pose.identity(), kp2d, one, K_EXACT
+        yield Pose.identity(), KeypointSet2D([[300.0, 200.0]]), kp3d, K_EXACT
+
+    def test_searches_and_costs_are_the_same_bits(self, monkeypatch):
+        for T, kp2d, kp3d, K_ in self.instances():
+            tree, dense = on_both_branches(
+                monkeypatch, lambda: chamfer._projected_search(T, kp2d, kp3d, K_)
+            )
+            assert_searches_identical(dense, tree)
+            tree, dense = on_both_branches(monkeypatch, lambda: chamfer_cost(T, kp2d, kp3d, K_))
+            assert_reports_identical(dense, tree)
+            assert_reports_identical(dense, chamfer_cost_dense(T, kp2d, kp3d, K_))
+            tree, dense = on_both_branches(
+                monkeypatch, lambda: chamfer_grad_twist(T, kp2d, kp3d, K_)
+            )
+            assert dense.tobytes() == tree.tobytes()
+
+    def test_lattice_ties_go_to_the_lowest_index(self, monkeypatch):
+        kp2d, kp3d = lattice_instance()
+        monkeypatch.setattr(chamfer, "DENSE_CELLS", 2**62)
+        report = chamfer_cost(Pose.identity(), kp2d, kp3d, K_EXACT)
+        proj, _ = project_points(kp3d.points, Pose.identity(), K_EXACT)
+        D = cdist(kp2d.pixels, proj, "sqeuclidean")
+        assert np.count_nonzero(D == D.min(axis=0)) > len(proj)  # ties exist
+        np.testing.assert_array_equal(report.assignment[0], D.argmin(axis=1))
+        np.testing.assert_array_equal(report.assignment[1], D.argmin(axis=0))
+
+    def test_branch_switches_above_dense_cells(self, monkeypatch):
+        # the real constant: n x m == DENSE_CELLS is dense, one cell more is not
+        side = 2**8
+        assert side * side == chamfer.DENSE_CELLS
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(-0.5, 0.5, (side + 1, 2)), np.full(side + 1, 2.0)])
+        pix = rng.uniform(0.0, 640.0, (side, 2))
+        for m, tree_built in ((side, False), (side + 1, True)):
+            kp2d, kp3d = KeypointSet2D(pix), KeypointSet3D(pts[:m])
+            got = chamfer._projected_search(Pose.identity(), kp2d, kp3d, K)
+            assert (kp2d._tree is not None) == tree_built
+            for want in on_both_branches(
+                monkeypatch, lambda: chamfer._projected_search(Pose.identity(), kp2d, kp3d, K)
+            ):
+                assert_searches_identical(got, want)
+            monkeypatch.undo()
+
+    def test_solves_are_the_same_both_ways(self, monkeypatch):
+        cfg = SolverConfig()
+        for seed in range(3):
+            scene = generate_scene(
+                100, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5, outlier_rate=0.2)
+            )
+            T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed)
+            for cloud in (scene.cloud, doubled(scene)):
+                (T, trace, reason), (T_d, trace_d, reason_d) = on_both_branches(
+                    monkeypatch, lambda: _solve_chamfer(T0, scene.pixels, cloud, K, cfg)
+                )
+                assert reason == reason_d and trace == trace_d
+                assert T.R.tobytes() == T_d.R.tobytes()
+                assert T.t.tobytes() == T_d.t.tobytes()
+
+    def test_small_solve_never_builds_the_pixel_tree(self):
+        scene = generate_scene(100, noise=NoiseSpec(seed=0, pixel_noise_sigma=0.5))
+        assert len(scene.pixels) * len(scene.cloud) <= chamfer.DENSE_CELLS
+        solve_pose_chamfer(perturb_pose(scene.T_gt, 5.0, 0.1, 0), scene.pixels, scene.cloud, K)
+        assert scene.pixels._tree is None
 
 
 class TestGradient:

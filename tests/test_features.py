@@ -491,6 +491,27 @@ class TestContainers:
         with pytest.raises(ValueError):
             KeypointSet2D(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
+    def test_duplicate_check_agrees_with_np_unique(self):
+        # value equality, as np.unique(axis=0) counts rows: a signed zero
+        # duplicates its unsigned twin, and duplicates need not be adjacent
+        with pytest.raises(ValueError, match="duplicate"):
+            KeypointSet2D([[0.0, 3.0], [5.0, 1.0], [-0.0, 3.0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            KeypointSet2D([[2.0, -0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert len(KeypointSet2D([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]])) == 4
+        assert len(KeypointSet2D(np.zeros((0, 2)))) == 0
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            px = rng.integers(-2, 3, size=(rng.integers(1, 12), 2)).astype(float)
+            px[rng.random(px.shape) < 0.3] *= -1.0  # some -0.0
+            unique = len(np.unique(px, axis=0)) == len(px)
+            try:
+                KeypointSet2D(px)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == unique
+
     def test_feature_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             KeypointSet2D(np.array([[1.0, 2.0]]), np.ones((2, 4)))
