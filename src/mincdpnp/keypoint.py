@@ -13,13 +13,12 @@ import numpy as np
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from scipy.spatial import cKDTree
 
 from .blindpnp import DEFAULT_TAU
 from .errors import EmptyGroundTruth
-from .features import KeypointSet2D, KeypointSet3D
+from .features import KeypointSet2D, KeypointSet3D, nearest_points
 from .geometry import CameraIntrinsics, Pose, project_points
 
 DEFAULT_S_TH = float(np.exp(-0.4))
@@ -153,10 +152,10 @@ class GroundTruthCorrectness:
     pairs_ok tells, pair by pair, whether 2D-3D pairs reproject within
     the pixel threshold: a pair's squared pixel distance, du*du + dv*dv,
     is at most threshold_px**2, and a point behind the camera never is.
-    q_with_partner lists the 2D keypoints for which any 3D point does;
-    a k-d tree over the projections in front of the camera proposes the
-    candidates and pairs_ok rechecks each one, so no N x M matrix is
-    formed. It is computed on first access and kept.
+    q_with_partner lists the 2D keypoints for which any 3D point does:
+    those whose nearest projection in front of the camera, found with a
+    k-d tree, is within the threshold, so no N x M matrix is formed. It
+    is computed on first access and kept.
     """
 
     pixels: np.ndarray
@@ -172,16 +171,12 @@ class GroundTruthCorrectness:
     @cached_property
     def q_with_partner(self) -> np.ndarray:
         front = np.flatnonzero(self.in_front)
-        # subtraction rounds correctly, so the tree's and the recheck's
-        # squared distances are a few ulps from the true one: a relative
-        # 1e-9 on the radius keeps every pair the recheck accepts
-        near = cKDTree(self.projected[front]).query_ball_point(
-            self.pixels, self.threshold_px * (1 + 1e-9)
-        )
-        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-        q = np.repeat(np.arange(len(near)), counts)
-        j = front[np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(q))]
-        return np.unique(q[self.pairs_ok(q, j)])
+        if len(front) == 0:
+            return np.zeros(0, dtype=np.int64)
+        # the nearest projection's squared distance, d0*d0 + d1*d1, is the
+        # smallest pairs_ok value of each pixel, bit for bit
+        _, sq = nearest_points(cKDTree(self.projected[front]), self.pixels)
+        return np.flatnonzero(sq <= self.threshold_px**2)
 
 
 def reprojection_correctness(

@@ -105,6 +105,8 @@ class ScenePair:
         return CorrespondenceSet(i, j, n2d=len(self.pixels), n3d=len(self.cloud))
 
     def save_dir(self, directory: str | Path) -> None:
+        """Write the scene's files: cloud.ply (binary little-endian doubles),
+        .npy arrays, gt_pairs.csv and JSON, every float bit-exact."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         save_ply(d / "cloud.ply", self.cloud.points)
@@ -119,6 +121,8 @@ class ScenePair:
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> "ScenePair":
+        """The scene save_dir wrote. A file in an older format (ASCII PLY,
+        CSV arrays) raises, so synth must remake that scene."""
         d = Path(directory)
         points = load_ply(d / "cloud.ply")
         feats3d = _load_array(d / "features_3d.npy")

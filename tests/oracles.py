@@ -505,3 +505,20 @@ def pnp_ransac_sequential(C, image_set, cloud_set, K, cfg):
         scored.append((int(mask.sum()), -sse, rank, T, mask))
     _, _, _, T_best, mask = max(scored, key=lambda row: row[:3])
     return T_best, mask, consumed, skipped
+
+
+def save_ply_ascii(path, points):
+    """A cloud.ply in the ASCII PLY format that scene directories used to
+    hold: the same header with `format ascii 1.0`, one repr row per point."""
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(points)}",
+        "property double x",
+        "property double y",
+        "property double z",
+        "end_header",
+    ]
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in points)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -25,7 +25,8 @@ from mincdpnp import (
 )
 from mincdpnp import cli
 from mincdpnp.cli import build_parser, main
-from mincdpnp.synth import save_ply
+from mincdpnp.synth import load_ply, save_ply
+from oracles import save_ply_ascii
 
 
 @pytest.fixture()
@@ -202,7 +203,7 @@ class TestEval:
                 scenes / f"scene_{i:04d}"
             )
         ply = scenes / "scene_0000" / "cloud.ply"
-        ply.write_text("".join(ply.read_text().splitlines(keepends=True)[:-5]))
+        ply.write_bytes(ply.read_bytes()[: -5 * 24])  # drop the last 5 rows of doubles
         records = tmp_path / "records.jsonl"
         assert run(["eval", "--scenes", scenes, "--out", records]) == 1
         rows = [json.loads(l) for l in records.read_text().splitlines()]
@@ -217,6 +218,7 @@ class TestEval:
         [
             ("ply_without_count", "load: ValueError: ", "malformed PLY header"),
             ("ply_negative_count", "load: ValueError: ", "malformed PLY header"),
+            ("ascii_ply", "load: ValueError: ", "format 'ascii 1.0'"),
             ("object_features_2d", "load: ValueError: ", "Object arrays cannot be loaded"),
             ("half_features_3d", "load: ValueError: ", "Failed to read all data"),
             ("empty_features_2d", "pnp: MissingFeatures: ", "carries no features"),
@@ -231,9 +233,11 @@ class TestEval:
             )
         d = scenes / "scene_0000"
         if damage.startswith("ply_"):
-            header = "element vertex" if damage == "ply_without_count" else "element vertex -5"
+            header = b"element vertex" if damage == "ply_without_count" else b"element vertex -5"
             ply = d / "cloud.ply"
-            ply.write_text(ply.read_text().replace("element vertex 50", header))
+            ply.write_bytes(ply.read_bytes().replace(b"element vertex 50", header, 1))
+        elif damage == "ascii_ply":  # the cloud.ply of an older scene directory
+            save_ply_ascii(d / "cloud.ply", load_ply(d / "cloud.ply"))
         elif damage == "object_features_2d":
             np.save(d / "features_2d.npy", np.array([[1.0, None]] * 50), allow_pickle=True)
         elif damage == "half_features_3d":

@@ -16,11 +16,13 @@ from mincdpnp import (
     guided_reprojection_total,
     key_loss,
     keypoint_precision_recall,
+    perturb_pose,
     project_points,
     reprojection_correctness,
     select_3d_keypoints,
     tau_criterion,
 )
+from mincdpnp import keypoint
 from oracles import (
     DenseCorrectness,
     evaluate_selection_dense,
@@ -352,6 +354,20 @@ class TestReprojectionCorrectness:
             T = Pose(s.T_gt.R, s.T_gt.t - [0.0, 0.0, 4.0])
             assert_same_as_dense(s.pixels, s.cloud, T, s.K, 30.0)
 
+    def test_scene_io_recipe_at_the_truth_and_off_it(self):
+        # the scene-io-n4000 benchmark's noise, at a size the dense oracle affords
+        for seed in range(3):
+            s = generate_scene(
+                800,
+                noise=NoiseSpec(
+                    seed=seed, pixel_noise_sigma=0.5, feature_noise_sigma=0.3,
+                    outlier_rate=0.2, dropout_rate=0.1,
+                ),
+            )
+            for T in (s.T_gt, perturb_pose(s.T_gt, 5.0, 0.1, seed)):
+                gt = assert_same_as_dense(s.pixels, s.cloud, T, s.K)
+                assert 0 < len(gt.q_with_partner) < len(s.pixels)
+
     def test_random_instances(self):
         rng = np.random.default_rng(89)
         for _ in range(5):
@@ -360,18 +376,21 @@ class TestReprojectionCorrectness:
 
     def test_pixel_exactly_at_the_threshold_counts(self):
         # (0, 0, 5) projects to (cu, cv) = (320, 240) exactly; pixel 0 is
-        # 3 px along u, so its squared distance is exactly 9.0
-        kp3d = KeypointSet3D(np.array([[0.0, 0.0, 5.0]]))
+        # 3 px along u, so its squared distance is exactly 9.0. Points
+        # behind the camera leave a one-point front set.
         kp2d = KeypointSet2D(np.array([[323.0, 240.0], [np.nextafter(323.0, 324.0), 240.0]]))
-        gt = assert_same_as_dense(kp2d, kp3d, Pose.identity(), K_DEFAULT, 3.0)
-        assert gt.pairs_ok([0, 1], [0, 0]).tolist() == [True, False]
-        assert gt.q_with_partner.tolist() == [0]
+        for behind in (0, 1, 3):
+            kp3d = KeypointSet3D(np.array([[0.0, 0.0, -5.0]] * behind + [[0.0, 0.0, 5.0]]))
+            gt = assert_same_as_dense(kp2d, kp3d, Pose.identity(), K_DEFAULT, 3.0)
+            assert gt.pairs_ok([0, 1], [behind, behind]).tolist() == [True, False]
+            assert gt.q_with_partner.tolist() == [0]
 
-    def test_every_point_behind_the_camera(self):
+    def test_every_point_behind_the_camera(self, monkeypatch):
         s = generate_scene(10, noise=NoiseSpec(seed=4))
         flipped = Pose(np.diag([1.0, -1.0, -1.0]) @ s.T_gt.R, s.T_gt.t - [0, 0, 50])
+        monkeypatch.setattr(keypoint, "cKDTree", None)  # building a tree would raise
         gt = assert_same_as_dense(s.pixels, s.cloud, flipped, s.K)
-        assert len(gt.q_with_partner) == 0
+        assert len(gt.q_with_partner) == 0 and gt.q_with_partner.dtype == np.int64
         assert not gt.pairs_ok(0, 0)
 
     def test_selection_report_at_n4000(self):
