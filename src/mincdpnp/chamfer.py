@@ -16,7 +16,7 @@ to the bit (ties to the lowest index), so the cost at the true pose of
 a clean scene is exactly 0.0.
 
 The cost is piecewise smooth: it switches faces whenever a nearest
-neighbor changes. Gradient and Gauss-Newton steps freeze the
+neighbor changes. The gradient and the Gauss-Newton steps freeze the
 assignments of the current iterate (the standard subgradient choice)
 and re-derive them after every accepted step, so the solver is a
 projective flavor of ICP. The next linearization reuses the assignment
@@ -79,17 +79,13 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap and step rule ("gn" damped Gauss-Newton, "gd"
-    gradient descent); the loop's other settings are module constants."""
+    """Iteration cap of the Gauss-Newton loop; its other settings are constants."""
 
     max_iters: int = 200
-    method: str = "gn"
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.method not in ("gn", "gd"):
-            raise ValueError("method must be 'gn' or 'gd'")
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ MAX_BACKTRACKS = 30
 
 
 def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
-    """Damped Gauss-Newton (or gradient descent) with Armijo backtracking.
+    """Damped Gauss-Newton with Armijo backtracking.
 
     cost_fn(T) gives the summed squared residual at pose T and a state
     for residual_fn (the Chamfer assignment); at a trial pose it may
@@ -246,10 +242,7 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
         Jf = J.reshape(-1, 6)
         g = Jf.T @ residuals.reshape(-1)
         grad = -2.0 * g
-        if cfg.method == "gn":
-            direction = np.linalg.solve(Jf.T @ Jf + DAMPING * np.eye(6), g)
-        else:
-            direction = -grad
+        direction = np.linalg.solve(Jf.T @ Jf + DAMPING * np.eye(6), g)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= GRAD_TOL:
             return T, trace, "grad_tol"
@@ -311,7 +304,7 @@ def solve_pose_chamfer(
 
     Each iteration freezes the nearest-neighbor assignments (those the
     evaluation that accepted the current pose found), takes a
-    damped Gauss-Newton or gradient step in the local twist, and
+    damped Gauss-Newton step in the local twist, and
     backtracks until the true (re-assigned) cost decreases, so the cost
     trace is monotone nonincreasing. The loop, shared with pnp_refine,
     stops once the cost is at most COST_TOL or the gradient norm at most

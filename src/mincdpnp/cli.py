@@ -47,7 +47,8 @@ from .keypoint import (
     select_3d_keypoints,
 )
 from .pnp import RansacConfig, pnp_ransac, reprojection_cost, reprojection_grad_twist
-from .synth import NoiseSpec, ScenePair, check_rot_deg, generate_scene, perturb_pose, point_budget
+from .synth import NoiseSpec, ScenePair, check_rot_deg, check_trans_m, generate_scene
+from .synth import perturb_pose, point_budget
 
 
 def _checked(convert, check):
@@ -94,7 +95,7 @@ _SHARED = {
     "--delta": dict(_library(MatchConfig, "delta"), help="feature match threshold"),
     "--iterations": _library(RansacConfig, "iterations", int, seed=0),
     "--init-rot": dict(type=_checked(float, check_rot_deg), default=DEFAULT_INIT_ROT_DEG),
-    "--init-trans": dict(type=float, default=DEFAULT_INIT_TRANS_M),
+    "--init-trans": dict(type=_checked(float, check_trans_m), default=DEFAULT_INIT_TRANS_M),
     "--n-points": dict(type=_COUNT, default=100),
     "--pixel-noise": _library(NoiseSpec, "pixel_noise_sigma", seed=0),
     "--feature-noise": _library(NoiseSpec, "feature_noise_sigma", seed=0),
@@ -151,7 +152,7 @@ def cmd_match(args) -> int:
 def cmd_solve_chamfer(args) -> int:
     scene = ScenePair.load_dir(args.scene)
     T_init = perturb_pose(scene.T_gt, args.init_rot, args.init_trans, args.seed)
-    cfg = SolverConfig(max_iters=args.max_iters, method=args.method)
+    cfg = SolverConfig(max_iters=args.max_iters)
     T, trace = solve_pose_chamfer(
         T_init, scene.pixels, scene.cloud, scene.K, cfg, T_gt=scene.T_gt
     )
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("solve-chamfer", cmd_solve_chamfer, "solve one scene without matches",
              "--scene", "--out", "--seed", "--init-rot", "--init-trans")
     p.add_argument("--max-iters", **_library(SolverConfig, "max_iters", int))
-    p.add_argument("--method", choices=("gn", "gd"), default=SolverConfig.method)
     p.add_argument("--trace", type=Path, default=None)
 
     verb("solve-pnp", cmd_solve_pnp, "match then solve one scene robustly",

@@ -111,9 +111,6 @@ class Pose:
         """self applied after other: (self @ other)(p) = self(other(p))."""
         return Pose(self.R @ other.R, self.R @ other.t + self.t, check=False)
 
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
-
     def inverse(self) -> "Pose":
         return Pose(self.R.T, -(self.R.T @ self.t), check=False)
 

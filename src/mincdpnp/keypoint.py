@@ -218,11 +218,11 @@ def evaluate_selection(
     T_gt: Pose,
     K: CameraIntrinsics,
     cfg: SelectConfig = SelectConfig(),
-    pixel_threshold: float = PRECISION_RECALL_PIXEL_THRESHOLD,
 ) -> KeypointReport:
-    """Select keypoints and grade them in one step."""
+    """Select keypoints and grade them in one step, a pick being correct
+    within PRECISION_RECALL_PIXEL_THRESHOLD pixels."""
     selected = select_3d_keypoints(image_set, cloud_set, cfg)
-    gt = reprojection_correctness(image_set, cloud_set, T_gt, K, pixel_threshold)
+    gt = reprojection_correctness(image_set, cloud_set, T_gt, K)
     precision, recall = keypoint_precision_recall(selected, gt)
     return KeypointReport(
         selected=selected, precision=precision, recall=recall, count=len(selected)

@@ -290,10 +290,9 @@ def pnp_refine(
 ) -> Pose:
     """Minimize the summed squared reprojection error from T_init.
 
-    Damped Gauss-Newton (or plain gradient descent) in the local twist
-    with Armijo backtracking, so the cost trace is monotone
-    nonincreasing; pass a list as trace to have its rows appended. The
-    loop and its stops are solve_pose_chamfer's: a cost at most
+    Damped Gauss-Newton in the local twist with Armijo backtracking, so
+    the cost trace is monotone nonincreasing; pass a list as trace to
+    have its rows appended. The loop and its stops are solve_pose_chamfer's: a cost at most
     chamfer.COST_TOL or a gradient norm at most chamfer.GRAD_TOL, an
     accepted step that lowers the cost by no more than a CONVERGED_RTOL
     fraction, cfg.max_iters, and five fruitless line searches in a row,

@@ -38,6 +38,12 @@ from .plyio import load_ply, save_ply
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fu=585.0, fv=585.0, cu=320.0, cv=240.0)
 DEFAULT_D_MAX = 10.0
+Z_NEAR = 0.5
+IMAGE_WIDTH = 640
+IMAGE_HEIGHT = 480
+PIXEL_MARGIN = 10.0
+POSE_MAX_ROT_DEG = 60.0
+POSE_TRANS_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,9 @@ class NoiseSpec:
             raise ValueError("outlier_rate must lie in [0, 1)")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.pixel_noise_sigma < 0 or self.feature_noise_sigma < 0:
-            raise ValueError("noise sigmas must be nonnegative")
+        for sigma in (self.pixel_noise_sigma, self.feature_noise_sigma):
+            if not (0.0 <= sigma < np.inf):
+                raise ValueError("noise sigmas must be finite and nonnegative")
 
 
 def _save_array(path: Path, a) -> None:
@@ -140,18 +147,25 @@ class ScenePair:
         )
 
 
-def random_pose(rng: np.random.Generator, max_rot_deg: float = 60.0, trans_sigma: float = 1.0) -> Pose:
-    """Random camera pose: bounded-angle rotation and gaussian translation."""
+def random_pose(rng: np.random.Generator) -> Pose:
+    """Random camera pose: rotation by an angle uniform in [0, POSE_MAX_ROT_DEG]
+    degrees, translation gaussian with POSE_TRANS_SIGMA meters per axis."""
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    angle = np.radians(rng.uniform(0.0, max_rot_deg))
-    return Pose(so3_exp(axis * angle), rng.normal(scale=trans_sigma, size=3), check=False)
+    angle = np.radians(rng.uniform(0.0, POSE_MAX_ROT_DEG))
+    return Pose(so3_exp(axis * angle), rng.normal(scale=POSE_TRANS_SIGMA, size=3), check=False)
 
 
 def check_rot_deg(rot_deg: float) -> None:
     """perturb_pose's rotation range, [0, 180) degrees."""
     if not (0.0 <= rot_deg < 180.0):
         raise ValueError("rot_deg must lie in [0, 180)")
+
+
+def check_trans_m(trans_m: float) -> None:
+    """perturb_pose's translation offset, finite and nonnegative meters."""
+    if not (0.0 <= trans_m < np.inf):
+        raise ValueError("trans_m must be finite and nonnegative")
 
 
 def point_budget(n_points: int, outlier_rate: float, dropout_rate: float) -> tuple[int, int]:
@@ -175,6 +189,7 @@ def perturb_pose(T: Pose, rot_deg: float, trans_m: float, seed: int) -> Pose:
     (rot_deg, trans_m) up to roundoff.
     """
     check_rot_deg(rot_deg)
+    check_trans_m(trans_m)
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -186,35 +201,30 @@ def perturb_pose(T: Pose, rot_deg: float, trans_m: float, seed: int) -> Pose:
 
 def generate_scene(
     n_points: int,
-    K: CameraIntrinsics = DEFAULT_INTRINSICS,
     *,
     pose: Pose | None = None,
     noise: NoiseSpec = NoiseSpec(seed=0),
-    d_max: float = DEFAULT_D_MAX,
-    z_near: float = 0.5,
-    width: int = 640,
-    height: int = 480,
     feature_dim: int = DEFAULT_FEATURE_DIM,
-    pixel_margin: float = 10.0,
 ) -> ScenePair:
     """Sample one scene pair; identical arguments give identical bits.
 
-    Points are drawn in the camera frustum (pixel position uniform
-    inside the image with a margin, depth uniform in [z_near, d_max])
-    and carried to world coordinates with the inverse pose. Matched
-    features share a latent vector plus independent gaussian noise;
-    outlier pixels and their features are drawn fresh. floor(rate * n)
-    pixels are displaced as outliers and floor(rate * n) cloud points
-    lose their pixel to dropout.
+    Points are drawn in the frustum of DEFAULT_INTRINSICS (pixel position
+    uniform inside the IMAGE_WIDTH x IMAGE_HEIGHT image less PIXEL_MARGIN,
+    depth uniform in [Z_NEAR, DEFAULT_D_MAX] meters) and carried to world
+    coordinates with the inverse pose. Matched features share a latent
+    vector plus independent gaussian noise; outlier pixels and their
+    features are drawn fresh. floor(rate * n) pixels are displaced as
+    outliers and floor(rate * n) cloud points lose their pixel to dropout.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     rng = np.random.default_rng(noise.seed)
     T_gt = pose if pose is not None else random_pose(rng)
+    K = DEFAULT_INTRINSICS
 
-    u = rng.uniform(pixel_margin, width - pixel_margin, size=n_points)
-    v = rng.uniform(pixel_margin, height - pixel_margin, size=n_points)
-    z = rng.uniform(z_near, d_max, size=n_points)
+    u = rng.uniform(PIXEL_MARGIN, IMAGE_WIDTH - PIXEL_MARGIN, size=n_points)
+    v = rng.uniform(PIXEL_MARGIN, IMAGE_HEIGHT - PIXEL_MARGIN, size=n_points)
+    z = rng.uniform(Z_NEAR, DEFAULT_D_MAX, size=n_points)
     cam = np.column_stack([(u - K.cu) / K.fu * z, (v - K.cv) / K.fv * z, z])
     world = T_gt.inverse().apply(cam)
 
@@ -247,9 +257,9 @@ def generate_scene(
     is_outlier_pixel = np.isin(cloud_of_pixel, outlier_cloud)
     outlier_pixel_idx = np.flatnonzero(is_outlier_pixel)
     if n_outliers:
-        pix[outlier_pixel_idx, 0] = rng.uniform(0, width, size=n_outliers)
-        pix[outlier_pixel_idx, 1] = rng.uniform(0, height, size=n_outliers)
-        depth[outlier_pixel_idx] = rng.uniform(z_near, d_max, size=n_outliers)
+        pix[outlier_pixel_idx, 0] = rng.uniform(0, IMAGE_WIDTH, size=n_outliers)
+        pix[outlier_pixel_idx, 1] = rng.uniform(0, IMAGE_HEIGHT, size=n_outliers)
+        depth[outlier_pixel_idx] = rng.uniform(Z_NEAR, DEFAULT_D_MAX, size=n_outliers)
         feats2d[outlier_pixel_idx] = rng.normal(size=(n_outliers, feature_dim))
 
     true_pixel_idx = np.flatnonzero(~is_outlier_pixel)
@@ -263,10 +273,10 @@ def generate_scene(
         "seed": noise.seed,
         "n_points": n_points,
         "feature_dim": feature_dim,
-        "d_max": d_max,
-        "z_near": z_near,
-        "width": width,
-        "height": height,
+        "d_max": DEFAULT_D_MAX,
+        "z_near": Z_NEAR,
+        "width": IMAGE_WIDTH,
+        "height": IMAGE_HEIGHT,
         "pixel_noise_sigma": noise.pixel_noise_sigma,
         "feature_noise_sigma": noise.feature_noise_sigma,
         "outlier_rate": noise.outlier_rate,

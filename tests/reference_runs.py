@@ -26,8 +26,8 @@ from mincdpnp.cli import main  # noqa: E402
 
 
 # name -> argv, in run order, with paths relative to the output directory
-# (the runs' stdout then names no absolute path); match reads the scene
-# synth writes
+# (the runs' stdout then names no absolute path); match and the two solve
+# verbs read a scene synth writes
 REFERENCE_RUNS = {
     "eval-n100": [
         "eval", "--gen", "20", "--solver", "both", "--n-points", "100",
@@ -46,6 +46,11 @@ REFERENCE_RUNS = {
     "bound-check": ["bound-check", "--seed", "4"],
     "synth": ["synth", "--out", "scenes"],
     "match": ["match", "--scene", "scenes/scene_0000", "--out", "match.csv"],
+    "solve-chamfer": [
+        "solve-chamfer", "--scene", "scenes/scene_0000",
+        "--trace", "trace.csv", "--out", "chamfer_pose.json",
+    ],
+    "solve-pnp": ["solve-pnp", "--scene", "scenes/scene_0000", "--out", "pnp_pose.json"],
 }
 
 

@@ -351,7 +351,7 @@ class TestSurface:
         for name, parser in verbs.items():
             fn = parser.get_default("fn")
             assert accepted_dests(parser) == args_read(fn.__name__), name
-        assert sum(len(accepted_dests(p)) for p in verbs.values()) == 53
+        assert sum(len(accepted_dests(p)) for p in verbs.values()) == 52
 
     def test_parser_defaults_are_the_librarys(self):
         verbs = verb_parsers()
@@ -366,7 +366,6 @@ class TestSurface:
         assert defaults("iterations", "solve-pnp", "eval") == {RansacConfig.iterations}
         assert start["ransac_iterations"].default == RansacConfig.iterations
         assert defaults("max_iters", "solve-chamfer") == {SolverConfig.max_iters}
-        assert defaults("method", "solve-chamfer") == {SolverConfig.method}
         assert defaults("delta", "match", "solve-pnp", "eval") == {MatchConfig.delta}
         w = verbs["match"]
         assert LossWeights(w.get_default("lambda1"), w.get_default("lambda2")) == LossWeights()
@@ -404,6 +403,16 @@ class TestSurface:
             (["grad-check", "--h", "inf"], "--h"),
             (["grad-check", "--tol", "-1e-5"], "--tol"),
             (["grad-check", "--tol", "nan"], "--tol"),
+            (["eval", "--gen", "1", "--solver", "chamfer", "--init-trans", "nan"],
+             "--init-trans"),
+            (["eval", "--gen", "1", "--init-trans", "-0.1"], "--init-trans"),
+            (["solve-chamfer", "--scene", "{tmp}/scene", "--init-trans", "inf"],
+             "--init-trans"),
+            (["eval", "--gen", "1", "--pixel-noise", "nan"], "--pixel-noise"),
+            (["synth", "--out", "{tmp}/out", "--pixel-noise", "inf"], "--pixel-noise"),
+            (["eval", "--gen", "1", "--feature-noise", "nan"], "--feature-noise"),
+            (["eval", "--gen", "1", "--feature-noise", "inf"], "--feature-noise"),
+            (["solve-chamfer", "--scene", "{tmp}/scene", "--method", "gd"], "--method"),
         ],
     )
     def test_bad_or_unread_flag_exits_2_before_any_scene(

@@ -177,14 +177,6 @@ class TestPnpRefine:
             np.testing.assert_allclose(T.R, s.T_gt.R, rtol=0, atol=1e-9)
             np.testing.assert_allclose(T.t, s.T_gt.t, rtol=0, atol=1e-9)
 
-    def test_gradient_descent_mode_also_descends(self):
-        s = generate_scene(40, noise=NoiseSpec(seed=23, pixel_noise_sigma=0.5))
-        rows: list = []
-        cfg = SolverConfig(method="gd", max_iters=50)
-        pnp_refine(s.T_gt, s.gt_pairs, s.pixels, s.cloud, s.K, cfg, trace=rows)
-        costs = [r.cost for r in rows]
-        assert costs[-1] <= costs[0]
-
     def test_too_few_pairs(self):
         s, _ = scene_instance(29, n=6)
         C = CorrespondenceSet([0, 1], [0, 1])

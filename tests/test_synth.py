@@ -16,7 +16,13 @@ from mincdpnp import (
     rotation_angle_deg,
 )
 from mincdpnp import synth
-from mincdpnp.synth import DEFAULT_INTRINSICS, check_rot_deg, point_budget, random_pose
+from mincdpnp.synth import (
+    DEFAULT_INTRINSICS,
+    check_rot_deg,
+    check_trans_m,
+    point_budget,
+    random_pose,
+)
 
 
 class TestGenerateScene:
@@ -95,7 +101,7 @@ class TestGenerateScene:
         assert len(scene.pixels) == 5 and len(scene.gt_pairs) == 0
 
     def test_depths_positive_and_within_window(self):
-        scene = generate_scene(90, noise=NoiseSpec(seed=8, outlier_rate=0.1), d_max=10.0)
+        scene = generate_scene(90, noise=NoiseSpec(seed=8, outlier_rate=0.1))
         assert np.all(scene.depth > 0)
         assert np.all(scene.depth <= 10.0)
         cam = scene.T_gt.apply(scene.cloud.points)
@@ -188,6 +194,10 @@ class TestGenerateScene:
             NoiseSpec(seed=0, dropout_rate=-0.1)
         with pytest.raises(ValueError):
             NoiseSpec(seed=0, pixel_noise_sigma=-1.0)
+        for sigma in (np.nan, np.inf):
+            for field in ("pixel_noise_sigma", "feature_noise_sigma"):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    NoiseSpec(seed=0, **{field: sigma})
 
 
 class TestPerturbPose:
@@ -227,6 +237,13 @@ class TestPerturbPose:
     def test_rotation_range_rejects(self, rot_deg):
         with pytest.raises(ValueError, match=r"\[0, 180\)"):
             check_rot_deg(rot_deg)
+
+    @pytest.mark.parametrize("trans_m", [-1e-9, -0.1, np.nan, np.inf])
+    def test_translation_offset_rejects(self, trans_m):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_trans_m(trans_m)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            perturb_pose(Pose.identity(), 5.0, trans_m, seed=0)
 
     def test_rotation_range_is_the_one_check(self, monkeypatch):
         calls = []
