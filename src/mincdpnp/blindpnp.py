@@ -9,7 +9,8 @@ check_inequality8.
 
 Behind-camera points cannot be projected, so they count as non-inliers
 on their own side and are excluded from the other side's minima; the
-counting effect is the same as assigning them infinite distance.
+counting effect is the same as assigning them infinite distance, which
+is what kappa's pair errors (geometry._pair_sq_errors) hold for them.
 
 kappa_star runs chamfer_cost's two-sided search (one dense matrix up to
 chamfer.DENSE_CELLS pairs, else two k-d tree queries, O(N log N)); its
@@ -26,7 +27,7 @@ import numpy as np
 from .chamfer import _projected_search
 from .errors import AllPointsBehindCamera, EmptySet
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
-from .geometry import CameraIntrinsics, Pose, project_points
+from .geometry import CameraIntrinsics, Pose, _pair_sq_errors
 
 # tau, the squared-pixel inlier radius of kappa, kappa*, keypoint
 # selection and the RANSAC consensus: the one default of all four
@@ -44,16 +45,6 @@ class InlierConfig:
             raise ValueError("tau must be positive")
 
 
-def _validated_indices(C: CorrespondenceSet, n2d: int, n3d: int):
-    if len(C) == 0:
-        return C.idx2d, C.idx3d
-    if C.idx2d.max() >= n2d:
-        raise ValueError(f"2D index {C.idx2d.max()} out of range for set of {n2d}")
-    if C.idx3d.max() >= n3d:
-        raise ValueError(f"3D index {C.idx3d.max()} out of range for set of {n3d}")
-    return C.idx2d, C.idx3d
-
-
 def kappa(
     T: Pose,
     C: CorrespondenceSet,
@@ -63,14 +54,9 @@ def kappa(
     cfg: InlierConfig = InlierConfig(),
 ) -> int:
     """Inlier count of an explicit correspondence list under pose T."""
-    i, j = _validated_indices(C, len(image_set), len(cloud_set))
-    if len(C) == 0:
-        return 0
-    proj, in_front = project_points(cloud_set.points, T, K)
-    diff = image_set.pixels[i] - proj[j]
-    sq = np.einsum("nd,nd->n", diff, diff)
-    ok = in_front[j] & (sq <= cfg.tau)
-    return int(np.count_nonzero(ok))
+    pixels, points = C.gather(image_set, cloud_set)
+    sq = _pair_sq_errors(T.R[None], T.t[None], pixels, points, K)[0]
+    return int(np.count_nonzero(sq <= cfg.tau))
 
 
 def kappa_star(

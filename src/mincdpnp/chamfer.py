@@ -184,7 +184,7 @@ def chamfer_grad_twist(
     through the projection, under the assignments of chamfer_cost at T0.
     """
     report = chamfer_cost(T0, image_set, cloud_set, K)
-    x0 = cloud_set.points @ T0.R.T + T0.t
+    x0 = T0.apply(cloud_set.points)
     residuals, J = _pair_residuals(*_term_pairs(report.assignment, image_set, x0), K)
     # d/dxi sum ||q - pi(y)||^2 = -2 sum r^T J_pi J_exp
     return -2.0 * np.einsum("ni,nik->k", residuals, J)
@@ -192,8 +192,8 @@ def chamfer_grad_twist(
 
 # An accepted step that lowers the cost by at most this fraction of it
 # ends the solve. Without it, steps whose decrease rounds to zero pass
-# the Armijo test (cost + c*alpha*decrease rounds back to cost), reset
-# the stall count and keep a noisy solve running until max_iters.
+# the Armijo test (cost + c*alpha*decrease rounds back to cost) and
+# keep a noisy solve running until max_iters.
 CONVERGED_RTOL = 1e-12
 # A cost at or below COST_TOL, or a gradient norm at or below GRAD_TOL,
 # ends the solve.
@@ -220,11 +220,13 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     the cost passes the Armijo test, so the trace is monotone
     nonincreasing. Returns (pose, trace, reason), reason being one of
     "cost_tol", "grad_tol", "converged" (an accepted step lowered the
-    cost by at most CONVERGED_RTOL of it), "stalled" (five fruitless line
-    searches in a row at a near-stationary point; away from one they
-    raise Divergence) or "max_iters". With T_gt the trace rows carry
-    the pose error against it. The module constants above are read at
-    call time.
+    cost by at most CONVERGED_RTOL of it), "stalled" (a line search that
+    accepts no step, at a gradient norm at most 10 GRAD_TOL; above it the
+    search raises Divergence) or "max_iters". A failed search leaves the
+    pose, cost and state as they were, so a retry would repeat its trials
+    bit for bit: the first one ends the solve. With T_gt the trace rows
+    carry the pose error against it. The module constants above are read
+    at call time.
     """
     T = T_init
     cost, state = cost_fn(T)
@@ -234,7 +236,6 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
         return TraceRow(it, cost, step_size, rot, trans)
 
     trace = [row(0, 0.0)]
-    stalls = 0
     for it in range(1, cfg.max_iters + 1):
         if cost <= COST_TOL:
             return T, trace, "cost_tol"
@@ -263,18 +264,12 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
                 break
             alpha *= BACKTRACK_FACTOR
         trace.append(row(it, alpha if accepted else 0.0))
-        if accepted:
-            if cost_before - cost <= CONVERGED_RTOL * cost_before:
-                return T, trace, "converged"
-            stalls = 0
-            continue
-        stalls += 1
-        if stalls >= 5:
+        if not accepted:
             if grad_norm > GRAD_TOL * 10:
-                raise Divergence(
-                    f"line search stalled 5 times with gradient norm {grad_norm:.3e}"
-                )
+                raise Divergence(f"line search stalled with gradient norm {grad_norm:.3e}")
             return T, trace, "stalled"
+        if cost_before - cost <= CONVERGED_RTOL * cost_before:
+            return T, trace, "converged"
     return T, trace, "cost_tol" if cost <= COST_TOL else "max_iters"
 
 
@@ -286,7 +281,7 @@ def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
         return report.value, report.assignment
 
     def residuals(T, assignment):
-        x0 = cloud_set.points @ T.R.T + T.t
+        x0 = T.apply(cloud_set.points)
         return _pair_residuals(*_term_pairs(assignment, image_set, x0), K)
 
     return _minimize(cost, residuals, T_init, cfg, T_gt)
@@ -309,8 +304,8 @@ def solve_pose_chamfer(
     trace is monotone nonincreasing. The loop, shared with pnp_refine,
     stops once the cost is at most COST_TOL or the gradient norm at most
     GRAD_TOL, once an accepted step lowers the cost by no more than a
-    CONVERGED_RTOL fraction, or at cfg.max_iters. Five fruitless line
-    searches in a row end the solve, raising Divergence only if the
+    CONVERGED_RTOL fraction, or at cfg.max_iters. A line search that
+    accepts no step ends the solve, raising Divergence only if the
     gradient says the iterate is not a stationary point.
     With T_gt, trace rows also hold the pose error against it.
     """

@@ -204,15 +204,12 @@ class CorrespondenceSet:
             raise ValueError("index and score lists must have equal length")
         if len(i) and (i.min() < 0 or j.min() < 0):
             raise ValueError("negative correspondence index")
-        if n2d is not None and len(i) and i.max() >= n2d:
-            raise ValueError(f"2D index {i.max()} out of range for set of {n2d}")
-        if n3d is not None and len(j) and j.max() >= n3d:
-            raise ValueError(f"3D index {j.max()} out of range for set of {n3d}")
         for arr in (i, j, s):
             arr.setflags(write=False)
         object.__setattr__(self, "idx2d", i)
         object.__setattr__(self, "idx3d", j)
         object.__setattr__(self, "scores", s)
+        self.require_in_range(n2d, n3d)
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrespondenceSet is immutable")
@@ -236,6 +233,18 @@ class CorrespondenceSet:
             raise NotOneToOne("a 2D or 3D index appears in more than one pair")
         return self
 
+    def require_in_range(self, n2d: int | None, n3d: int | None) -> None:
+        """The one pair-index range check: ValueError if a pair indexes past
+        a set of n2d pixels or n3d points; None leaves that side unchecked."""
+        for idx, n, side in ((self.idx2d, n2d, "2D"), (self.idx3d, n3d, "3D")):
+            if n is not None and len(idx) and idx.max() >= n:
+                raise ValueError(f"{side} index {idx.max()} out of range for set of {n}")
+
+    def gather(self, image_set: KeypointSet2D, cloud_set: KeypointSet3D):
+        """The pairs' pixels (n, 2) and points (n, 3), after require_in_range."""
+        self.require_in_range(len(image_set), len(cloud_set))
+        return image_set.pixels[self.idx2d], cloud_set.points[self.idx3d]
+
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             for i, j, s in self:
@@ -248,6 +257,9 @@ class CorrespondenceSet:
             return cls([], [], [])
         if raw.shape[1] != 3:
             raise ValueError(f"expected 3 columns (i, j, score), got {raw.shape[1]}")
+        idx = raw[:, :2]
+        if not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
+            raise ValueError("pair indices must be finite integers")
         return cls(raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2])
 
 

@@ -192,11 +192,25 @@ def project_points(points, T: Pose, K: CameraIntrinsics) -> tuple[np.ndarray, np
     Returns (pixels, in_front): pixels is (N, 2) with NaN rows where the
     point is behind the camera, in_front the boolean visibility mask.
     """
-    cam = np.atleast_2d(np.asarray(points, dtype=np.float64)) @ T.R.T + T.t
+    cam = T.apply(np.atleast_2d(points))
     z = cam[:, 2]
     in_front = z > Z_MIN
     pixels = np.where(in_front[:, None], pinhole(cam, K, np.where(in_front, z, 1.0)), np.nan)
     return pixels, in_front
+
+
+def _pair_sq_errors(R, t, pixels, points, K: CameraIntrinsics) -> np.ndarray:
+    """Squared reprojection error (B, n) of each of B poses, R (B, 3, 3)
+    and t (B, 3), against n pairs of pixels (n, 2) and points (n, 3); inf
+    where the point is not in front of the camera. A single pose is the
+    stack of one, T.R[None] and T.t[None]: the same bits as projecting
+    the points with project_points and differencing the pixels."""
+    cam = points @ R.transpose(0, 2, 1) + t[:, None, :]
+    z = cam[..., 2]
+    in_front = z > Z_MIN
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = pixels - pinhole(cam, K, np.where(in_front, z, 1.0))
+        return np.where(in_front, np.einsum("bnd,bnd->bn", d, d), np.inf)
 
 
 def _rotation_coefficients(theta: float) -> tuple[float, float, float]:

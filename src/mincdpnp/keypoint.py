@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .blindpnp import DEFAULT_TAU
 from .errors import EmptyGroundTruth
 from .features import KeypointSet2D, KeypointSet3D, nearest_points
-from .geometry import CameraIntrinsics, Pose, project_points
+from .geometry import CameraIntrinsics, Pose, _pair_sq_errors, project_points
 
 DEFAULT_S_TH = float(np.exp(-0.4))
 PRECISION_RECALL_PIXEL_THRESHOLD = 3.0
@@ -104,11 +104,10 @@ def select_3d_keypoints(
 
 def _nearest_partners(image_set, cloud_set, T, K):
     """Each 2D keypoint's nearest-feature partner: (match score, squared
-    reprojection error under T, partner in front of the camera)."""
+    reprojection error under T), the error inf for a partner not in front."""
     best_j, best_s = image_set.nearest_in(cloud_set)
-    proj, in_front = project_points(cloud_set.points, T, K)
-    diff = image_set.pixels - proj[best_j]
-    return best_s, np.einsum("nd,nd->n", diff, diff), in_front[best_j]
+    points = cloud_set.points[best_j]
+    return best_s, _pair_sq_errors(T.R[None], T.t[None], image_set.pixels, points, K)[0]
 
 
 def key_loss(
@@ -124,8 +123,8 @@ def key_loss(
     and lies in [-M0, 0]. A nearest partner behind the camera is never
     correct.
     """
-    scores, sq, in_front = _nearest_partners(image_set, cloud_set, T_gt, K)
-    counted = (scores <= cfg.s_th) & in_front & (sq <= cfg.tau)
+    scores, sq = _nearest_partners(image_set, cloud_set, T_gt, K)
+    counted = (scores <= cfg.s_th) & (sq <= cfg.tau)
     return -int(np.count_nonzero(counted)), counted
 
 
@@ -141,8 +140,8 @@ def guided_reprojection_total(
     replacement losses and ships with no solver; behind-camera partners
     are skipped.
     """
-    _, sq, in_front = _nearest_partners(image_set, cloud_set, T, K)
-    return float(np.sum(sq[in_front]))
+    _, sq = _nearest_partners(image_set, cloud_set, T, K)
+    return float(np.sum(sq[np.isfinite(sq)]))
 
 
 @dataclass(frozen=True)

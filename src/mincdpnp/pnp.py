@@ -38,11 +38,10 @@ from .errors import (
 )
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
 from .geometry import (
-    Z_MIN,
     CameraIntrinsics,
     Pose,
+    _pair_sq_errors,
     _poses_pass_checks,
-    pinhole,
     project_points,
 )
 
@@ -96,14 +95,6 @@ class RansacConfig:
             raise ValueError("iterations must be at least 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
-
-
-def _gather(C: CorrespondenceSet, image_set: KeypointSet2D, cloud_set: KeypointSet3D):
-    if len(C) and (
-        C.idx2d.max() >= len(image_set) or C.idx3d.max() >= len(cloud_set)
-    ):
-        raise IndexError("correspondence index out of range for the given sets")
-    return image_set.pixels[C.idx2d], cloud_set.points[C.idx3d]
 
 
 def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
@@ -244,7 +235,7 @@ def reprojection_cost(
     Pairs whose point falls behind the camera are excluded; if every
     pair does, there is nothing to measure and the call raises.
     """
-    pixels, points = _gather(C, image_set, cloud_set)
+    pixels, points = C.gather(image_set, cloud_set)
     return _cost_from_arrays(T, pixels, points, K)
 
 
@@ -265,8 +256,8 @@ def reprojection_grad_twist(
 ) -> np.ndarray:
     """Exact gradient of reprojection_cost in the (6,) twist xi = (omega, v)
     of se3_exp(xi) composed with T0, at xi = 0."""
-    pixels, points = _gather(C, image_set, cloud_set)
-    residuals, J = _pair_residuals(pixels, points @ T0.R.T + T0.t, K)
+    pixels, points = C.gather(image_set, cloud_set)
+    residuals, J = _pair_residuals(pixels, T0.apply(points), K)
     return -2.0 * np.einsum("ni,nik->k", residuals, J)
 
 
@@ -274,7 +265,7 @@ def _refine_from_arrays(T_init, pixels, points, K, cfg):
     """pnp_refine on gathered pairs: (pose, trace, stop reason)."""
     return _minimize(
         lambda T: (_cost_from_arrays(T, pixels, points, K), None),
-        lambda T, _: _pair_residuals(pixels, points @ T.R.T + T.t, K),
+        lambda T, _: _pair_residuals(pixels, T.apply(points), K),
         T_init, cfg,
     )
 
@@ -295,10 +286,11 @@ def pnp_refine(
     have its rows appended. The loop and its stops are solve_pose_chamfer's: a cost at most
     chamfer.COST_TOL or a gradient norm at most chamfer.GRAD_TOL, an
     accepted step that lowers the cost by no more than a CONVERGED_RTOL
-    fraction, cfg.max_iters, and five fruitless line searches in a row,
-    which raise Divergence only away from a stationary point.
+    fraction, cfg.max_iters, and a line search that accepts no step,
+    which raises Divergence only away from a stationary point. A pair
+    index past its set raises ValueError (CorrespondenceSet.gather).
     """
-    pixels, points = _gather(C, image_set, cloud_set)
+    pixels, points = C.gather(image_set, cloud_set)
     if len(pixels) < 3:
         raise TooFewPoints("refinement needs at least 3 pairs")
     T, rows, _ = _refine_from_arrays(T_init, pixels, points, K, cfg)
@@ -307,20 +299,9 @@ def pnp_refine(
     return T
 
 
-def _errors(R, t, pixels, points, K):
-    """Squared reprojection error (B, n) of each of B poses, R (B, 3, 3)
-    and t (B, 3), against every pair; inf where the point is behind."""
-    cam = points @ R.transpose(0, 2, 1) + t[:, None, :]
-    z = cam[..., 2]
-    in_front = z > Z_MIN
-    with np.errstate(invalid="ignore", over="ignore"):
-        d = pixels - pinhole(cam, K, np.where(in_front, z, 1.0))
-        return np.where(in_front, np.einsum("bnd,bnd->bn", d, d), np.inf)
-
-
 def _score(T, pixels, points, K, threshold):
     """Inlier mask and summed inlier error of a pose against all pairs."""
-    err = _errors(T.R[None], T.t[None], pixels, points, K)[0]
+    err = _pair_sq_errors(T.R[None], T.t[None], pixels, points, K)[0]
     mask = err <= threshold
     return mask, float(err[mask].sum())
 
@@ -371,7 +352,7 @@ def pnp_ransac(
     lower inlier error, then toward the refine) is returned with its
     mask.
     """
-    pixels, points = _gather(C, image_set, cloud_set)
+    pixels, points = C.gather(image_set, cloud_set)
     T, mask, _, _ = _ransac_from_arrays(pixels, points, K, cfg)
     return T, mask
 
@@ -396,7 +377,7 @@ def _ransac_from_arrays(pixels, points, K, cfg):
         # score the valid roots only; each sample keeps its best root,
         # ties to the lower root index, and -1 marks a sample with none
         row = np.cumsum(ok).reshape(ok.shape) - 1
-        masks = _errors(R[ok], t[ok], pixels, points, K) <= cfg.threshold
+        masks = _pair_sq_errors(R[ok], t[ok], pixels, points, K) <= cfg.threshold
         counts = np.full(ok.shape, -1)
         counts[ok] = np.count_nonzero(masks, axis=1)
         picked = np.arange(len(ks)), counts.argmax(axis=1)

@@ -129,14 +129,15 @@ class ScenePair:
     @classmethod
     def load_dir(cls, directory: str | Path) -> "ScenePair":
         """The scene save_dir wrote. A file in an older format (ASCII PLY,
-        CSV arrays) raises, so synth must remake that scene."""
+        CSV arrays) raises, so synth must remake that scene, and so does a
+        gt_pairs.csv that indexes past its nonempty pixel set or cloud."""
         d = Path(directory)
         points = load_ply(d / "cloud.ply")
         feats3d = _load_array(d / "features_3d.npy")
         pixels = _load_array(d / "pixels.npy")
         feats2d = _load_array(d / "features_2d.npy")
         depth = _load_array(d / "depth.npy")
-        return cls(
+        scene = cls(
             cloud=KeypointSet3D(points, feats3d),
             pixels=KeypointSet2D(pixels if pixels is not None else np.zeros((0, 2)), feats2d),
             T_gt=Pose.load(d / "pose_gt.json"),
@@ -145,6 +146,9 @@ class ScenePair:
             gt_pairs=CorrespondenceSet.load_csv(d / "gt_pairs.csv"),
             meta=json.loads((d / "meta.json").read_text()),
         )
+        # an empty set loads: the stage that needs it raises EmptySet
+        scene.gt_pairs.require_in_range(len(scene.pixels) or None, len(scene.cloud) or None)
+        return scene
 
 
 def random_pose(rng: np.random.Generator) -> Pose:
@@ -239,7 +243,7 @@ def generate_scene(
 
     # exact projections of the stored world points through the stored pose:
     # recomputing the same expression downstream reproduces these bits
-    cam_kept = world[kept] @ T_gt.R.T + T_gt.t
+    cam_kept = T_gt.apply(world[kept])
     pix = pinhole(cam_kept, K)
     depth = cam_kept[:, 2].copy()
     feats2d = latent[kept] + noise.feature_noise_sigma * rng.normal(

@@ -8,7 +8,10 @@ or empty), and prints one `sha256  name` line per output file and per
 captured stdout. Run it on two checkouts and diff the printed lines:
 equal lines mean a change left every output byte-identical. It exits 1
 if any run exits nonzero.
-pytest does not collect it (no test_ prefix).
+tests/reference_digests.txt holds the lines of the current code, and
+tests/test_reference_digests.py checks a fresh run against them; a
+change that alters an output on purpose records the new lines there.
+pytest does not collect this script (no test_ prefix).
 """
 
 from __future__ import annotations

@@ -511,6 +511,27 @@ class TestSolver:
                 SolverConfig(max_iters=50),
             )
 
+    def test_failed_line_search_is_not_repeated(self, monkeypatch):
+        # with two trials per search this solve meets a line search that
+        # accepts no step; the loop is deterministic, so a retry from the
+        # same pose would evaluate the same trial poses again
+        monkeypatch.setattr(chamfer, "MAX_BACKTRACKS", 2)
+        seen = []
+        cost = chamfer.chamfer_cost
+
+        def counted(T, *args):
+            seen.append(T.R.tobytes() + T.t.tobytes())
+            return cost(T, *args)
+
+        monkeypatch.setattr(chamfer, "chamfer_cost", counted)
+        scene = generate_scene(
+            100, noise=NoiseSpec(seed=0, pixel_noise_sigma=0.5, outlier_rate=0.2)
+        )
+        T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed=0)
+        with pytest.raises(Divergence, match="line search stalled with gradient norm"):
+            _solve_chamfer(T0, scene.pixels, scene.cloud, K, SolverConfig())
+        assert len(seen) == len(set(seen))
+
     def test_trace_records_ground_truth_errors(self, tmp_path):
         scene = generate_scene(80, noise=NoiseSpec(seed=41))
         T0 = perturb_pose(scene.T_gt, 3.0, 0.05, seed=2041)

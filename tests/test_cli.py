@@ -223,6 +223,8 @@ class TestEval:
             ("half_features_3d", "load: ValueError: ", "Failed to read all data"),
             ("empty_features_2d", "pnp: MissingFeatures: ", "carries no features"),
             ("empty_cloud", "pnp: EmptySet: ", "3D keypoint set is empty"),
+            ("fractional_gt_pairs", "load: ValueError: ", "pair indices must be finite integers"),
+            ("out_of_range_gt_pairs", "load: ValueError: ", "3D index 999 out of range for set of 50"),
         ],
     )
     def test_bad_scene_file_fails_its_scene_alone(self, tmp_path, damage, error, detail):
@@ -243,6 +245,10 @@ class TestEval:
         elif damage == "half_features_3d":
             data = (d / "features_3d.npy").read_bytes()
             (d / "features_3d.npy").write_bytes(data[: len(data) // 2])
+        elif damage == "fractional_gt_pairs":
+            (d / "gt_pairs.csv").write_text("1.7,2.9,0.0\n")
+        elif damage == "out_of_range_gt_pairs":
+            (d / "gt_pairs.csv").write_text("0,999,0.0\n")
         elif damage == "empty_cloud":
             save_ply(d / "cloud.ply", np.zeros((0, 3)))
             np.save(d / "features_3d.npy", np.zeros((0, 128)))
@@ -376,43 +382,73 @@ class TestSurface:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["bound-check", "--n-instances", "0"], "--n-instances"),
-            (["grad-check", "--n-instances", "0"], "--n-instances"),
-            (["synth", "--out", "{tmp}/out", "--n-scenes", "-2"], "--n-scenes"),
-            (["synth", "--out", "{tmp}/out", "--n-points", "0"], "--n-points"),
-            (["eval", "--gen", "2", "--n-points", "0"], "--n-points"),
-            (["eval", "--gen", "-1"], "--gen"),
-            (["solve-pnp", "--scene", "{tmp}/scene", "--iterations", "0"], "--iterations"),
-            (["eval", "--gen", "2", "--iterations", "0"], "--iterations"),
-            (["solve-chamfer", "--scene", "{tmp}/scene", "--max-iters", "0"], "--max-iters"),
-            (["bound-check", "--tau", "0"], "--tau"),
-            (["eval", "--gen", "2", "--outlier-rate", "1.5"], "--outlier-rate"),
-            (["match", "--scene", "{tmp}/scene", "--delta", "0"], "--delta"),
-            (["synth", "--out", "{tmp}/out", "--seed", "-1"], "--seed"),
-            (["synth", "--out", "{tmp}/out", "--tau", "1"], "--tau"),
-            (["grad-check", "--out", "x"], "--out"),
-            (["solve-chamfer", "--scene", "{tmp}/scene", "--lambda1", "9"], "--lambda1"),
-            (["eval", "--gen", "1", "--outlier-rate", "0.6", "--dropout-rate", "0.6"],
-             "--dropout-rate"),
-            (["synth", "--out", "{tmp}/out", "--n-points", "10", "--outlier-rate", "0.5",
-              "--dropout-rate", "0.6"], "--outlier-rate"),
-            (["eval", "--gen", "1", "--solver", "chamfer", "--init-rot", "200"], "--init-rot"),
-            (["solve-chamfer", "--scene", "{tmp}/scene", "--init-rot", "-1"], "--init-rot"),
-            (["eval", "--gen", "1", "--init-rot", "nan"], "--init-rot"),
-            (["grad-check", "--h", "0"], "--h"),
-            (["grad-check", "--h", "inf"], "--h"),
-            (["grad-check", "--tol", "-1e-5"], "--tol"),
-            (["grad-check", "--tol", "nan"], "--tol"),
-            (["eval", "--gen", "1", "--solver", "chamfer", "--init-trans", "nan"],
-             "--init-trans"),
-            (["eval", "--gen", "1", "--init-trans", "-0.1"], "--init-trans"),
-            (["solve-chamfer", "--scene", "{tmp}/scene", "--init-trans", "inf"],
-             "--init-trans"),
-            (["eval", "--gen", "1", "--pixel-noise", "nan"], "--pixel-noise"),
-            (["synth", "--out", "{tmp}/out", "--pixel-noise", "inf"], "--pixel-noise"),
-            (["eval", "--gen", "1", "--feature-noise", "nan"], "--feature-noise"),
-            (["eval", "--gen", "1", "--feature-noise", "inf"], "--feature-noise"),
-            (["solve-chamfer", "--scene", "{tmp}/scene", "--method", "gd"], "--method"),
+            pytest.param(["bound-check", "--n-instances", "0"], "--n-instances",
+                         id="argv0---n-instances"),
+            pytest.param(["grad-check", "--n-instances", "0"], "--n-instances",
+                         id="argv1---n-instances"),
+            pytest.param(["synth", "--out", "{tmp}/out", "--n-scenes", "-2"], "--n-scenes",
+                         id="argv2---n-scenes"),
+            pytest.param(["synth", "--out", "{tmp}/out", "--n-points", "0"], "--n-points",
+                         id="argv3---n-points"),
+            pytest.param(["eval", "--gen", "2", "--n-points", "0"], "--n-points",
+                         id="argv4---n-points"),
+            pytest.param(["eval", "--gen", "-1"], "--gen",
+                         id="argv5---gen"),
+            pytest.param(["solve-pnp", "--scene", "{tmp}/scene", "--iterations", "0"],
+                         "--iterations", id="argv6---iterations"),
+            pytest.param(["eval", "--gen", "2", "--iterations", "0"], "--iterations",
+                         id="argv7---iterations"),
+            pytest.param(["solve-chamfer", "--scene", "{tmp}/scene", "--max-iters", "0"],
+                         "--max-iters", id="argv8---max-iters"),
+            pytest.param(["bound-check", "--tau", "0"], "--tau",
+                         id="argv9---tau"),
+            pytest.param(["eval", "--gen", "2", "--outlier-rate", "1.5"], "--outlier-rate",
+                         id="argv10---outlier-rate"),
+            pytest.param(["match", "--scene", "{tmp}/scene", "--delta", "0"], "--delta",
+                         id="argv11---delta"),
+            pytest.param(["synth", "--out", "{tmp}/out", "--seed", "-1"], "--seed",
+                         id="argv12---seed"),
+            pytest.param(["synth", "--out", "{tmp}/out", "--tau", "1"], "--tau",
+                         id="argv13---tau"),
+            pytest.param(["grad-check", "--out", "x"], "--out",
+                         id="argv14---out"),
+            pytest.param(["solve-chamfer", "--scene", "{tmp}/scene", "--lambda1", "9"],
+                         "--lambda1", id="argv15---lambda1"),
+            pytest.param(["eval", "--gen", "1", "--outlier-rate", "0.6", "--dropout-rate", "0.6"],
+                         "--dropout-rate", id="argv16---dropout-rate"),
+            pytest.param(["synth", "--out", "{tmp}/out", "--n-points", "10", "--outlier-rate",
+                          "0.5", "--dropout-rate", "0.6"], "--outlier-rate",
+                         id="argv17---outlier-rate"),
+            pytest.param(["eval", "--gen", "1", "--solver", "chamfer", "--init-rot", "200"],
+                         "--init-rot", id="argv18---init-rot"),
+            pytest.param(["solve-chamfer", "--scene", "{tmp}/scene", "--init-rot", "-1"],
+                         "--init-rot", id="argv19---init-rot"),
+            pytest.param(["eval", "--gen", "1", "--init-rot", "nan"], "--init-rot",
+                         id="argv20---init-rot"),
+            pytest.param(["grad-check", "--h", "0"], "--h",
+                         id="argv21---h"),
+            pytest.param(["grad-check", "--h", "inf"], "--h",
+                         id="argv22---h"),
+            pytest.param(["grad-check", "--tol", "-1e-5"], "--tol",
+                         id="argv23---tol"),
+            pytest.param(["grad-check", "--tol", "nan"], "--tol",
+                         id="argv24---tol"),
+            pytest.param(["eval", "--gen", "1", "--solver", "chamfer", "--init-trans", "nan"],
+                         "--init-trans", id="argv25---init-trans"),
+            pytest.param(["eval", "--gen", "1", "--init-trans", "-0.1"], "--init-trans",
+                         id="argv26---init-trans"),
+            pytest.param(["solve-chamfer", "--scene", "{tmp}/scene", "--init-trans", "inf"],
+                         "--init-trans", id="argv27---init-trans"),
+            pytest.param(["eval", "--gen", "1", "--pixel-noise", "nan"], "--pixel-noise",
+                         id="argv28---pixel-noise"),
+            pytest.param(["synth", "--out", "{tmp}/out", "--pixel-noise", "inf"], "--pixel-noise",
+                         id="argv29---pixel-noise"),
+            pytest.param(["eval", "--gen", "1", "--feature-noise", "nan"], "--feature-noise",
+                         id="argv30---feature-noise"),
+            pytest.param(["eval", "--gen", "1", "--feature-noise", "inf"], "--feature-noise",
+                         id="argv31---feature-noise"),
+            pytest.param(["solve-chamfer", "--scene", "{tmp}/scene", "--method", "gd"], "--method",
+                         id="argv32---method"),
         ],
     )
     def test_bad_or_unread_flag_exits_2_before_any_scene(

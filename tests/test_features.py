@@ -14,14 +14,20 @@ from mincdpnp import (
     NoiseSpec,
     NotOneToOne,
     Pose,
+    RansacConfig,
     ScenePair,
     evaluate_selection,
     feature_distance_matrix,
     generate_scene,
     guided_reprojection_total,
+    kappa,
     key_loss,
     match_scene,
     nearest_features,
+    pnp_ransac,
+    pnp_refine,
+    reprojection_cost,
+    reprojection_grad_twist,
 )
 from mincdpnp import features
 from mincdpnp.features import _load_matrix_csv
@@ -469,6 +475,7 @@ class TestMatrixCsv:
             [[1.0], [2.0], [3.0]],
             [[np.inf, -np.inf], [0.0, -0.0], [1e-300, 123456789.123456789]],
         ],
+        ids=["matrix0", "matrix1", "matrix2", "matrix3", "matrix4"],
     )
     def test_round_trip_is_bit_exact(self, tmp_path, matrix):
         m = np.array(matrix, dtype=np.float64)
@@ -545,6 +552,45 @@ class TestContainers:
         np.testing.assert_array_equal(back.idx2d, cs.idx2d)
         np.testing.assert_array_equal(back.idx3d, cs.idx3d)
         np.testing.assert_array_equal(back.scores, cs.scores)
+
+    def test_one_range_check_for_every_pair_consumer(self):
+        # the constructor's n2d/n3d check, gather, kappa and the pnp entry
+        # points all raise the one ValueError text
+        s = generate_scene(8, noise=NoiseSpec(seed=7))
+        bad = CorrespondenceSet(np.arange(8), np.arange(8) + 5)
+        message = "3D index 12 out of range for set of 8"
+        with pytest.raises(ValueError, match=message):
+            CorrespondenceSet(bad.idx2d, bad.idx3d, n2d=8, n3d=8)
+        for call in (
+            lambda: bad.gather(s.pixels, s.cloud),
+            lambda: kappa(s.T_gt, bad, s.pixels, s.cloud, s.K),
+            lambda: reprojection_cost(s.T_gt, bad, s.pixels, s.cloud, s.K),
+            lambda: reprojection_grad_twist(s.T_gt, bad, s.pixels, s.cloud, s.K),
+            lambda: pnp_refine(s.T_gt, bad, s.pixels, s.cloud, s.K),
+            lambda: pnp_ransac(bad, s.pixels, s.cloud, s.K, RansacConfig(seed=0)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match="2D index 9 out of range for set of 8"):
+            CorrespondenceSet([9], [0]).gather(s.pixels, s.cloud)
+
+    def test_gather_is_the_indexed_rows(self):
+        s = generate_scene(20, noise=NoiseSpec(seed=3, outlier_rate=0.25))
+        pixels, points = s.gt_pairs.gather(s.pixels, s.cloud)
+        assert pixels.tobytes() == s.pixels.pixels[s.gt_pairs.idx2d].tobytes()
+        assert points.tobytes() == s.cloud.points[s.gt_pairs.idx3d].tobytes()
+        pixels, points = CorrespondenceSet([], []).gather(s.pixels, s.cloud)
+        assert pixels.shape == (0, 2) and points.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "row", ["1.7,2,0.0", "1,2.9,0.0", "nan,2,0.0", "1,inf,0.0"],
+        ids=["fractional_2d", "fractional_3d", "nan_2d", "inf_3d"],
+    )
+    def test_correspondence_csv_rejects_non_integral_indices(self, tmp_path, row):
+        path = tmp_path / "gt_pairs.csv"
+        path.write_text(f"0,0,0.0\n{row}\n")
+        with pytest.raises(ValueError, match="pair indices must be finite integers"):
+            CorrespondenceSet.load_csv(path)
 
     def test_correspondence_csv_needs_three_columns(self, tmp_path):
         path = tmp_path / "gt_pairs.csv"

@@ -16,7 +16,13 @@ from mincdpnp import (
     se3_log,
     so3_exp,
 )
-from mincdpnp.geometry import Z_MIN, _poses_pass_checks, pinhole, zero_twist_jacobian
+from mincdpnp.geometry import (
+    Z_MIN,
+    _pair_sq_errors,
+    _poses_pass_checks,
+    pinhole,
+    zero_twist_jacobian,
+)
 
 from oracles import (
     numeric_jacobian,
@@ -114,6 +120,40 @@ class TestProjection:
                 assert not in_front[i]
                 assert np.isnan(pixels[i]).all()
 
+    def test_pair_sq_errors_are_project_then_gather_bit_for_bit(self):
+        # points in front of, exactly at and behind Z_MIN (under the
+        # identity the camera depth is the point's own z), then random
+        # poses; a single pose is the stack of one
+        rng = np.random.default_rng(19)
+        cam = rng.normal(size=(30, 3))
+        cam[:, 2] = np.repeat([Z_MIN, np.nextafter(Z_MIN, 1.0), 0.0, -Z_MIN, 2.0], 6)
+        cases = [(Pose.identity(), cam)]
+        cases += [(random_pose(rng), rng.normal(size=(50, 3)) * 3.0) for _ in range(20)]
+        for T, points in cases:
+            pixels = rng.uniform(0.0, 640.0, size=(len(points), 2))
+            proj, in_front = project_points(points, T, K)
+            d = pixels - proj
+            want = np.where(in_front, np.einsum("nd,nd->n", d, d), np.inf)
+            got = _pair_sq_errors(T.R[None], T.t[None], pixels, points, K)
+            assert got.shape == (1, len(points))
+            assert got[0].tobytes() == want.tobytes()
+            assert np.isfinite(got[0][in_front]).all() and np.isinf(got[0][~in_front]).all()
+        assert list(np.isinf(_pair_sq_errors(
+            np.eye(3)[None], np.zeros((1, 3)), np.zeros((30, 2)), cam, K
+        )[0])) == [True] * 6 + [False] * 6 + [True] * 12 + [False] * 6
+
+    def test_pair_sq_errors_rows_are_single_pose_bits(self):
+        rng = np.random.default_rng(23)
+        poses = [random_pose(rng) for _ in range(9)]
+        R = np.stack([T.R for T in poses])
+        t = np.stack([T.t for T in poses])
+        points = rng.normal(size=(40, 3)) * 3.0
+        pixels = rng.uniform(0.0, 640.0, size=(40, 2))
+        block = _pair_sq_errors(R, t, pixels, points, K)
+        for b in range(len(poses)):
+            one = _pair_sq_errors(R[b : b + 1], t[b : b + 1], pixels, points, K)[0]
+            assert block[b].tobytes() == one.tobytes()
+
 
 class TestExpLog:
     def test_zero_twist_is_identity(self):
@@ -165,7 +205,7 @@ class TestExpLog:
         with pytest.raises(NearPiRotation):
             se3_log(se3_exp(np.array([np.pi, 0.0, 0.0, 0.0, 0.0, 0.0])))
 
-    @pytest.mark.parametrize("shape", [(5,), (7,), (2, 3)])
+    @pytest.mark.parametrize("shape", [(5,), (7,), (2, 3)], ids=["shape0", "shape1", "shape2"])
     def test_exp_rejects_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="twist must have shape"):
             se3_exp(np.zeros(shape))

@@ -89,9 +89,9 @@ class TestReprojectionCost:
     def test_index_out_of_range(self):
         s, _ = scene_instance(7, n=8)
         bad = CorrespondenceSet(np.arange(8), np.arange(8) + 5)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="3D index 12 out of range"):
             reprojection_cost(s.T_gt, bad, s.pixels, s.cloud, s.K)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="3D index 12 out of range"):
             pnp_refine(s.T_gt, bad, s.pixels, s.cloud, s.K)
 
 
