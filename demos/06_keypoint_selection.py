@@ -28,7 +28,7 @@ for s_th in np.exp([-0.5, -0.4, -0.3, -0.2]):
     kept = set(int(j) for j in rep.selected.cloud_indices)
     assert prev <= kept  # nested by construction
     prev = kept
-    print(f"  {s_th:.3f}  {rep.count:4d}  {rep.precision:9.3f}  {rep.recall:6.3f}")
+    print(f"  {s_th:.3f}  {len(rep.selected):4d}  {rep.precision:9.3f}  {rep.recall:6.3f}")
 
 print()
 print("how tight should the solver's inlier threshold tau be? demand that a")

@@ -38,7 +38,6 @@ from .chamfer import (
 )
 from .evaluation import (
     EvalRecord,
-    MetricConfig,
     inlier_ratio,
     match_scene,
     registration_success,

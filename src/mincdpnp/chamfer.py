@@ -73,8 +73,9 @@ class LossWeights:
     lambda2: float = DEFAULT_LAMBDA2
 
     def __post_init__(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for weight in (self.lambda1, self.lambda2):
+            if not (0.0 <= weight < np.inf):
+                raise ValueError("loss weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,9 @@ RECORD_SCHEMA = 1
 DEFAULT_INIT_ROT_DEG = 5.0
 DEFAULT_INIT_TRANS_M = 0.1
 
-
-@dataclass(frozen=True)
-class MetricConfig:
-    ir_threshold_m: float = 0.05
-    rr_threshold_m: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.ir_threshold_m <= 0 or self.rr_threshold_m <= 0:
-            raise ValueError("metric thresholds must be positive")
+# a pair is an IR inlier, and a pose an RR success, within these meters
+IR_THRESHOLD_M = 0.05
+RR_THRESHOLD_M = 0.05
 
 
 @dataclass(frozen=True)
@@ -77,23 +71,22 @@ class EvalRecord:
         return out
 
 
-def inlier_ratio(
-    C: CorrespondenceSet, scene: ScenePair, cfg: MetricConfig = MetricConfig()
-) -> float:
+def inlier_ratio(C: CorrespondenceSet, scene: ScenePair) -> float:
     """Fraction of pairs whose pixel back-projects near its 3D point.
 
     Each matched pixel is lifted to camera space with its ground-truth
     depth, mapped to world space through the inverse ground-truth pose,
-    and counted when it lands within ir_threshold_m of the paired cloud
-    point.
+    and counted when it lands within IR_THRESHOLD_M of the paired cloud
+    point. A pair index past its set raises ValueError
+    (CorrespondenceSet.gather).
     """
     if len(C) == 0:
         raise EmptySet("inlier_ratio needs at least one correspondence")
+    pix, points = C.gather(scene.pixels, scene.cloud)
     depth = scene.depth[C.idx2d]
     if np.isnan(depth).any():
         raise MissingDepth("a matched pixel has no depth")
     K = scene.K
-    pix = scene.pixels.pixels[C.idx2d]
     cam = np.column_stack(
         [
             depth * (pix[:, 0] - K.cu) / K.fu,
@@ -102,18 +95,16 @@ def inlier_ratio(
         ]
     )
     world = scene.T_gt.inverse().apply(cam)
-    d = np.linalg.norm(world - scene.cloud.points[C.idx3d], axis=1)
-    return float(np.count_nonzero(d <= cfg.ir_threshold_m) / len(C))
+    d = np.linalg.norm(world - points, axis=1)
+    return float(np.count_nonzero(d <= IR_THRESHOLD_M) / len(C))
 
 
-def registration_success(
-    T_est: Pose, scene: ScenePair, cfg: MetricConfig = MetricConfig()
-) -> tuple[float, bool]:
+def registration_success(T_est: Pose, scene: ScenePair) -> tuple[float, bool]:
     """Whole-cloud registration error and the threshold verdict.
 
     The error is the RMSE of per-point displacement between the
-    estimated and true transforms; success means it clears
-    rr_threshold_m.
+    estimated and true transforms; success means it is at most
+    RR_THRESHOLD_M.
     """
     if len(scene.cloud) == 0:
         raise EmptySet("registration needs a nonempty cloud")
@@ -121,7 +112,7 @@ def registration_success(
         T_est.apply(scene.cloud.points) - scene.T_gt.apply(scene.cloud.points), axis=1
     )
     err = float(np.sqrt(np.mean(d**2)))
-    return err, bool(err <= cfg.rr_threshold_m)
+    return err, bool(err <= RR_THRESHOLD_M)
 
 
 def match_scene(

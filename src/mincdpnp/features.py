@@ -183,6 +183,17 @@ class MatchConfig:
             raise ValueError("delta must be positive")
 
 
+def _pair_indices(values) -> np.ndarray:
+    """values as an int64 vector; ValueError unless each is a finite integer
+    of magnitude below 2**63, so the cast keeps every value."""
+    a = np.asarray(values).reshape(-1)
+    if a.dtype.kind != "i":
+        f = a.astype(np.float64)
+        if not (np.isfinite(f) & (f == np.trunc(f)) & (np.abs(f) < 2.0**63)).all():
+            raise ValueError("pair indices must be finite integers in int64 range")
+    return a.astype(np.int64)
+
+
 class CorrespondenceSet:
     """Sparse 2D-3D correspondence list: (i, j, score) triples.
 
@@ -193,8 +204,7 @@ class CorrespondenceSet:
     __slots__ = ("idx2d", "idx3d", "scores")
 
     def __init__(self, idx2d, idx3d, scores=None, *, n2d=None, n3d=None):
-        i = np.asarray(idx2d, dtype=np.int64).reshape(-1)
-        j = np.asarray(idx3d, dtype=np.int64).reshape(-1)
+        i, j = _pair_indices(idx2d), _pair_indices(idx3d)
         s = (
             np.zeros(len(i))
             if scores is None
@@ -257,10 +267,7 @@ class CorrespondenceSet:
             return cls([], [], [])
         if raw.shape[1] != 3:
             raise ValueError(f"expected 3 columns (i, j, score), got {raw.shape[1]}")
-        idx = raw[:, :2]
-        if not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
-            raise ValueError("pair indices must be finite integers")
-        return cls(raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64), raw[:, 2])
+        return cls(raw[:, 0], raw[:, 1], raw[:, 2])
 
 
 def normalize_features(feats: np.ndarray) -> np.ndarray:

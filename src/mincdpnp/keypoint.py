@@ -62,13 +62,10 @@ class KeypointReport:
     selected: SelectedKeypoints
     precision: float
     recall: float
-    count: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.precision <= 1.0 and 0.0 <= self.recall <= 1.0):
             raise ValueError("precision and recall must lie in [0, 1]")
-        if self.count != len(self.selected):
-            raise ValueError("count must equal the selection size")
 
 
 def select_3d_keypoints(
@@ -183,10 +180,14 @@ def reprojection_correctness(
     cloud_set: KeypointSet3D,
     T_gt: Pose,
     K: CameraIntrinsics,
-    pixel_threshold: float = PRECISION_RECALL_PIXEL_THRESHOLD,
 ) -> GroundTruthCorrectness:
+    """The correctness oracle of image_set against cloud_set projected at
+    T_gt, a pair being correct within PRECISION_RECALL_PIXEL_THRESHOLD
+    pixels; the value is read at each call and kept as threshold_px."""
     proj, in_front = project_points(cloud_set.points, T_gt, K)
-    return GroundTruthCorrectness(image_set.pixels, proj, in_front, pixel_threshold)
+    return GroundTruthCorrectness(
+        image_set.pixels, proj, in_front, PRECISION_RECALL_PIXEL_THRESHOLD
+    )
 
 
 def keypoint_precision_recall(
@@ -223,9 +224,7 @@ def evaluate_selection(
     selected = select_3d_keypoints(image_set, cloud_set, cfg)
     gt = reprojection_correctness(image_set, cloud_set, T_gt, K)
     precision, recall = keypoint_precision_recall(selected, gt)
-    return KeypointReport(
-        selected=selected, precision=precision, recall=recall, count=len(selected)
-    )
+    return KeypointReport(selected=selected, precision=precision, recall=recall)
 
 
 def tau_criterion(rr_threshold: float, K: CameraIntrinsics, d_max: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blindpnp import DEFAULT_TAU
-from .chamfer import SolverConfig, TraceRow, _minimize, _pair_residuals
+from .chamfer import SolverConfig, _minimize, _pair_residuals
 from .errors import (
     AllPointsBehindCamera,
     Divergence,
@@ -276,27 +276,22 @@ def pnp_refine(
     image_set: KeypointSet2D,
     cloud_set: KeypointSet3D,
     K: CameraIntrinsics,
-    cfg: SolverConfig = SolverConfig(),
-    trace: list[TraceRow] | None = None,
 ) -> Pose:
     """Minimize the summed squared reprojection error from T_init.
 
     Damped Gauss-Newton in the local twist with Armijo backtracking, so
-    the cost trace is monotone nonincreasing; pass a list as trace to
-    have its rows appended. The loop and its stops are solve_pose_chamfer's: a cost at most
+    the cost trace is monotone nonincreasing. The loop and its stops are
+    solve_pose_chamfer's under the default SolverConfig: a cost at most
     chamfer.COST_TOL or a gradient norm at most chamfer.GRAD_TOL, an
     accepted step that lowers the cost by no more than a CONVERGED_RTOL
-    fraction, cfg.max_iters, and a line search that accepts no step,
-    which raises Divergence only away from a stationary point. A pair
-    index past its set raises ValueError (CorrespondenceSet.gather).
+    fraction, SolverConfig.max_iters, and a line search that accepts no
+    step, which raises Divergence only away from a stationary point. A
+    pair index past its set raises ValueError (CorrespondenceSet.gather).
     """
     pixels, points = C.gather(image_set, cloud_set)
     if len(pixels) < 3:
         raise TooFewPoints("refinement needs at least 3 pairs")
-    T, rows, _ = _refine_from_arrays(T_init, pixels, points, K, cfg)
-    if trace is not None:
-        trace.extend(rows)
-    return T
+    return _refine_from_arrays(T_init, pixels, points, K, SolverConfig())[0]
 
 
 def _score(T, pixels, points, K, threshold):

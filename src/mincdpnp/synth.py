@@ -203,27 +203,23 @@ def perturb_pose(T: Pose, rot_deg: float, trans_m: float, seed: int) -> Pose:
     return Pose(R_delta @ T.R, T.t + trans_m * direction, check=False)
 
 
-def generate_scene(
-    n_points: int,
-    *,
-    pose: Pose | None = None,
-    noise: NoiseSpec = NoiseSpec(seed=0),
-    feature_dim: int = DEFAULT_FEATURE_DIM,
-) -> ScenePair:
+def generate_scene(n_points: int, *, noise: NoiseSpec = NoiseSpec(seed=0)) -> ScenePair:
     """Sample one scene pair; identical arguments give identical bits.
 
-    Points are drawn in the frustum of DEFAULT_INTRINSICS (pixel position
-    uniform inside the IMAGE_WIDTH x IMAGE_HEIGHT image less PIXEL_MARGIN,
-    depth uniform in [Z_NEAR, DEFAULT_D_MAX] meters) and carried to world
-    coordinates with the inverse pose. Matched features share a latent
-    vector plus independent gaussian noise; outlier pixels and their
-    features are drawn fresh. floor(rate * n) pixels are displaced as
-    outliers and floor(rate * n) cloud points lose their pixel to dropout.
+    The true pose is random_pose's first draw from the seed. Points are
+    drawn in the frustum of DEFAULT_INTRINSICS (pixel position uniform
+    inside the IMAGE_WIDTH x IMAGE_HEIGHT image less PIXEL_MARGIN, depth
+    uniform in [Z_NEAR, DEFAULT_D_MAX] meters) and carried to world
+    coordinates with the inverse pose. Matched features, DEFAULT_FEATURE_DIM
+    long, share a latent vector plus independent gaussian noise; outlier
+    pixels and their features are drawn fresh. floor(rate * n) pixels are
+    displaced as outliers and floor(rate * n) cloud points lose their
+    pixel to dropout.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     rng = np.random.default_rng(noise.seed)
-    T_gt = pose if pose is not None else random_pose(rng)
+    T_gt = random_pose(rng)
     K = DEFAULT_INTRINSICS
 
     u = rng.uniform(PIXEL_MARGIN, IMAGE_WIDTH - PIXEL_MARGIN, size=n_points)
@@ -232,7 +228,7 @@ def generate_scene(
     cam = np.column_stack([(u - K.cu) / K.fu * z, (v - K.cv) / K.fv * z, z])
     world = T_gt.inverse().apply(cam)
 
-    latent = rng.normal(size=(n_points, feature_dim))
+    latent = rng.normal(size=(n_points, DEFAULT_FEATURE_DIM))
     feats3d = latent + noise.feature_noise_sigma * rng.normal(size=latent.shape)
 
     n_dropped, n_outliers = point_budget(n_points, noise.outlier_rate, noise.dropout_rate)
@@ -247,7 +243,7 @@ def generate_scene(
     pix = pinhole(cam_kept, K)
     depth = cam_kept[:, 2].copy()
     feats2d = latent[kept] + noise.feature_noise_sigma * rng.normal(
-        size=(len(kept), feature_dim)
+        size=(len(kept), DEFAULT_FEATURE_DIM)
     )
     if noise.pixel_noise_sigma > 0:
         pix = pix + noise.pixel_noise_sigma * rng.normal(size=pix.shape)
@@ -264,7 +260,7 @@ def generate_scene(
         pix[outlier_pixel_idx, 0] = rng.uniform(0, IMAGE_WIDTH, size=n_outliers)
         pix[outlier_pixel_idx, 1] = rng.uniform(0, IMAGE_HEIGHT, size=n_outliers)
         depth[outlier_pixel_idx] = rng.uniform(Z_NEAR, DEFAULT_D_MAX, size=n_outliers)
-        feats2d[outlier_pixel_idx] = rng.normal(size=(n_outliers, feature_dim))
+        feats2d[outlier_pixel_idx] = rng.normal(size=(n_outliers, DEFAULT_FEATURE_DIM))
 
     true_pixel_idx = np.flatnonzero(~is_outlier_pixel)
     gt_pairs = CorrespondenceSet(
@@ -276,7 +272,7 @@ def generate_scene(
     meta = {
         "seed": noise.seed,
         "n_points": n_points,
-        "feature_dim": feature_dim,
+        "feature_dim": DEFAULT_FEATURE_DIM,
         "d_max": DEFAULT_D_MAX,
         "z_near": Z_NEAR,
         "width": IMAGE_WIDTH,

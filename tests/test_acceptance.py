@@ -16,7 +16,6 @@ from mincdpnp import (
     KeypointSet2D,
     KeypointSet3D,
     MatchConfig,
-    MetricConfig,
     NoiseSpec,
     Pose,
     RansacConfig,
@@ -83,7 +82,6 @@ def test_criterion_02_inlier_bound_holds_everywhere():
                 pixel_noise_sigma=float(rng.uniform(0.0, 3.0)),
                 outlier_rate=float(rng.uniform(0.0, 0.4)),
             ),
-            feature_dim=8,
         )
         perm = rng.permutation(n)
         C = CorrespondenceSet(np.arange(n), perm)
@@ -280,7 +278,7 @@ def test_criterion_08_metric_sanity():
 
     s0 = generate_scene(40, noise=NoiseSpec(seed=99))
     gt_ok = all(
-        registration_success(s0.T_gt, s0, MetricConfig(rr_threshold_m=thr))[1]
+        registration_success(s0.T_gt, s0)[0] <= thr
         for thr in (1e-9, 1e-3, 0.05, 0.1, 1.0)
     )
 
@@ -296,7 +294,7 @@ def test_criterion_08_metric_sanity():
     rr = [
         np.mean(
             [
-                registration_success(T, s, MetricConfig(rr_threshold_m=thr))[1]
+                registration_success(T, s)[0] <= thr
                 for T, s in batch
             ]
         )

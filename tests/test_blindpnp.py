@@ -41,7 +41,6 @@ def random_instance(rng, m=6, n=6):
     scene = generate_scene(
         max(m, n),
         noise=NoiseSpec(seed=int(rng.integers(0, 2**31)), pixel_noise_sigma=2.0),
-        feature_dim=4,
     )
     kp2d = KeypointSet2D(scene.pixels.pixels[:m])
     kp3d = KeypointSet3D(scene.cloud.points[:n])

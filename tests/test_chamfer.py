@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -7,6 +9,7 @@ from mincdpnp import (
     AllPointsBehindCamera,
     Divergence,
     EmptySet,
+    InlierConfig,
     KeypointSet2D,
     KeypointSet3D,
     LossWeights,
@@ -17,6 +20,7 @@ from mincdpnp import (
     chamfer_cost,
     chamfer_grad_twist,
     generate_scene,
+    kappa_star,
     mincd_objective,
     perturb_pose,
     pose_difference,
@@ -28,10 +32,15 @@ from mincdpnp import (
 from mincdpnp import chamfer
 from mincdpnp.chamfer import _solve_chamfer
 from mincdpnp.features import nearest_points
-from mincdpnp.geometry import CameraIntrinsics
+from mincdpnp.geometry import Z_MIN, CameraIntrinsics
 from mincdpnp.synth import DEFAULT_INTRINSICS as K
 
-from oracles import chamfer_cost_bruteforce, chamfer_cost_dense, solve_chamfer_dense
+from oracles import (
+    chamfer_cost_bruteforce,
+    chamfer_cost_dense,
+    kappa_star_dense,
+    solve_chamfer_dense,
+)
 
 
 def cost_at(xi_vec, T0, kp2d, kp3d):
@@ -360,6 +369,60 @@ class TestSearchBranches:
         assert scene.pixels._tree is None
 
 
+# depths behind the camera, exactly at Z_MIN (not in front), one ulp above
+# it, and in front; powers of two keep lattice projections exact
+DEPTHS = [-1.0, 0.0, Z_MIN, float(np.nextafter(Z_MIN, 1.0)), 0.5, 1.0, 2.0, 4.0]
+LATTICE = st.integers(-6, 6)
+
+
+@st.composite
+def search_instances(draw):
+    """(T, pixels, cloud, K, tau): pixels on an 8-px lattice, projections on
+    it and on its half steps (two- and four-way ties, coincident rays at
+    other depths), optionally jittered off it by near-tie amounts."""
+    cells = draw(st.lists(st.tuples(LATTICE, LATTICE), min_size=1, max_size=25, unique=True))
+    pixels = np.array(cells, dtype=float) * 8.0 + [320.0, 240.0]
+    rays = draw(st.lists(st.tuples(LATTICE, LATTICE, st.sampled_from([0.0, 0.5]),
+                                   st.sampled_from(DEPTHS)), min_size=1, max_size=25))
+    uv = np.array([(a + h, b + h) for a, b, h, _ in rays]) * 8.0
+    z = np.array([r[3] for r in rays])
+    points = np.column_stack([uv / 512.0 * z[:, None], z])
+    jitter = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.25]))
+    if jitter:
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                       min_size=len(points), max_size=len(points))))
+        points[:, 0] *= 1.0 + jitter * signs
+    T = Pose.identity() if draw(st.booleans()) else perturb_pose(
+        Pose.identity(), 1.0, 0.01, draw(st.integers(0, 2**16)))
+    tau = draw(st.sampled_from([1.0, 16.0, 64.0, 100.0]))
+    return T, KeypointSet2D(pixels), KeypointSet3D(points), K_EXACT, tau
+
+
+class TestSearchProperties:
+    """The projected search on both branches against the dense oracles."""
+
+    @given(search_instances())
+    @settings(max_examples=400, deadline=None)
+    def test_both_branches_match_the_dense_oracles(self, instance):
+        T, kp2d, kp3d, K_, tau = instance
+        cfg = InlierConfig(tau=tau)
+        try:
+            want = chamfer_cost_dense(T, kp2d, kp3d, K_)
+        except AllPointsBehindCamera:
+            want = None
+        with pytest.MonkeyPatch.context() as mp:
+            for cells in (0, 2**62):
+                mp.setattr(chamfer, "DENSE_CELLS", cells)
+                if want is None:
+                    with pytest.raises(AllPointsBehindCamera):
+                        chamfer_cost(T, kp2d, kp3d, K_)
+                else:
+                    assert_reports_identical(chamfer_cost(T, kp2d, kp3d, K_), want)
+                assert kappa_star(T, kp2d, kp3d, K_, cfg) == kappa_star_dense(
+                    T, kp2d, kp3d, K_, cfg
+                )
+
+
 class TestGradient:
     def test_zero_at_perfect_alignment(self):
         scene = generate_scene(50, noise=NoiseSpec(seed=34))
@@ -583,3 +646,8 @@ class TestObjective:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(lambda1=-0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                LossWeights(lambda1=bad)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                LossWeights(lambda2=bad)

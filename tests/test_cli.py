@@ -449,6 +449,10 @@ class TestSurface:
                          id="argv31---feature-noise"),
             pytest.param(["solve-chamfer", "--scene", "{tmp}/scene", "--method", "gd"], "--method",
                          id="argv32---method"),
+            pytest.param(["match", "--scene", "{tmp}/scene", "--lambda1", "nan"], "--lambda1",
+                         id="lambda1-nan"),
+            pytest.param(["match", "--scene", "{tmp}/scene", "--lambda2", "inf"], "--lambda2",
+                         id="lambda2-inf"),
         ],
     )
     def test_bad_or_unread_flag_exits_2_before_any_scene(

@@ -10,7 +10,6 @@ from mincdpnp import (
     EmptySet,
     EvalRecord,
     KeypointSet3D,
-    MetricConfig,
     MissingDepth,
     NoiseSpec,
     Pose,
@@ -98,11 +97,13 @@ class TestInlierRatio:
         with pytest.raises(EmptySet):
             inlier_ratio(CorrespondenceSet([], []), s)
 
-    def test_threshold_monotone(self):
+    def test_threshold_monotone(self, monkeypatch):
         s = generate_scene(60, noise=NoiseSpec(seed=9, outlier_rate=0.3))
         C = s.pairs_with_outliers()
-        loose = inlier_ratio(C, s, MetricConfig(ir_threshold_m=0.5))
-        tight = inlier_ratio(C, s, MetricConfig(ir_threshold_m=0.01))
+        monkeypatch.setattr(evaluation, "IR_THRESHOLD_M", 0.5)
+        loose = inlier_ratio(C, s)
+        monkeypatch.setattr(evaluation, "IR_THRESHOLD_M", 0.01)
+        tight = inlier_ratio(C, s)
         assert tight <= loose
 
 
@@ -123,14 +124,16 @@ class TestRegistrationSuccess:
             assert rmse == pytest.approx(d, abs=1e-12)
             assert ok == want
 
-    def test_success_sets_nested_across_thresholds(self):
+    def test_success_sets_nested_across_thresholds(self, monkeypatch):
         scenes = batch(range(8), n=30)
         at_5cm, at_10cm = set(), set()
         for sid, s in scenes:
             T = perturb_pose(s.T_gt, rot_deg=0.5, trans_m=0.04, seed=hash(sid) % 100)
-            if registration_success(T, s, MetricConfig(rr_threshold_m=0.05))[1]:
+            monkeypatch.setattr(evaluation, "RR_THRESHOLD_M", 0.05)
+            if registration_success(T, s)[1]:
                 at_5cm.add(sid)
-            if registration_success(T, s, MetricConfig(rr_threshold_m=0.1))[1]:
+            monkeypatch.setattr(evaluation, "RR_THRESHOLD_M", 0.1)
+            if registration_success(T, s)[1]:
                 at_10cm.add(sid)
         assert at_5cm <= at_10cm
 
@@ -139,12 +142,6 @@ class TestRegistrationSuccess:
         empty = dataclasses.replace(s, cloud=KeypointSet3D(np.zeros((0, 3))))
         with pytest.raises(EmptySet):
             registration_success(s.T_gt, empty)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MetricConfig(ir_threshold_m=0.0)
-        with pytest.raises(ValueError):
-            MetricConfig(rr_threshold_m=-1.0)
 
 
 class TestMatchScene:

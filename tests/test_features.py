@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mincdpnp import (
     CorrespondenceSet,
@@ -20,6 +22,7 @@ from mincdpnp import (
     feature_distance_matrix,
     generate_scene,
     guided_reprojection_total,
+    inlier_ratio,
     kappa,
     key_loss,
     match_scene,
@@ -219,8 +222,45 @@ def assert_same_as_dense(feats2d, feats3d):
     return best
 
 
+@st.composite
+def feature_instances(draw):
+    """(queries, cloud, block rows), D from 2 to 128: cloud rows with exact,
+    scaled and nudged copies (small-integer rows tie often), and queries on
+    a cloud row, between two, or fresh, some moved by a near-tie amount."""
+    dim = draw(st.integers(2, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        cloud = rng.integers(-2, 3, size=(m, dim)).astype(float)
+    else:
+        cloud = rng.normal(size=(m, dim))
+    src = rng.integers(0, m, size=draw(st.integers(0, m)))
+    scale = draw(st.sampled_from([1.0, 3.0]))
+    rel = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3]))
+    copies = cloud[src] * scale * (1.0 + rel * rng.normal(size=(len(src), dim)))
+    cloud = np.vstack([cloud, copies])[rng.permutation(m + len(src))]
+    picks = rng.integers(0, len(cloud), size=(n, 2))
+    kind = rng.integers(0, 3, size=(n, 1))
+    queries = np.where(
+        kind == 0,
+        cloud[picks[:, 0]],
+        np.where(kind == 1, 0.5 * (cloud[picks[:, 0]] + cloud[picks[:, 1]]),
+                 rng.normal(size=(n, dim))),
+    )
+    queries = queries + draw(st.sampled_from([0.0, 1e-12, 1e-6])) * rng.normal(size=(n, dim))
+    return queries, cloud, draw(st.sampled_from([1, 7, features.NEAREST_BLOCK_ROWS]))
+
+
 class TestNearestFeatures:
     """nearest_features gives the dense argmin's indices and score bits."""
+
+    @given(feature_instances())
+    @settings(max_examples=400, deadline=None)
+    def test_property_duplicate_and_near_duplicate_rows(self, instance):
+        queries, cloud, block_rows = instance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "NEAREST_BLOCK_ROWS", block_rows)
+            assert_same_as_dense(queries, cloud)
 
     def test_pnp_pool_scenes(self):
         # the pnp-n1000 benchmark scenes: N=1000, half the pixels outliers
@@ -392,7 +432,7 @@ class TestNearestFeatures:
 
     def test_no_dense_matrix_allocated(self):
         # the screen holds NEAREST_BLOCK_ROWS rows of the N x M matrix
-        s = generate_scene(3000, noise=NoiseSpec(seed=0, outlier_rate=0.2), feature_dim=16)
+        s = generate_scene(3000, noise=NoiseSpec(seed=0, outlier_rate=0.2))
         dense_bytes = len(s.pixels) * len(s.cloud) * 8
         tracemalloc.start()
         try:
@@ -554,8 +594,8 @@ class TestContainers:
         np.testing.assert_array_equal(back.scores, cs.scores)
 
     def test_one_range_check_for_every_pair_consumer(self):
-        # the constructor's n2d/n3d check, gather, kappa and the pnp entry
-        # points all raise the one ValueError text
+        # the constructor's n2d/n3d check, gather, kappa, the pnp entry points
+        # and inlier_ratio all raise the one ValueError text
         s = generate_scene(8, noise=NoiseSpec(seed=7))
         bad = CorrespondenceSet(np.arange(8), np.arange(8) + 5)
         message = "3D index 12 out of range for set of 8"
@@ -568,6 +608,7 @@ class TestContainers:
             lambda: reprojection_grad_twist(s.T_gt, bad, s.pixels, s.cloud, s.K),
             lambda: pnp_refine(s.T_gt, bad, s.pixels, s.cloud, s.K),
             lambda: pnp_ransac(bad, s.pixels, s.cloud, s.K, RansacConfig(seed=0)),
+            lambda: inlier_ratio(bad, s),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -583,14 +624,25 @@ class TestContainers:
         assert pixels.shape == (0, 2) and points.shape == (0, 3)
 
     @pytest.mark.parametrize(
-        "row", ["1.7,2,0.0", "1,2.9,0.0", "nan,2,0.0", "1,inf,0.0"],
-        ids=["fractional_2d", "fractional_3d", "nan_2d", "inf_3d"],
+        "row",
+        ["1.7,2,0.0", "1,2.9,0.0", "nan,2,0.0", "1,inf,0.0", "1e30,0,0.0", "0,9.3e18,0.0"],
+        ids=["fractional_2d", "fractional_3d", "nan_2d", "inf_3d", "huge_2d", "past_int64_3d"],
     )
     def test_correspondence_csv_rejects_non_integral_indices(self, tmp_path, row):
         path = tmp_path / "gt_pairs.csv"
         path.write_text(f"0,0,0.0\n{row}\n")
         with pytest.raises(ValueError, match="pair indices must be finite integers"):
             CorrespondenceSet.load_csv(path)
+
+    @pytest.mark.parametrize(
+        "idx2d, idx3d",
+        [([1.7, 0], [2.9, 1]), ([0], [np.nan]), ([np.inf], [0]), ([1e30], [0]),
+         ([0], [-1e30]), ([np.uint64(2**63)], [0])],
+        ids=["fractional", "nan_3d", "inf_2d", "huge_2d", "huge_negative_3d", "uint64_past_int64"],
+    )
+    def test_correspondence_rejects_non_integral_indices(self, idx2d, idx3d):
+        with pytest.raises(ValueError, match="pair indices must be finite integers"):
+            CorrespondenceSet(idx2d, idx3d)
 
     def test_correspondence_csv_needs_three_columns(self, tmp_path):
         path = tmp_path / "gt_pairs.csv"

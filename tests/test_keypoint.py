@@ -273,7 +273,7 @@ class TestPrecisionRecall:
             rep = evaluate_selection(s.pixels, s.cloud, s.T_gt, s.K)
             assert rep.precision == 1.0
             assert rep.recall == 1.0
-            assert rep.count == 30
+            assert len(rep.selected) == 30
 
     def test_nothing_selected_zero_convention(self):
         s = generate_scene(10, noise=NoiseSpec(seed=1, feature_noise_sigma=0.5))
@@ -329,7 +329,10 @@ class TestPrecisionRecall:
 
 
 def assert_same_as_dense(kp2d, kp3d, T, K, pixel_threshold=3.0):
-    got = reprojection_correctness(kp2d, kp3d, T, K, pixel_threshold)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keypoint, "PRECISION_RECALL_PIXEL_THRESHOLD", pixel_threshold)
+        got = reprojection_correctness(kp2d, kp3d, T, K)
+    assert got.threshold_px == pixel_threshold
     want = DenseCorrectness(kp2d, kp3d, T, K, pixel_threshold)
     assert got.q_with_partner.dtype == want.q_with_partner.dtype
     assert np.array_equal(got.q_with_partner, want.q_with_partner)
@@ -418,6 +421,6 @@ class TestKeypointReport:
         kp2d, kp3d = random_instance(rng)
         sel = select_3d_keypoints(kp2d, kp3d, SelectConfig(s_th=1.0))
         with pytest.raises(ValueError):
-            KeypointReport(selected=sel, precision=1.5, recall=0.0, count=len(sel))
+            KeypointReport(selected=sel, precision=1.5, recall=0.0)
         with pytest.raises(ValueError):
-            KeypointReport(selected=sel, precision=1.0, recall=1.0, count=len(sel) + 1)
+            KeypointReport(selected=sel, precision=1.0, recall=-0.5)

@@ -142,8 +142,8 @@ class TestPnpRefine:
         for seed in range(5):
             s = generate_scene(40, noise=NoiseSpec(seed=seed, pixel_noise_sigma=1.0))
             T0 = perturb_pose(s.T_gt, rot_deg=5.0, trans_m=0.1, seed=seed)
-            rows: list = []
-            pnp_refine(T0, s.gt_pairs, s.pixels, s.cloud, s.K, trace=rows)
+            pixels, points = s.gt_pairs.gather(s.pixels, s.cloud)
+            _, rows, _ = _refine_from_arrays(T0, pixels, points, s.K, SolverConfig())
             costs = [r.cost for r in rows]
             assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
             assert len(rows) >= 2

@@ -117,9 +117,7 @@ class TestGenerateScene:
             assert np.all(proj[:, 1] >= 10.0 - 1e-9) and np.all(proj[:, 1] <= 470.0 + 1e-9)
 
     def test_matched_features_closer_than_random(self):
-        scene = generate_scene(
-            60, noise=NoiseSpec(seed=10, feature_noise_sigma=0.3), feature_dim=32
-        )
+        scene = generate_scene(60, noise=NoiseSpec(seed=10, feature_noise_sigma=0.3))
         rng = np.random.default_rng(0)
         for i, j, _ in scene.gt_pairs:
             matched = np.linalg.norm(scene.pixels.features[i] - scene.cloud.features[j])
@@ -128,11 +126,6 @@ class TestGenerateScene:
                 continue
             random_pair = np.linalg.norm(scene.pixels.features[i] - scene.cloud.features[k])
             assert matched < random_pair
-
-    def test_explicit_pose_is_kept(self):
-        T = Pose.identity()
-        scene = generate_scene(30, pose=T, noise=NoiseSpec(seed=11))
-        assert scene.T_gt.almost_equal(T, atol=0.0)
 
     def test_pairs_with_outliers(self):
         scene = generate_scene(100, noise=NoiseSpec(seed=12, outlier_rate=0.25))
@@ -145,7 +138,6 @@ class TestGenerateScene:
         scene = generate_scene(
             40,
             noise=NoiseSpec(seed=13, pixel_noise_sigma=0.5, outlier_rate=0.1),
-            feature_dim=16,
         )
         scene.save_dir(tmp_path / "scene")
         back = ScenePair.load_dir(tmp_path / "scene")
@@ -160,7 +152,7 @@ class TestGenerateScene:
         assert back.meta == scene.meta
 
     def test_save_load_round_trip_without_features(self, tmp_path):
-        scene = generate_scene(40, noise=NoiseSpec(seed=13), feature_dim=16)
+        scene = generate_scene(40, noise=NoiseSpec(seed=13))
         bare = dataclasses.replace(
             scene,
             cloud=KeypointSet3D(scene.cloud.points),
@@ -176,7 +168,7 @@ class TestGenerateScene:
         assert back.depth.tobytes() == scene.depth.tobytes()
 
     def test_load_rejects_pixels_with_three_columns(self, tmp_path):
-        scene = generate_scene(30, noise=NoiseSpec(seed=14), feature_dim=16)
+        scene = generate_scene(30, noise=NoiseSpec(seed=14))
         scene.save_dir(tmp_path / "scene")
         pixels = np.column_stack([scene.pixels.pixels, np.zeros(30)])
         np.save(tmp_path / "scene" / "pixels.npy", pixels)
