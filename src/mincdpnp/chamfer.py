@@ -42,7 +42,6 @@ from .geometry import (
     project_points,
     projection_jacobian,
     se3_exp,
-    zero_twist_jacobian,
 )
 
 DEFAULT_LAMBDA1 = 0.2
@@ -161,15 +160,30 @@ def _term_pairs(assignment, image_set, x0):
 
 
 def _pair_residuals(pixels, x0, K):
-    """Residuals pixel - pi(x0) (n, 2) over the pairs whose point is in
-    front of the camera, and their Jacobians (n, 2, 6) in the twist xi of
-    exp(xi) x0 at xi = 0, where both solvers linearize."""
+    """Residuals pixel - pi(x0) (n, 2) over the pairs whose camera-frame
+    point x0 is in front of the camera, and those points (n, 3), where
+    both solvers linearize (_pair_jacobian)."""
     in_front = x0[:, 2] > Z_MIN
     if not in_front.any():
         raise AllPointsBehindCamera("no paired point is in front of the camera")
     y = x0[in_front]
-    J = np.einsum("nij,njk->nik", projection_jacobian(y, K), zero_twist_jacobian(y))
-    return pixels[in_front] - pinhole(y, K), J
+    return pixels[in_front] - pinhole(y, K), y
+
+
+def _pair_jacobian(cam, K):
+    """(n, 2, 6) Jacobians of pi(exp(xi) p) at xi = 0 for camera-frame p
+    = cam (n, 3): projection_jacobian P = [[a, 0, b], [0, c, d]] times
+    [-[p]x | I], written out. Each entry sums at most two nonzero products
+    of that matrix product, so it has the product's value (a zero may
+    differ in sign)."""
+    x, y, z = cam.T
+    P = projection_jacobian(cam, K)
+    a, b, c, d = P[:, 0, 0], P[:, 0, 2], P[:, 1, 1], P[:, 1, 2]
+    J = np.zeros((len(z), 2, 6))
+    J[:, :, 3:] = P
+    J[:, 0, 0], J[:, 0, 1], J[:, 0, 2] = b * y, a * z - b * x, -a * y
+    J[:, 1, 0], J[:, 1, 1], J[:, 1, 2] = d * y - c * z, -d * x, c * x
+    return J
 
 
 def chamfer_grad_twist(
@@ -186,9 +200,9 @@ def chamfer_grad_twist(
     """
     report = chamfer_cost(T0, image_set, cloud_set, K)
     x0 = T0.apply(cloud_set.points)
-    residuals, J = _pair_residuals(*_term_pairs(report.assignment, image_set, x0), K)
+    residuals, cam = _pair_residuals(*_term_pairs(report.assignment, image_set, x0), K)
     # d/dxi sum ||q - pi(y)||^2 = -2 sum r^T J_pi J_exp
-    return -2.0 * np.einsum("ni,nik->k", residuals, J)
+    return -2.0 * np.einsum("ni,nik->k", residuals, _pair_jacobian(cam, K))
 
 
 # An accepted step that lowers the cost by at most this fraction of it
@@ -210,18 +224,19 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
 
 
-def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
+def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
     """Damped Gauss-Newton with Armijo backtracking.
 
-    cost_fn(T) gives the summed squared residual at pose T and a state
-    for residual_fn (the Chamfer assignment); at a trial pose it may
-    raise AllPointsBehindCamera, which shrinks the step. residual_fn(T,
-    state) gives the residuals (n, 2) and their twist Jacobians (n, 2, 6)
-    at T. Steps T <- exp(alpha * direction) o T are accepted only when
-    the cost passes the Armijo test, so the trace is monotone
+    cost_fn(T) gives the summed squared residual at pose T and a state for
+    residual_fn (the Chamfer assignment, or the PnP residuals and in-front
+    mask); at a trial pose it may raise AllPointsBehindCamera, which
+    shrinks the step. residual_fn(T, state) gives the residuals (n, 2) at
+    T and their camera-frame points (n, 3), where _pair_jacobian under K
+    linearizes. Steps T <- exp(alpha * direction) o T are accepted only
+    when the cost passes the Armijo test, so the trace is monotone
     nonincreasing. Returns (pose, trace, reason), reason being one of
-    "cost_tol", "grad_tol", "converged" (an accepted step lowered the
-    cost by at most CONVERGED_RTOL of it), "stalled" (a line search that
+    "cost_tol", "grad_tol", "converged" (an accepted step lowered the cost
+    by at most CONVERGED_RTOL of it), "stalled" (a line search that
     accepts no step, at a gradient norm at most 10 GRAD_TOL; above it the
     search raises Divergence) or "max_iters". A failed search leaves the
     pose, cost and state as they were, so a retry would repeat its trials
@@ -240,8 +255,8 @@ def _minimize(cost_fn, residual_fn, T_init, cfg, T_gt=None):
     for it in range(1, cfg.max_iters + 1):
         if cost <= COST_TOL:
             return T, trace, "cost_tol"
-        residuals, J = residual_fn(T, state)
-        Jf = J.reshape(-1, 6)
+        residuals, cam = residual_fn(T, state)
+        Jf = _pair_jacobian(cam, K).reshape(-1, 6)
         g = Jf.T @ residuals.reshape(-1)
         grad = -2.0 * g
         direction = np.linalg.solve(Jf.T @ Jf + DAMPING * np.eye(6), g)
@@ -285,7 +300,7 @@ def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
         x0 = T.apply(cloud_set.points)
         return _pair_residuals(*_term_pairs(assignment, image_set, x0), K)
 
-    return _minimize(cost, residuals, T_init, cfg, T_gt)
+    return _minimize(cost, residuals, T_init, K, cfg, T_gt)
 
 
 def solve_pose_chamfer(

@@ -271,10 +271,12 @@ class CorrespondenceSet:
 
 
 def normalize_features(feats: np.ndarray) -> np.ndarray:
-    """Unit-L2 rows; zero rows stay zero and a row holding a NaN stays NaN."""
+    """Unit-L2 rows; zero rows stay zero and a row holding a NaN stays NaN.
+    A zero norm divides as inf, so a row whose norm underflows to 0 becomes
+    zeros too; a row holding an inf becomes zeros and NaNs."""
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    return np.divide(feats, norms, out=np.zeros_like(feats), where=norms != 0)
+    return feats / np.where(norms == 0, np.inf, norms)
 
 
 def _prepared_features(feats2d, feats3d):

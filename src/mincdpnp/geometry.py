@@ -100,19 +100,31 @@ class Pose:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
+    @classmethod
+    def _owned(cls, R: np.ndarray, t: np.ndarray) -> "Pose":
+        """Pose(R, t, check=False) on new C-contiguous float arrays that no
+        one else holds: made read-only, not copied, and checked finite."""
+        pose = object.__new__(cls)
+        for attr, name, a in (("R", "rotation", R), ("t", "translation", t)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
+            a.setflags(write=False)
+            object.__setattr__(pose, attr, a)
+        return pose
+
     def __setattr__(self, name, value):
         raise AttributeError("Pose is immutable")
 
     @classmethod
     def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3), check=False)
+        return cls._owned(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
         """self applied after other: (self @ other)(p) = self(other(p))."""
-        return Pose(self.R @ other.R, self.R @ other.t + self.t, check=False)
+        return Pose._owned(self.R @ other.R, self.R @ other.t + self.t)
 
     def inverse(self) -> "Pose":
-        return Pose(self.R.T, -(self.R.T @ self.t), check=False)
+        return Pose._owned(self.R.T.copy(), -(self.R.T @ self.t))
 
     def apply(self, points) -> np.ndarray:
         """Transform one (3,) point or an (N, 3) batch."""
@@ -183,7 +195,12 @@ def pinhole(cam, K: CameraIntrinsics, z=None) -> np.ndarray:
     """
     if z is None:
         z = cam[..., 2]
-    return np.stack([K.fu * cam[..., 0] / z + K.cu, K.fv * cam[..., 1] / z + K.cv], axis=-1)
+    return np.stack(_pinhole_uv(cam[..., 0], cam[..., 1], z, K), axis=-1)
+
+
+def _pinhole_uv(x, y, z, K: CameraIntrinsics):
+    """pinhole's expression on coordinate arrays: the pair (u, v)."""
+    return K.fu * x / z + K.cu, K.fv * y / z + K.cv
 
 
 def project_points(points, T: Pose, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -204,13 +221,17 @@ def _pair_sq_errors(R, t, pixels, points, K: CameraIntrinsics) -> np.ndarray:
     and t (B, 3), against n pairs of pixels (n, 2) and points (n, 3); inf
     where the point is not in front of the camera. A single pose is the
     stack of one, T.R[None] and T.t[None]: the same bits as projecting
-    the points with project_points and differencing the pixels."""
-    cam = points @ R.transpose(0, 2, 1) + t[:, None, :]
-    z = cam[..., 2]
+    the points with project_points and differencing the pixels. The
+    camera points are Pose.apply's product points @ R^T, with t added to
+    each of its coordinate planes, so x, y, z and du*du + dv*dv are each
+    one contiguous (B, n) array."""
+    cam = points @ R.transpose(0, 2, 1)
+    x, y, z = (cam[..., i] + t[:, i, None] for i in range(3))
     in_front = z > Z_MIN
     with np.errstate(invalid="ignore", over="ignore"):
-        d = pixels - pinhole(cam, K, np.where(in_front, z, 1.0))
-        return np.where(in_front, np.einsum("bnd,bnd->bn", d, d), np.inf)
+        u, v = _pinhole_uv(x, y, np.where(in_front, z, 1.0), K)
+        du, dv = pixels[:, 0] - u, pixels[:, 1] - v
+        return np.where(in_front, du * du + dv * dv, np.inf)
 
 
 def _rotation_coefficients(theta: float) -> tuple[float, float, float]:
@@ -240,7 +261,7 @@ def se3_exp(xi) -> Pose:
     a1, a2, a3 = _rotation_coefficients(theta)
     R = np.eye(3) + a1 * W + a2 * W2
     V = np.eye(3) + a2 * W + a3 * W2
-    return Pose(R, V @ xi[3:], check=False)
+    return Pose._owned(R, V @ xi[3:])
 
 
 def so3_exp(omega) -> np.ndarray:
@@ -338,17 +359,6 @@ def exp_action_jacobian(xi_vec, x0) -> tuple[np.ndarray, np.ndarray]:
         J[:, :, i] = pts @ dR.T + dV @ v
     J[:, :, 3:] = np.broadcast_to(V, (n, 3, 3))
     return y, J
-
-
-def zero_twist_jacobian(points) -> np.ndarray:
-    """exp_action_jacobian's J at xi = 0 in closed form, [-[x]x | I] for
-    each point x of (N, 3): the same bytes, without the series."""
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    J = np.zeros((len(points), 3, 6))
-    J[:, 0, 1], J[:, 0, 2], J[:, 0, 3] = z, -y, 1.0
-    J[:, 1, 0], J[:, 1, 2], J[:, 1, 4] = -z, x, 1.0
-    J[:, 2, 0], J[:, 2, 1], J[:, 2, 5] = y, -x, 1.0
-    return J
 
 
 def projection_jacobian(cam_points, K: CameraIntrinsics) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blindpnp import DEFAULT_TAU
-from .chamfer import SolverConfig, _minimize, _pair_residuals
+from .chamfer import SolverConfig, _minimize, _pair_jacobian, _pair_residuals
 from .errors import (
     AllPointsBehindCamera,
     Divergence,
@@ -111,8 +111,8 @@ def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
 
     Returns R (B, 4, 3, 3), t (B, 4, 3) and ok (B, 4): a root is ok when
     it is real and gives three finite positive depths, and R and t are
-    meaningless where it is not. Collinear or coincident points give no
-    root.
+    NaN where it is not: only the ok roots reach the Kabsch SVD.
+    Collinear or coincident points give no root.
     """
     B = len(pixels)
     f = np.stack(
@@ -163,17 +163,18 @@ def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
             & (np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real)))
             & (np.isfinite(depth) & (depth > 0)).all(axis=-1)
         )
-    world = np.broadcast_to(points[:, None], (B, 4, 3, 3))
-    cam = np.where(ok[..., None, None], depth[..., None] * f[:, None], world)
-    world_mean, cam_mean = world.mean(axis=2), cam.mean(axis=2)
-    H = np.swapaxes(world - world_mean[:, :, None], -1, -2) @ (cam - cam_mean[:, :, None])
+    sample = np.nonzero(ok)[0]
+    world, cam = points[sample], depth[ok][..., None] * f[sample]
+    world_mean, cam_mean = world.mean(axis=1), cam.mean(axis=1)
+    H = np.swapaxes(world - world_mean[:, None], -1, -2) @ (cam - cam_mean[:, None])
     U, _, Vt = np.linalg.svd(H)
     V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
-    D = np.zeros((B, 4, 3, 3))
-    D[..., 0, 0] = D[..., 1, 1] = 1.0
-    D[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
-    R = V @ D @ Ut
-    t = cam_mean - (R @ world_mean[..., None])[..., 0]
+    D = np.zeros((len(sample), 3, 3))
+    D[:, 0, 0] = D[:, 1, 1] = 1.0
+    D[:, 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R_ok = V @ D @ Ut
+    R, t = np.full((B, 4, 3, 3), np.nan), np.full((B, 4, 3), np.nan)
+    R[ok], t[ok] = R_ok, cam_mean - (R_ok @ world_mean[..., None])[..., 0]
     return R, t, ok
 
 
@@ -236,15 +237,17 @@ def reprojection_cost(
     pair does, there is nothing to measure and the call raises.
     """
     pixels, points = C.gather(image_set, cloud_set)
-    return _cost_from_arrays(T, pixels, points, K)
+    return _cost_from_arrays(T, pixels, points, K)[0]
 
 
-def _cost_from_arrays(T, pixels, points, K) -> float:
+def _cost_from_arrays(T, pixels, points, K):
+    """reprojection_cost on gathered pairs, and the in-front pairs'
+    residuals (n, 2) and mask, which the refine's next linearization reads."""
     proj, in_front = project_points(points, T, K)
     if not in_front.any():
         raise AllPointsBehindCamera("no corresponded point is in front of the camera")
     r = pixels[in_front] - proj[in_front]
-    return float(np.einsum("nd,nd->", r, r))
+    return float(np.einsum("nd,nd->", r, r)), (r, in_front)
 
 
 def reprojection_grad_twist(
@@ -257,16 +260,16 @@ def reprojection_grad_twist(
     """Exact gradient of reprojection_cost in the (6,) twist xi = (omega, v)
     of se3_exp(xi) composed with T0, at xi = 0."""
     pixels, points = C.gather(image_set, cloud_set)
-    residuals, J = _pair_residuals(pixels, T0.apply(points), K)
-    return -2.0 * np.einsum("ni,nik->k", residuals, J)
+    residuals, cam = _pair_residuals(pixels, T0.apply(points), K)
+    return -2.0 * np.einsum("ni,nik->k", residuals, _pair_jacobian(cam, K))
 
 
 def _refine_from_arrays(T_init, pixels, points, K, cfg):
     """pnp_refine on gathered pairs: (pose, trace, stop reason)."""
     return _minimize(
-        lambda T: (_cost_from_arrays(T, pixels, points, K), None),
-        lambda T, _: _pair_residuals(pixels, T.apply(points), K),
-        T_init, cfg,
+        lambda T: _cost_from_arrays(T, pixels, points, K),
+        lambda T, state: (state[0], T.apply(points)[state[1]]),
+        T_init, K, cfg,
     )
 
 

@@ -22,10 +22,11 @@ from mincdpnp import (
     TooFewPoints,
     feature_distance_matrix,
     project_points,
+    projection_jacobian,
 )
 from mincdpnp.chamfer import _minimize, _pair_residuals
 from mincdpnp import pnp
-from mincdpnp.pnp import LO_MAX_ITERS, MIN_PNP_POINTS, _p3p_batch, _refine_from_arrays
+from mincdpnp.pnp import LO_MAX_ITERS, MIN_PNP_POINTS, _refine_from_arrays
 
 
 def se3_exp_expm(omega, v):
@@ -218,7 +219,7 @@ def solve_chamfer_dense(T_init, image_set, cloud_set, K, cfg):
 
     return _minimize(
         lambda T: (chamfer_cost_dense(T, image_set, cloud_set, K).value, None),
-        residuals, T_init, cfg,
+        residuals, T_init, K, cfg,
     )
 
 
@@ -410,6 +411,92 @@ def ransac_sample_scalar(seed, k, n, s):
     return sample
 
 
+def zero_twist_jacobian(points):
+    """exp_action_jacobian's J at xi = 0 in closed form, [-[x]x | I] for
+    each point x of (N, 3): the same bytes, without the series."""
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    J = np.zeros((len(points), 3, 6))
+    J[:, 0, 1], J[:, 0, 2], J[:, 0, 3] = z, -y, 1.0
+    J[:, 1, 0], J[:, 1, 2], J[:, 1, 4] = -z, x, 1.0
+    J[:, 2, 0], J[:, 2, 1], J[:, 2, 5] = y, -x, 1.0
+    return J
+
+
+def pair_jacobian_product(cam, K):
+    """The 2x6 pair Jacobians at camera-frame points cam (n, 3) as the
+    chain rule's matrix product: projection Jacobian times exp action."""
+    return np.einsum("nij,njk->nik", projection_jacobian(cam, K), zero_twist_jacobian(cam))
+
+
+def p3p_batch_all_roots(pixels, points, K):
+    """P3P with the Kabsch step on every root: pnp._p3p_batch's quartic,
+    root polish and depths, then one stacked Kabsch SVD over all 4 B
+    roots, a root that is not ok aligned to the points themselves.
+    Returns R (B, 4, 3, 3), t (B, 4, 3) and ok (B, 4); R and t are
+    meaningless where ok is False."""
+    B = len(pixels)
+    f = np.stack(
+        [(pixels[..., 0] - K.cu) / K.fu, (pixels[..., 1] - K.cv) / K.fv, np.ones((B, 3))],
+        axis=-1,
+    )
+    f /= np.sqrt(np.einsum("bid,bid->bi", f, f))[..., None]
+    cos_a = np.einsum("bd,bd->b", f[:, 1], f[:, 2])[:, None]
+    cos_b = np.einsum("bd,bd->b", f[:, 0], f[:, 2])[:, None]
+    cos_g = np.einsum("bd,bd->b", f[:, 0], f[:, 1])[:, None]
+    d12, d13 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
+    d23 = points[:, 2] - points[:, 1]
+    a2, b2, c2 = (np.einsum("bd,bd->b", d, d)[:, None] for d in (d23, d13, d12))
+    area = np.cross(d12, d13)
+    degenerate = np.einsum("bd,bd->b", area, area) <= 1e-20 * (c2 * b2)[:, 0]
+    b2 = np.where(degenerate[:, None], 1.0, b2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, q = (a2 - c2) / b2, (a2 + c2) / b2
+        A4 = (p - 1) ** 2 - 4 * c2 / b2 * cos_a**2
+        A3 = 4 * (p * (1 - p) * cos_b - (1 - q) * cos_a * cos_g + 2 * c2 / b2 * cos_a**2 * cos_b)
+        A2 = 2 * (
+            p**2 - 1 + 2 * p**2 * cos_b**2 + 2 * (b2 - c2) / b2 * cos_a**2
+            - 4 * q * cos_a * cos_b * cos_g + 2 * (b2 - a2) / b2 * cos_g**2
+        )
+        A1 = 4 * (-p * (1 + p) * cos_b + 2 * a2 / b2 * cos_g**2 * cos_b - (1 - q) * cos_a * cos_g)
+        A0 = (1 + p) ** 2 - 4 * a2 / b2 * cos_g**2
+        monic = np.concatenate([A3, A2, A1, A0], axis=1) / A4
+        usable = ~degenerate & np.isfinite(monic).all(axis=1)
+        companion = np.zeros((B, 4, 4))
+        companion[:, 0] = np.where(usable[:, None], -monic, 0.0)
+        companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+        roots = np.linalg.eigvals(companion)
+        v = roots.real
+        for _ in range(2):
+            step = ((((A4 * v + A3) * v + A2) * v + A1) * v + A0) / (
+                ((4 * A4 * v + 3 * A3) * v + 2 * A2) * v + A1
+            )
+            v = np.where(np.isfinite(step), v - step, v)
+        s1 = np.sqrt(b2 / (1 + v * v - 2 * v * cos_b))
+        s3 = v * s1
+        half = np.sqrt(np.maximum(c2 - s1 * s1 * (1 - cos_g * cos_g), 0.0))
+        s2 = s1 * cos_g + np.array([[[1.0]], [[-1.0]]]) * half
+        miss = np.abs(s2 * s2 + s3 * s3 - 2 * s2 * s3 * cos_a - a2)
+        depth = np.stack([s1, np.where(miss[0] <= miss[1], s2[0], s2[1]), s3], axis=-1)
+        # a double root can split into a pair with a tiny imaginary part
+        ok = (
+            usable[:, None]
+            & (np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real)))
+            & (np.isfinite(depth) & (depth > 0)).all(axis=-1)
+        )
+    world = np.broadcast_to(points[:, None], (B, 4, 3, 3))
+    cam = np.where(ok[..., None, None], depth[..., None] * f[:, None], world)
+    world_mean, cam_mean = world.mean(axis=2), cam.mean(axis=2)
+    H = np.swapaxes(world - world_mean[:, :, None], -1, -2) @ (cam - cam_mean[:, :, None])
+    U, _, Vt = np.linalg.svd(H)
+    V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
+    D = np.zeros((B, 4, 3, 3))
+    D[..., 0, 0] = D[..., 1, 1] = 1.0
+    D[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    t = cam_mean - (R @ world_mean[..., None])[..., 0]
+    return R, t, ok
+
+
 def _score_sequential(T, pixels, points, K, threshold):
     """Inlier mask and summed inlier error of one pose, through project_points."""
     proj, in_front = project_points(points, T, K)
@@ -424,7 +511,7 @@ def _p3p_hypothesis_sequential(pixels, points, sample, K, threshold):
     """One P3P hypothesis as a stack of one: every valid root scored
     through project_points, the first with the most inliers kept.
     Returns (pose, mask, count), or None when no root is valid."""
-    R, t, ok = _p3p_batch(pixels[sample][None], points[sample][None], K)
+    R, t, ok = p3p_batch_all_roots(pixels[sample][None], points[sample][None], K)
     best = None
     for r in range(R.shape[1]):
         if not ok[0, r]:

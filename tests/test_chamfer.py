@@ -39,6 +39,7 @@ from oracles import (
     chamfer_cost_bruteforce,
     chamfer_cost_dense,
     kappa_star_dense,
+    pair_jacobian_product,
     solve_chamfer_dense,
 )
 
@@ -465,6 +466,23 @@ class TestGradient:
             assert rel <= 1e-5
             checked += 1
         assert checked >= 20
+
+    def test_pair_jacobian_is_the_chain_rule_product(self):
+        # random camera-frame points, with x = 0, y = 0 (also -0.0) or
+        # both on some, at depths from just above Z_MIN to far; equal
+        # values, a zero equal to a zero of either sign
+        rng = np.random.default_rng(163)
+        cam = rng.normal(scale=2.0, size=(400, 3))
+        cam[:100, 0] = 0.0
+        cam[100:200, 1] = 0.0
+        cam[200:250, :2] = 0.0
+        cam[250:300, :2] = -0.0
+        cam[:, 2] = rng.uniform(0.01, 20.0, size=400)
+        cam[::40, 2] = np.nextafter(Z_MIN, 1.0)
+        for K_ in (K, CameraIntrinsics(500.0, 620.0, 311.5, 250.25)):
+            J = chamfer._pair_jacobian(cam, K_)
+            assert J.shape == (400, 2, 6)
+            np.testing.assert_array_equal(J, pair_jacobian_product(cam, K_))
 
     def test_single_point_translation_block_by_hand(self):
         p = np.array([0.3, -0.2, 2.5])

@@ -21,13 +21,13 @@ from mincdpnp.geometry import (
     _pair_sq_errors,
     _poses_pass_checks,
     pinhole,
-    zero_twist_jacobian,
 )
 
 from oracles import (
     numeric_jacobian,
     rotation_rotvec,
     se3_exp_expm,
+    zero_twist_jacobian,
 )
 
 K = CameraIntrinsics(fu=585.0, fv=585.0, cu=320.0, cv=240.0)
@@ -279,6 +279,27 @@ class TestPose:
             T = random_pose(rng)
             assert T.compose(T.inverse()).almost_equal(Pose.identity(), atol=1e-12)
             assert T.inverse().compose(T).almost_equal(Pose.identity(), atol=1e-12)
+
+    def test_computed_poses_are_the_constructors_bits(self):
+        rng = np.random.default_rng(43)
+        T1, T2 = random_pose(rng), random_pose(rng)
+        made = {
+            "identity": (Pose.identity(), np.eye(3), np.zeros(3)),
+            "compose": (T1.compose(T2), T1.R @ T2.R, T1.R @ T2.t + T1.t),
+            "inverse": (T1.inverse(), T1.R.T, -(T1.R.T @ T1.t)),
+        }
+        for name, (T, R, t) in made.items():
+            ref = Pose(R, t, check=False)
+            for a, b in ((T.R, ref.R), (T.t, ref.t)):
+                assert a.tobytes() == b.tobytes(), name
+                assert a.flags.c_contiguous and not a.flags.writeable, name
+        assert not np.shares_memory(T1.inverse().R, T1.R)
+
+    def test_computed_poses_refuse_non_finite_arrays(self):
+        far = Pose(np.eye(3), np.array([1e308, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="translation must be finite"):
+            with np.errstate(over="ignore"):
+                far.compose(far)
 
     def test_compose_associativity(self):
         rng = np.random.default_rng(37)

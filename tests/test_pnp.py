@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mincdpnp import (
     AllPointsBehindCamera,
@@ -29,6 +31,8 @@ from mincdpnp import (
     reprojection_grad_twist,
     se3_exp,
 )
+from mincdpnp.geometry import Z_MIN
+from mincdpnp.synth import DEFAULT_INTRINSICS, random_pose
 
 from mincdpnp import pnp
 from mincdpnp.pnp import _local_opt, _p3p_batch, _ransac_from_arrays, _refine_from_arrays, _samples
@@ -36,6 +40,7 @@ from mincdpnp.pnp import _local_opt, _p3p_batch, _ransac_from_arrays, _refine_fr
 from oracles import (
     linear_pnp_full_svd,
     numeric_jacobian,
+    p3p_batch_all_roots,
     pnp_ransac_sequential,
     ransac_sample_scalar,
     reprojection_error_scalar,
@@ -466,6 +471,45 @@ class TestRansacBlocks:
             pnp_ransac(C, s.pixels, s.cloud, s.K, cfg)
 
 
+@st.composite
+def ransac_instances(draw):
+    """(C, image set, cloud, K, cfg): n pairs at a random pose, each an
+    inlier (0.5 px noise), an outlier (a random pixel), or a true pair
+    whose point is moved behind the camera, to Z_MIN or below: mirrored
+    through the camera centre (on its pixel's ray), or given the x and y
+    it has at depth 1 (on the ray if its depth were read as 1). The
+    iteration budget is at, just before or just past a block boundary."""
+    n = draw(st.integers(6, 300))
+    outlier_rate = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
+    behind_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    iterations = draw(st.sampled_from([1, 7, 8, 9, 24, 25, 56, 57, 110, 121, 300, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = random_pose(rng)
+    cam = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)), rng.uniform(0.5, 8.0, n)])
+    pixels = project_points(cam, Pose.identity(), DEFAULT_INTRINSICS)[0]
+    pixels += rng.normal(scale=0.5, size=pixels.shape)
+    outlier = rng.uniform(size=n) < outlier_rate
+    behind = ~outlier & (rng.uniform(size=n) < behind_rate)
+    pixels[outlier] = rng.uniform([0.0, 0.0], [640.0, 480.0], size=(outlier.sum(), 2))
+    cam[behind] *= -1.0
+    flat = behind & (rng.uniform(size=n) < 0.5)
+    cam[flat, :2] /= cam[flat, 2:]
+    cam[flat, 2] = rng.choice([Z_MIN, 0.0, -1.0], size=flat.sum())
+    points = T.inverse().apply(cam)
+    cfg = RansacConfig(seed=draw(st.integers(0, 2**64 - 1)), iterations=iterations)
+    C = CorrespondenceSet(np.arange(n), np.arange(n))
+    return C, KeypointSet2D(pixels), KeypointSet3D(points), DEFAULT_INTRINSICS, cfg
+
+
+class TestRansacProperties:
+    """The blocked loop against the sequential one on drawn instances."""
+
+    @given(ransac_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_loop_is_the_sequential_loop(self, instance):
+        assert_bit_identical(*blocked_and_sequential(*instance))
+
+
 class TestRansacSamples:
     """_samples against the scalar hash-and-Floyd oracle, and its draws."""
 
@@ -549,6 +593,36 @@ class TestP3P:
             warnings.simplefilter("error", RuntimeWarning)
             _, _, ok = _p3p_batch(pixels, points, K)
         assert not ok.any()
+
+    def test_ok_roots_are_the_all_roots_kabsch_bit_for_bit(self):
+        # pnp-n1000-recipe samples, half of their matches wrong; then
+        # samples of a cloud whose every point appears three times, many
+        # of them degenerate; then collinear and coincident samples
+        stacks = []
+        for seed in (0, 1):
+            s, C = pool_scene(seed)
+            rows = _samples(seed, range(2000), len(C), 3)
+            stacks.append((s.pixels.pixels[C.idx2d][rows], s.cloud.points[C.idx3d][rows], s.K))
+        s = generate_scene(20, noise=NoiseSpec(seed=67, outlier_rate=0.4))
+        pairs = s.pairs_with_outliers()
+        idx = np.tile(np.arange(len(pairs)), 3)
+        rows = _samples(4, range(500), len(idx), 3)
+        pixels, points = s.pixels.pixels[pairs.idx2d][idx], s.cloud.points[pairs.idx3d][idx]
+        stacks.append((pixels[rows], points[rows], s.K))
+        p, q = np.array([0.1, -0.2, 4.0]), np.array([0.5, 0.3, 5.0])
+        line = np.array([[p, q, 0.25 * p + 0.75 * q], [p, q, q], [p, p, p]])
+        stacks.append((project_points(line.reshape(-1, 3), s.T_gt, s.K)[0].reshape(3, 3, 2),
+                       line, s.K))
+        rootless = 0
+        for pixels, points, K in stacks:
+            R, t, ok = _p3p_batch(pixels, points, K)
+            R_o, t_o, ok_o = p3p_batch_all_roots(pixels, points, K)
+            assert ok.tobytes() == ok_o.tobytes()
+            assert R[ok].tobytes() == R_o[ok].tobytes()
+            assert t[ok].tobytes() == t_o[ok].tobytes()
+            assert np.isnan(R[~ok]).all() and np.isnan(t[~ok]).all()
+            rootless += np.count_nonzero(~ok.any(axis=1))
+        assert rootless >= 100
 
 
 def without_lo(T, mask, count, *_):
