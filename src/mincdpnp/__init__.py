@@ -11,7 +11,6 @@ from .errors import (
     MissingFeatures,
     NearPiRotation,
     NoConsensus,
-    NonFiniteInput,
     NotOneToOne,
     TooFewPoints,
 )
@@ -27,12 +26,10 @@ from .features import (
 )
 from .chamfer import (
     ChamferReport,
-    LossWeights,
     SolverConfig,
     TraceRow,
     chamfer_cost,
     chamfer_grad_twist,
-    mincd_objective,
     save_trace_csv,
     solve_pose_chamfer,
 )
@@ -53,8 +50,6 @@ from .keypoint import (
     SelectConfig,
     SelectedKeypoints,
     evaluate_selection,
-    guided_reprojection_total,
-    key_loss,
     keypoint_precision_recall,
     reprojection_correctness,
     select_3d_keypoints,

@@ -29,8 +29,8 @@ from .errors import AllPointsBehindCamera, EmptySet
 from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
 from .geometry import CameraIntrinsics, Pose, _pair_sq_errors
 
-# tau, the squared-pixel inlier radius of kappa, kappa*, keypoint
-# selection and the RANSAC consensus: the one default of all four
+# tau, the squared-pixel inlier radius of kappa, kappa* and the RANSAC
+# consensus: the one default of all three
 DEFAULT_TAU = 5.0
 
 

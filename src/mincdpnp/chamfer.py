@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import AllPointsBehindCamera, Divergence, EmptySet, NonFiniteInput
+from .errors import AllPointsBehindCamera, Divergence, EmptySet
 from .features import KeypointSet2D, KeypointSet3D, nearest_points
 from .geometry import (
     Z_MIN,
@@ -43,9 +43,6 @@ from .geometry import (
     projection_jacobian,
     se3_exp,
 )
-
-DEFAULT_LAMBDA1 = 0.2
-DEFAULT_LAMBDA2 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -62,19 +59,6 @@ class ChamferReport:
     forward_terms: np.ndarray
     backward_terms: np.ndarray
     assignment: tuple
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the keypoint and Chamfer terms in the combined objective."""
-
-    lambda1: float = DEFAULT_LAMBDA1
-    lambda2: float = DEFAULT_LAMBDA2
-
-    def __post_init__(self) -> None:
-        for weight in (self.lambda1, self.lambda2):
-            if not (0.0 <= weight < np.inf):
-                raise ValueError("loss weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -339,19 +323,3 @@ def save_trace_csv(path, trace: list[TraceRow]) -> None:
                 f"{row.iteration},{repr(row.cost)},{repr(row.step_size)},{rot},{trans}\n"
             )
 
-
-def mincd_objective(
-    corr_loss: float,
-    key_loss: float,
-    chamfer_value: float,
-    w: LossWeights = LossWeights(),
-) -> float:
-    """Combined training objective: corr + lambda1 * key + lambda2 * chamfer."""
-    for name, value in (
-        ("corr_loss", corr_loss),
-        ("key_loss", key_loss),
-        ("chamfer_value", chamfer_value),
-    ):
-        if not np.isfinite(value):
-            raise NonFiniteInput(f"{name} is not finite: {value}")
-    return float(corr_loss + w.lambda1 * key_loss + w.lambda2 * chamfer_value)

@@ -19,11 +19,9 @@ import numpy as np
 
 from .blindpnp import InlierConfig, check_inequality8
 from .chamfer import (
-    LossWeights,
     SolverConfig,
     chamfer_cost,
     chamfer_grad_twist,
-    mincd_objective,
     save_trace_csv,
     solve_pose_chamfer,
 )
@@ -40,12 +38,7 @@ from .evaluation import (
 )
 from .features import MatchConfig
 from .geometry import dumps_json, pose_difference, se3_exp
-from .keypoint import (
-    SelectConfig,
-    guided_reprojection_total,
-    key_loss,
-    select_3d_keypoints,
-)
+from .keypoint import SelectConfig, select_3d_keypoints
 from .pnp import RansacConfig, pnp_ransac, reprojection_cost, reprojection_grad_twist
 from .synth import NoiseSpec, ScenePair, check_rot_deg, check_trans_m, generate_scene
 from .synth import perturb_pose, point_budget
@@ -124,33 +117,35 @@ def cmd_synth(args) -> int:
     return 0
 
 
+class _LoadFailure(Exception):
+    """A scene that did not load; the message names the exception why."""
+
+
+def _load_scene(path: Path) -> ScenePair:
+    """The scene at path, or _LoadFailure if the directory or one of its
+    files is missing, malformed or incomplete; any other exception is a
+    bug and propagates."""
+    try:
+        return ScenePair.load_dir(path)
+    except (MinCDError, OSError, ValueError, KeyError) as exc:
+        raise _LoadFailure(f"load: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_match(args) -> int:
-    scene = ScenePair.load_dir(args.scene)
+    scene = _load_scene(args.scene)
     C = match_scene(scene, MatchConfig(delta=args.delta))
     if args.out is not None:
         C.save_csv(args.out)
     mean = float(np.mean(C.scores)) if len(C) else float("nan")
     print(f"{len(C)} pairs at delta={args.delta} (mean score {mean:.6f})")
 
-    select_cfg = SelectConfig(s_th=args.s_th, tau=args.tau)
-    selected = select_3d_keypoints(scene.pixels, scene.cloud, select_cfg)
+    selected = select_3d_keypoints(scene.pixels, scene.cloud, SelectConfig(s_th=args.s_th))
     print(f"{len(selected)} confident keypoints at s_th={args.s_th:.6f}")
-
-    corr = guided_reprojection_total(scene.pixels, scene.cloud, scene.T_gt, scene.K)
-    key, _ = key_loss(scene.pixels, scene.cloud, scene.T_gt, scene.K, select_cfg)
-    cd = chamfer_cost(scene.T_gt, scene.pixels, scene.cloud, scene.K).value
-    total = mincd_objective(
-        corr, key, cd, LossWeights(lambda1=args.lambda1, lambda2=args.lambda2)
-    )
-    print(
-        f"objective at truth: {total:.6f} "
-        f"(corr {corr:.6f}, key {key}, chamfer {cd:.6f})"
-    )
     return 0
 
 
 def cmd_solve_chamfer(args) -> int:
-    scene = ScenePair.load_dir(args.scene)
+    scene = _load_scene(args.scene)
     T_init = perturb_pose(scene.T_gt, args.init_rot, args.init_trans, args.seed)
     cfg = SolverConfig(max_iters=args.max_iters)
     T, trace = solve_pose_chamfer(
@@ -163,7 +158,7 @@ def cmd_solve_chamfer(args) -> int:
 
 
 def cmd_solve_pnp(args) -> int:
-    scene = ScenePair.load_dir(args.scene)
+    scene = _load_scene(args.scene)
     C = match_scene(scene, MatchConfig(delta=args.delta))
     cfg = RansacConfig(seed=args.seed, iterations=args.iterations, threshold=args.tau)
     T, mask = pnp_ransac(C, scene.pixels, scene.cloud, scene.K, cfg)
@@ -185,12 +180,10 @@ def _scan_scene_dirs(root: Path):
     out, failures = [], []
     for d in sorted(root.iterdir()):
         if d.is_dir() and (d / "meta.json").exists():
-            # a missing, malformed or incomplete file fails its scene
-            # alone; any other exception is a bug and propagates
             try:
-                out.append((d.name, ScenePair.load_dir(d)))
-            except (MinCDError, OSError, ValueError, KeyError) as exc:
-                failures.append((d.name, f"load: {type(exc).__name__}: {exc}"))
+                out.append((d.name, _load_scene(d)))
+            except _LoadFailure as exc:
+                failures.append((d.name, str(exc)))
     return out, failures
 
 
@@ -321,11 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-scenes", type=_COUNT, default=4)
 
     p = verb("match", cmd_match, "match one scene's features",
-             "--scene", "--out", "--delta", "--tau")
+             "--scene", "--out", "--delta")
     p.add_argument("--s-th", **_library(SelectConfig, "s_th"),
                    help="keypoint confidence threshold")
-    p.add_argument("--lambda1", **_library(LossWeights, "lambda1"))
-    p.add_argument("--lambda2", **_library(LossWeights, "lambda2"))
 
     p = verb("solve-chamfer", cmd_solve_chamfer, "solve one scene without matches",
              "--scene", "--out", "--seed", "--init-rot", "--init-trans")
@@ -368,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except MinCDError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, NotADirectoryError) as exc:
+    except (_LoadFailure, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,10 +38,6 @@ class Divergence(MinCDError):
     """An iterative solver failed to make progress despite a large gradient."""
 
 
-class NonFiniteInput(MinCDError):
-    """A scalar objective received NaN or infinity."""
-
-
 class TooFewPoints(MinCDError):
     """Fewer correspondences than the solver's minimum sample size."""
 

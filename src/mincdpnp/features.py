@@ -31,6 +31,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_coords(coords, name: str, width: int) -> np.ndarray:
+    """coords as a finite (N, width) float64 array; empty input is (0, width)."""
+    arr = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    if arr.size == 0:
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must be (N, {width}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _check_features(features, count: int):
     if features is None:
         return None
@@ -55,13 +67,7 @@ class KeypointSet2D:
     __slots__ = ("pixels", "features", "_tree", "_nearest")
 
     def __init__(self, pixels, features=None):
-        px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-        if px.size == 0:
-            px = px.reshape(0, 2)
-        if px.ndim != 2 or px.shape[1] != 2:
-            raise ValueError(f"pixels must be (N, 2), got {px.shape}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("pixels must be finite")
+        px = _check_coords(pixels, "pixels", 2)
         rows = px[np.lexsort(px.T)]  # equal rows adjacent; -0.0 sorts as 0.0
         if np.any((rows[1:] == rows[:-1]).all(axis=1)):
             raise ValueError("duplicate pixel coordinates")
@@ -107,13 +113,7 @@ class KeypointSet3D:
     __slots__ = ("points", "features")
 
     def __init__(self, points, features=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (N, 3), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        pts = _check_coords(points, "points", 3)
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "features", _check_features(features, len(pts)))
 

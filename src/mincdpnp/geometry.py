@@ -131,12 +131,6 @@ class Pose:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.R.T + self.t
 
-    def almost_equal(self, other: "Pose", atol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.R, other.R, atol=atol)
-            and np.allclose(self.t, other.t, atol=atol)
-        )
-
     def to_json_dict(self) -> dict:
         return {"R": [float(x) for x in self.R.ravel()], "t": [float(x) for x in self.t]}
 

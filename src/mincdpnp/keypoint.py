@@ -1,10 +1,10 @@
-"""Guided 3D keypoint selection and the keypoint loss.
+"""Guided 3D keypoint selection and its grader.
 
 Selection walks every 2D keypoint, finds its nearest 3D partner in
 feature space, and keeps the partner when the match score clears a
-confidence threshold. The keypoint loss scores a selection against a
-known pose: it is an exact negative count of confident and
-geometrically correct picks.
+confidence threshold. The grader scores a selection against a known
+pose: precision and recall of picks that reproject next to the 2D
+keypoint that nominated them.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from functools import cached_property
 
 from scipy.spatial import cKDTree
 
-from .blindpnp import DEFAULT_TAU
 from .errors import EmptyGroundTruth
 from .features import KeypointSet2D, KeypointSet3D, nearest_points
-from .geometry import CameraIntrinsics, Pose, _pair_sq_errors, project_points
+from .geometry import CameraIntrinsics, Pose, project_points
 
 DEFAULT_S_TH = float(np.exp(-0.4))
 PRECISION_RECALL_PIXEL_THRESHOLD = 3.0
@@ -27,16 +26,13 @@ PRECISION_RECALL_PIXEL_THRESHOLD = 3.0
 
 @dataclass(frozen=True)
 class SelectConfig:
-    """Confidence and reprojection thresholds for keypoint selection."""
+    """Keypoint selection's confidence threshold: a match score of at most s_th."""
 
     s_th: float = DEFAULT_S_TH
-    tau: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
         if not (self.s_th > 0):
             raise ValueError("s_th must be positive")
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,48 +93,6 @@ def select_3d_keypoints(
         source_2d=sources,
         scores=scores,
     )
-
-
-def _nearest_partners(image_set, cloud_set, T, K):
-    """Each 2D keypoint's nearest-feature partner: (match score, squared
-    reprojection error under T), the error inf for a partner not in front."""
-    best_j, best_s = image_set.nearest_in(cloud_set)
-    points = cloud_set.points[best_j]
-    return best_s, _pair_sq_errors(T.R[None], T.t[None], image_set.pixels, points, K)[0]
-
-
-def key_loss(
-    image_set: KeypointSet2D,
-    cloud_set: KeypointSet3D,
-    T_gt: Pose,
-    K: CameraIntrinsics,
-    cfg: SelectConfig = SelectConfig(),
-) -> tuple[int, np.ndarray]:
-    """Negative count of confident, correctly reprojecting keypoints.
-
-    Returns (loss, per_q flags); loss is minus the number of set flags
-    and lies in [-M0, 0]. A nearest partner behind the camera is never
-    correct.
-    """
-    scores, sq = _nearest_partners(image_set, cloud_set, T_gt, K)
-    counted = (scores <= cfg.s_th) & (sq <= cfg.tau)
-    return -int(np.count_nonzero(counted)), counted
-
-
-def guided_reprojection_total(
-    image_set: KeypointSet2D,
-    cloud_set: KeypointSet3D,
-    T: Pose,
-    K: CameraIntrinsics,
-) -> float:
-    """Diagnostic only: summed reprojection error of nearest-feature matches.
-
-    The guided-matching objective this evaluates is dominated by its
-    replacement losses and ships with no solver; behind-camera partners
-    are skipped.
-    """
-    _, sq = _nearest_partners(image_set, cloud_set, T, K)
-    return float(np.sum(sq[np.isfinite(sq)]))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,11 @@ def rotation_rotvec(omega):
     return Rotation.from_rotvec(np.array(omega, dtype=float)).as_matrix()
 
 
+def poses_close(a, b, atol=1e-9):
+    """Whether two poses agree entry by entry, np.allclose with atol."""
+    return bool(np.allclose(a.R, b.R, atol=atol) and np.allclose(a.t, b.t, atol=atol))
+
+
 def project_scalar(p, R, t, fu, fv, cu, cv):
     """Pinhole projection done one scalar at a time."""
     x = R[0][0] * p[0] + R[0][1] * p[1] + R[0][2] * p[2] + t[0]
@@ -312,26 +317,6 @@ def select_keypoints_bruteforce(feats2d, feats3d, s_th):
         if j not in keep or (s, q) < keep[j]:
             keep[j] = (s, q)
     return keep
-
-
-def key_loss_flags_bruteforce(
-    pixels, feats2d, points, feats3d, R, t, fu, fv, cu, cv, tau, s_th, z_min=1e-6,
-):
-    """Per-query confident and correct flags, one scalar pair at a time."""
-    matches = nearest_match_bruteforce(feats2d, feats3d)
-    confident, correct = [], []
-    for q_idx, (j, s) in enumerate(matches):
-        confident.append(s <= s_th)
-        p = points[j]
-        z = R[2][0] * p[0] + R[2][1] * p[1] + R[2][2] * p[2] + t[2]
-        if z <= z_min:
-            correct.append(False)
-            continue
-        err = reprojection_error_scalar(
-            pixels[q_idx], p, R, t, fu, fv, cu, cv
-        )
-        correct.append(err <= tau)
-    return confident, correct
 
 
 def inlier_ratio_bruteforce(

@@ -12,13 +12,11 @@ from mincdpnp import (
     DEFAULT_S_TH,
     DEFAULT_TAU,
     InlierConfig,
-    LossWeights,
     MatchConfig,
     NoiseSpec,
     Pose,
     RansacConfig,
     ScenePair,
-    SelectConfig,
     SolverConfig,
     generate_scene,
     run_pipeline,
@@ -91,7 +89,6 @@ class TestSingleSceneVerbs:
         text = capsys.readouterr().out
         assert "100 pairs" in text
         assert "confident keypoints" in text
-        assert "objective at truth" in text
         assert len(out.read_text().splitlines()) == 100
 
     def test_solve_chamfer(self, scene_dir, tmp_path, capsys):
@@ -117,6 +114,29 @@ class TestSingleSceneVerbs:
     def test_missing_scene_dir(self, tmp_path, capsys):
         assert run(["match", "--scene", tmp_path / "nope"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["match", "solve-chamfer", "solve-pnp"])
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            ("truncated_meta", "JSONDecodeError"),
+            ("empty_pose", "KeyError"),
+            ("ascii_ply", "ValueError"),
+        ],
+    )
+    def test_malformed_scene_is_one_error_line(self, scene_dir, verb, damage, error, capsys):
+        if damage == "truncated_meta":
+            (scene_dir / "meta.json").write_text("{")
+        elif damage == "empty_pose":
+            (scene_dir / "pose_gt.json").write_text("{}")
+        else:
+            save_ply_ascii(scene_dir / "cloud.ply", load_ply(scene_dir / "cloud.ply"))
+        assert run([verb, "--scene", scene_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: load: {error}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 class TestEval:
@@ -357,7 +377,7 @@ class TestSurface:
         for name, parser in verbs.items():
             fn = parser.get_default("fn")
             assert accepted_dests(parser) == args_read(fn.__name__), name
-        assert sum(len(accepted_dests(p)) for p in verbs.values()) == 52
+        assert sum(len(accepted_dests(p)) for p in verbs.values()) == 49
 
     def test_parser_defaults_are_the_librarys(self):
         verbs = verb_parsers()
@@ -366,15 +386,13 @@ class TestSurface:
         def defaults(dest, *names):
             return {verbs[n].get_default(dest) for n in names}
 
-        assert DEFAULT_TAU == InlierConfig.tau == SelectConfig.tau == RansacConfig.threshold
-        assert defaults("tau", "match", "solve-pnp", "eval", "bound-check") == {DEFAULT_TAU}
+        assert DEFAULT_TAU == InlierConfig.tau == RansacConfig.threshold
+        assert defaults("tau", "solve-pnp", "eval", "bound-check") == {DEFAULT_TAU}
         assert start["ransac_threshold"].default == DEFAULT_TAU
         assert defaults("iterations", "solve-pnp", "eval") == {RansacConfig.iterations}
         assert start["ransac_iterations"].default == RansacConfig.iterations
         assert defaults("max_iters", "solve-chamfer") == {SolverConfig.max_iters}
         assert defaults("delta", "match", "solve-pnp", "eval") == {MatchConfig.delta}
-        w = verbs["match"]
-        assert LossWeights(w.get_default("lambda1"), w.get_default("lambda2")) == LossWeights()
         assert defaults("s_th", "match") == {DEFAULT_S_TH}
         assert defaults("init_rot", "solve-chamfer", "eval") == {start["init_rot_deg"].default}
         assert defaults("init_trans", "solve-chamfer", "eval") == {start["init_trans_m"].default}

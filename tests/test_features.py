@@ -21,10 +21,8 @@ from mincdpnp import (
     evaluate_selection,
     feature_distance_matrix,
     generate_scene,
-    guided_reprojection_total,
     inlier_ratio,
     kappa,
-    key_loss,
     match_scene,
     nearest_features,
     pnp_ransac,
@@ -468,8 +466,6 @@ class TestNearestIn:
         s = self.scene()
         got = match_scene(s)
         evaluate_selection(s.pixels, s.cloud, s.T_gt, s.K)
-        key_loss(s.pixels, s.cloud, s.T_gt, s.K)
-        guided_reprojection_total(s.pixels, s.cloud, s.T_gt, s.K)
         assert len(searches) == 1
         best, score = nearest_features_dense(s.pixels.features, s.cloud.features)
         keep = np.flatnonzero(score <= MatchConfig().delta)

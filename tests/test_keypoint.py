@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mincdpnp import (
     DEFAULT_S_TH,
@@ -13,8 +15,6 @@ from mincdpnp import (
     SelectConfig,
     evaluate_selection,
     generate_scene,
-    guided_reprojection_total,
-    key_loss,
     keypoint_precision_recall,
     perturb_pose,
     project_points,
@@ -26,8 +26,6 @@ from mincdpnp import keypoint
 from oracles import (
     DenseCorrectness,
     evaluate_selection_dense,
-    key_loss_flags_bruteforce,
-    reprojection_error_scalar,
     select_keypoints_bruteforce,
 )
 
@@ -44,22 +42,49 @@ def random_instance(rng, m=12, n=15, dim=16, sigma=0.4):
     return kp2d, kp3d
 
 
+@st.composite
+def selection_instances(draw):
+    """(2D set, 3D set, s_th): 2D features are noisy copies of 3D rows, so
+    several 2D keypoints share a partner, and some 2D rows are copies of
+    other 2D rows, so their scores tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 20))
+    f3d = rng.normal(size=(n, dim))
+    sigma = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    f2d = f3d[rng.integers(0, n, size=m)] + sigma * rng.normal(size=(m, dim))
+    copied = rng.integers(0, m, size=draw(st.integers(0, m)))
+    f2d[copied] = f2d[rng.integers(0, m, size=len(copied))]
+    pixels = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])
+    kp3d = KeypointSet3D(rng.normal(size=(n, 3)) + [0, 0, 5.0], f3d)
+    s_th = draw(st.sampled_from([0.05, 0.3, DEFAULT_S_TH, 1.0, 2.0]))
+    return KeypointSet2D(pixels, f2d), kp3d, s_th
+
+
+def assert_selection_matches_bruteforce(kp2d, kp3d, s_th):
+    sel = select_3d_keypoints(kp2d, kp3d, SelectConfig(s_th=s_th))
+    want = select_keypoints_bruteforce(kp2d.features, kp3d.features, s_th)
+    got = {
+        int(j): (s, int(q))
+        for j, s, q in zip(sel.cloud_indices, sel.scores, sel.source_2d)
+    }
+    assert set(got) == set(want)
+    for j in want:
+        assert got[j][1] == want[j][1]
+        assert got[j][0] == pytest.approx(want[j][0], abs=1e-12)
+
+
 class TestSelect3DKeypoints:
+    @given(selection_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_property_ties_and_shared_partners(self, instance):
+        assert_selection_matches_bruteforce(*instance)
+
     def test_matches_bruteforce_selection(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             kp2d, kp3d = random_instance(rng)
-            s_th = float(rng.uniform(0.2, 1.2))
-            sel = select_3d_keypoints(kp2d, kp3d, SelectConfig(s_th=s_th))
-            want = select_keypoints_bruteforce(kp2d.features, kp3d.features, s_th)
-            got = {
-                int(j): (s, int(q))
-                for j, s, q in zip(sel.cloud_indices, sel.scores, sel.source_2d)
-            }
-            assert set(got) == set(want)
-            for j in want:
-                assert got[j][1] == want[j][1]
-                assert got[j][0] == pytest.approx(want[j][0], abs=1e-12)
+            assert_selection_matches_bruteforce(kp2d, kp3d, float(rng.uniform(0.2, 1.2)))
 
     def test_duplicate_nominations_keep_best_score(self):
         f3d = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -147,91 +172,6 @@ class TestSelect3DKeypoints:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SelectConfig(s_th=0.0)
-        with pytest.raises(ValueError):
-            SelectConfig(tau=-1.0)
-
-
-class TestKeyLoss:
-    def test_flags_match_scalar_oracle(self):
-        rng = np.random.default_rng(43)
-        for _ in range(15):
-            kp2d, kp3d = random_instance(rng)
-            T = Pose.identity()
-            cfg = SelectConfig(s_th=float(rng.uniform(0.3, 1.0)), tau=25.0)
-            loss, flags = key_loss(kp2d, kp3d, T, K_DEFAULT, cfg)
-            conf, corr = key_loss_flags_bruteforce(
-                kp2d.pixels,
-                kp2d.features,
-                kp3d.points,
-                kp3d.features,
-                T.R,
-                T.t,
-                K_DEFAULT.fu,
-                K_DEFAULT.fv,
-                K_DEFAULT.cu,
-                K_DEFAULT.cv,
-                cfg.tau,
-                cfg.s_th,
-            )
-            want = np.array(conf) & np.array(corr)
-            assert np.array_equal(flags, want)
-            assert loss == -int(want.sum())
-
-    def test_range(self):
-        rng = np.random.default_rng(47)
-        for seed in range(5):
-            kp2d, kp3d = random_instance(rng)
-            loss, flags = key_loss(kp2d, kp3d, Pose.identity(), K_DEFAULT)
-            assert -len(kp2d) <= loss <= 0
-            assert flags.shape == (len(kp2d),)
-
-    def test_perfect_scene_scores_minus_m0(self):
-        for seed in range(5):
-            s = generate_scene(20, noise=NoiseSpec(seed=seed))
-            loss, flags = key_loss(s.pixels, s.cloud, s.T_gt, s.K)
-            assert loss == -20
-            assert flags.all()
-
-    def test_partner_behind_camera_is_never_correct(self):
-        kp2d = KeypointSet2D(np.array([[320.0, 240.0]]), np.array([[1.0, 0.0]]))
-        kp3d = KeypointSet3D(np.array([[0.0, 0.0, -5.0]]), np.array([[1.0, 0.0]]))
-        loss, flags = key_loss(kp2d, kp3d, Pose.identity(), K_DEFAULT)
-        assert loss == 0
-        assert not flags[0]
-
-
-class TestGuidedReprojectionTotal:
-    def test_zero_on_perfect_scene(self):
-        s = generate_scene(25, noise=NoiseSpec(seed=2))
-        assert guided_reprojection_total(s.pixels, s.cloud, s.T_gt, s.K) == 0.0
-
-    def test_matches_scalar_sum(self):
-        rng = np.random.default_rng(71)
-        kp2d, kp3d = random_instance(rng)
-        T = Pose.identity()
-        got = guided_reprojection_total(kp2d, kp3d, T, K_DEFAULT)
-        from oracles import nearest_match_bruteforce
-
-        want = 0.0
-        for q_idx, (j, _) in enumerate(
-            nearest_match_bruteforce(kp2d.features, kp3d.features)
-        ):
-            want += reprojection_error_scalar(
-                kp2d.pixels[q_idx],
-                kp3d.points[j],
-                T.R,
-                T.t,
-                K_DEFAULT.fu,
-                K_DEFAULT.fv,
-                K_DEFAULT.cu,
-                K_DEFAULT.cv,
-            )
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_behind_camera_terms_skipped(self):
-        kp2d = KeypointSet2D(np.array([[320.0, 240.0]]), np.array([[1.0, 0.0]]))
-        kp3d = KeypointSet3D(np.array([[0.0, 0.0, -5.0]]), np.array([[1.0, 0.0]]))
-        assert guided_reprojection_total(kp2d, kp3d, Pose.identity(), K_DEFAULT) == 0.0
 
 
 class TestTauCriterion:
