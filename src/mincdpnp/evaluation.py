@@ -22,7 +22,7 @@ from .blindpnp import DEFAULT_TAU
 from .chamfer import solve_pose_chamfer
 from .errors import EmptySet, MinCDError, MissingDepth
 from .features import CorrespondenceSet, MatchConfig
-from .geometry import Pose, pose_difference
+from .geometry import Pose, backproject, pose_difference
 from .pnp import RansacConfig, pnp_ransac
 from .synth import ScenePair, perturb_pose
 
@@ -86,15 +86,7 @@ def inlier_ratio(C: CorrespondenceSet, scene: ScenePair) -> float:
     depth = scene.depth[C.idx2d]
     if np.isnan(depth).any():
         raise MissingDepth("a matched pixel has no depth")
-    K = scene.K
-    cam = np.column_stack(
-        [
-            depth * (pix[:, 0] - K.cu) / K.fu,
-            depth * (pix[:, 1] - K.cv) / K.fv,
-            depth,
-        ]
-    )
-    world = scene.T_gt.inverse().apply(cam)
+    world = scene.T_gt.inverse().apply(backproject(pix, depth, scene.K))
     d = np.linalg.norm(world - points, axis=1)
     return float(np.count_nonzero(d <= IR_THRESHOLD_M) / len(C))
 
@@ -121,13 +113,7 @@ def match_scene(
     """Nearest 3D partner per pixel, kept when within the match delta."""
     best, score = scene.pixels.nearest_in(scene.cloud)
     keep = np.flatnonzero(score <= match_cfg.delta)
-    return CorrespondenceSet(
-        keep,
-        best[keep],
-        score[keep],
-        n2d=len(scene.pixels),
-        n3d=len(scene.cloud),
-    )
+    return CorrespondenceSet(keep, best[keep], score[keep])
 
 
 def _solve_one(scene, C, solver, seed, ransac_iterations, ransac_threshold,

@@ -203,12 +203,12 @@ class CorrespondenceSet:
 
     __slots__ = ("idx2d", "idx3d", "scores")
 
-    def __init__(self, idx2d, idx3d, scores=None, *, n2d=None, n3d=None):
+    def __init__(self, idx2d, idx3d, scores=None):
         i, j = _pair_indices(idx2d), _pair_indices(idx3d)
         s = (
             np.zeros(len(i))
             if scores is None
-            else np.asarray(scores, dtype=np.float64).reshape(-1)
+            else np.array(scores, dtype=np.float64).reshape(-1)
         )
         if not (len(i) == len(j) == len(s)):
             raise ValueError("index and score lists must have equal length")
@@ -219,7 +219,6 @@ class CorrespondenceSet:
         object.__setattr__(self, "idx2d", i)
         object.__setattr__(self, "idx3d", j)
         object.__setattr__(self, "scores", s)
-        self.require_in_range(n2d, n3d)
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrespondenceSet is immutable")

@@ -89,21 +89,19 @@ class Pose:
 
     __slots__ = ("R", "t")
 
-    def __init__(self, rotation, translation, *, check: bool = True):
+    def __init__(self, rotation, translation):
         R = _as_float_array(rotation, (3, 3), "rotation")
         t = _as_float_array(translation, (3,), "translation")
-        if check:
-            if not np.allclose(R @ R.T, np.eye(3), atol=_ORTHONORMALITY_TOL):
-                raise ValueError("rotation is not orthonormal within 1e-9")
-            if abs(np.linalg.det(R) - 1.0) > _ORTHONORMALITY_TOL:
-                raise ValueError("rotation determinant differs from +1")
+        if not _poses_pass_checks(R[None], t[None])[0]:
+            raise ValueError("rotation is not orthonormal with determinant +1 within 1e-9")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
     @classmethod
     def _owned(cls, R: np.ndarray, t: np.ndarray) -> "Pose":
-        """Pose(R, t, check=False) on new C-contiguous float arrays that no
-        one else holds: made read-only, not copied, and checked finite."""
+        """A pose of computed arrays, R and t new C-contiguous float arrays
+        that no one else holds: made read-only, not copied, and checked
+        finite, but not checked for a rotation (their maker guarantees it)."""
         pose = object.__new__(cls)
         for attr, name, a in (("R", "rotation", R), ("t", "translation", t)):
             if not np.isfinite(a).all():
@@ -152,10 +150,9 @@ class Pose:
 
 
 def _poses_pass_checks(R, t) -> np.ndarray:
-    """Pose's checks over a stack: True where Pose(R[b], t[b]) does not raise.
-
-    R is (B, 3, 3) and t (B, 3); the tests and tolerances are the
-    constructor's (finite entries, R R^T allclose to I, det R near +1).
+    """The one rotation test, over a stack: True where Pose(R[b], t[b]) does
+    not raise. R is (B, 3, 3) and t (B, 3); Pose's constructor runs it on
+    a stack of one (finite entries, R R^T allclose to I, det R near +1).
     """
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
@@ -179,22 +176,27 @@ def skew(w) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def pinhole(cam, K: CameraIntrinsics, z=None) -> np.ndarray:
+def pinhole(cam, K: CameraIntrinsics) -> np.ndarray:
     """Pixels (..., 2) of camera-frame points (..., 3): (fu x/z + cu, fv y/z + cv).
 
-    z defaults to the points' own depth; callers that must not divide by
-    a depth at or behind the camera pass a safe one instead. Every
-    projection in the package goes through this expression, so the same
-    point and pose give the same bits wherever they are projected.
+    Every projection in the package goes through this expression, so the
+    same point and pose give the same bits wherever they are projected.
     """
-    if z is None:
-        z = cam[..., 2]
-    return np.stack(_pinhole_uv(cam[..., 0], cam[..., 1], z, K), axis=-1)
+    return np.stack(_pinhole_uv(cam[..., 0], cam[..., 1], cam[..., 2], K), axis=-1)
 
 
 def _pinhole_uv(x, y, z, K: CameraIntrinsics):
     """pinhole's expression on coordinate arrays: the pair (u, v)."""
     return K.fu * x / z + K.cu, K.fv * y / z + K.cv
+
+
+def backproject(pixels, depth, K: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame points (..., 3) of pixels (..., 2) at depth z (...), the
+    inverse of pinhole: ((u - cu) / fu * z, (v - cv) / fv * z, z)."""
+    z = np.broadcast_to(np.asarray(depth, dtype=np.float64), pixels.shape[:-1])
+    return np.stack(
+        [(pixels[..., 0] - K.cu) / K.fu * z, (pixels[..., 1] - K.cv) / K.fv * z, z], axis=-1
+    )
 
 
 def project_points(points, T: Pose, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +208,8 @@ def project_points(points, T: Pose, K: CameraIntrinsics) -> tuple[np.ndarray, np
     cam = T.apply(np.atleast_2d(points))
     z = cam[:, 2]
     in_front = z > Z_MIN
-    pixels = np.where(in_front[:, None], pinhole(cam, K, np.where(in_front, z, 1.0)), np.nan)
+    u, v = _pinhole_uv(cam[:, 0], cam[:, 1], np.where(in_front, z, 1.0), K)
+    pixels = np.where(in_front[:, None], np.stack([u, v], axis=-1), np.nan)
     return pixels, in_front
 
 

@@ -42,6 +42,7 @@ from .geometry import (
     Pose,
     _pair_sq_errors,
     _poses_pass_checks,
+    backproject,
     project_points,
 )
 
@@ -115,10 +116,7 @@ def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
     Collinear or coincident points give no root.
     """
     B = len(pixels)
-    f = np.stack(
-        [(pixels[..., 0] - K.cu) / K.fu, (pixels[..., 1] - K.cv) / K.fv, np.ones((B, 3))],
-        axis=-1,
-    )
+    f = backproject(pixels, 1.0, K)
     f /= np.sqrt(np.einsum("bid,bid->bi", f, f))[..., None]
     cos_a = np.einsum("bd,bd->b", f[:, 1], f[:, 2])[:, None]
     cos_b = np.einsum("bd,bd->b", f[:, 0], f[:, 2])[:, None]
@@ -393,7 +391,7 @@ def _ransac_from_arrays(pixels, points, K, cfg):
             count = int(counts[j])
             if count > best_count:
                 best_pose, best_mask, best_count = _local_opt(
-                    Pose(R[j], t[j], check=False), masks[row[j]], count,
+                    Pose._owned(R[j].copy(), t[j].copy()), masks[row[j]], count,
                     pixels, points, K, cfg.threshold,
                 )
             # standard adaptive stop: a size-s sample is all-inlier with

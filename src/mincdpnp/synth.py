@@ -33,7 +33,7 @@ from .features import (
     KeypointSet2D,
     KeypointSet3D,
 )
-from .geometry import CameraIntrinsics, Pose, dumps_json, pinhole, so3_exp
+from .geometry import CameraIntrinsics, Pose, backproject, dumps_json, pinhole, so3_exp
 from .plyio import load_ply, save_ply
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fu=585.0, fv=585.0, cu=320.0, cv=240.0)
@@ -94,7 +94,7 @@ class ScenePair:
     meta: dict
 
     def __post_init__(self) -> None:
-        depth = np.asarray(self.depth, dtype=np.float64).reshape(-1)
+        depth = np.array(self.depth, dtype=np.float64).reshape(-1)
         if len(depth) != len(self.pixels):
             raise ValueError("depth must be parallel to the pixel set")
         defined = ~np.isnan(depth)
@@ -109,7 +109,7 @@ class ScenePair:
         extra = self.meta.get("outlier_nominal_pairs", [])
         i = list(self.gt_pairs.idx2d) + [p[0] for p in extra]
         j = list(self.gt_pairs.idx3d) + [p[1] for p in extra]
-        return CorrespondenceSet(i, j, n2d=len(self.pixels), n3d=len(self.cloud))
+        return CorrespondenceSet(i, j)
 
     def save_dir(self, directory: str | Path) -> None:
         """Write the scene's files: cloud.ply (binary little-endian doubles),
@@ -157,7 +157,7 @@ def random_pose(rng: np.random.Generator) -> Pose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = np.radians(rng.uniform(0.0, POSE_MAX_ROT_DEG))
-    return Pose(so3_exp(axis * angle), rng.normal(scale=POSE_TRANS_SIGMA, size=3), check=False)
+    return Pose._owned(so3_exp(axis * angle), rng.normal(scale=POSE_TRANS_SIGMA, size=3))
 
 
 def check_rot_deg(rot_deg: float) -> None:
@@ -200,7 +200,7 @@ def perturb_pose(T: Pose, rot_deg: float, trans_m: float, seed: int) -> Pose:
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     R_delta = so3_exp(axis * np.radians(rot_deg))
-    return Pose(R_delta @ T.R, T.t + trans_m * direction, check=False)
+    return Pose._owned(R_delta @ T.R, T.t + trans_m * direction)
 
 
 def generate_scene(n_points: int, *, noise: NoiseSpec = NoiseSpec(seed=0)) -> ScenePair:
@@ -225,8 +225,7 @@ def generate_scene(n_points: int, *, noise: NoiseSpec = NoiseSpec(seed=0)) -> Sc
     u = rng.uniform(PIXEL_MARGIN, IMAGE_WIDTH - PIXEL_MARGIN, size=n_points)
     v = rng.uniform(PIXEL_MARGIN, IMAGE_HEIGHT - PIXEL_MARGIN, size=n_points)
     z = rng.uniform(Z_NEAR, DEFAULT_D_MAX, size=n_points)
-    cam = np.column_stack([(u - K.cu) / K.fu * z, (v - K.cv) / K.fv * z, z])
-    world = T_gt.inverse().apply(cam)
+    world = T_gt.inverse().apply(backproject(np.column_stack([u, v]), z, K))
 
     latent = rng.normal(size=(n_points, DEFAULT_FEATURE_DIM))
     feats3d = latent + noise.feature_noise_sigma * rng.normal(size=latent.shape)
@@ -263,12 +262,7 @@ def generate_scene(n_points: int, *, noise: NoiseSpec = NoiseSpec(seed=0)) -> Sc
         feats2d[outlier_pixel_idx] = rng.normal(size=(n_outliers, DEFAULT_FEATURE_DIM))
 
     true_pixel_idx = np.flatnonzero(~is_outlier_pixel)
-    gt_pairs = CorrespondenceSet(
-        true_pixel_idx,
-        cloud_of_pixel[true_pixel_idx],
-        n2d=len(pix),
-        n3d=n_points,
-    )
+    gt_pairs = CorrespondenceSet(true_pixel_idx, cloud_of_pixel[true_pixel_idx])
     meta = {
         "seed": noise.seed,
         "n_points": n_points,

@@ -51,8 +51,11 @@ def rotation_rotvec(omega):
 
 
 def poses_close(a, b, atol=1e-9):
-    """Whether two poses agree entry by entry, np.allclose with atol."""
-    return bool(np.allclose(a.R, b.R, atol=atol) and np.allclose(a.t, b.t, atol=atol))
+    """Whether two poses agree entry by entry within atol, with no relative
+    slack: atol=0.0 asks for equal entries."""
+    return bool(
+        np.allclose(a.R, b.R, rtol=0, atol=atol) and np.allclose(a.t, b.t, rtol=0, atol=atol)
+    )
 
 
 def project_scalar(p, R, t, fu, fv, cu, cv):
@@ -501,7 +504,7 @@ def _p3p_hypothesis_sequential(pixels, points, sample, K, threshold):
     for r in range(R.shape[1]):
         if not ok[0, r]:
             continue
-        T = Pose(R[0, r], t[0, r], check=False)
+        T = Pose._owned(R[0, r].copy(), t[0, r].copy())
         mask, _ = _score_sequential(T, pixels, points, K, threshold)
         count = int(mask.sum())
         if best is None or count > best[2]:

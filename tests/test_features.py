@@ -576,9 +576,19 @@ class TestContainers:
 
     def test_correspondence_index_bounds(self):
         with pytest.raises(ValueError):
-            CorrespondenceSet([0, 5], [0, 1], n2d=3)
+            CorrespondenceSet([0, 5], [0, 1]).require_in_range(3, None)
         with pytest.raises(ValueError):
             CorrespondenceSet([-1], [0])
+
+    def test_arrays_are_copies_of_the_callers(self):
+        i, j, scores = np.array([0, 1]), np.array([1, 0]), np.array([0.1, 0.2])
+        C = CorrespondenceSet(i, j, scores)
+        for a in (i, j, scores):
+            assert a.flags.writeable
+            a[0] = 7
+        assert C.idx2d.tolist() == [0, 1] and C.idx3d.tolist() == [1, 0]
+        assert C.scores.tolist() == [0.1, 0.2]
+        assert not any(a.flags.writeable for a in (C.idx2d, C.idx3d, C.scores))
 
     def test_correspondence_csv_round_trip(self, tmp_path):
         cs = CorrespondenceSet([0, 1, 2], [5, 4, 3], [0.1, 0.2, 0.30000000000000004])
@@ -590,13 +600,11 @@ class TestContainers:
         np.testing.assert_array_equal(back.scores, cs.scores)
 
     def test_one_range_check_for_every_pair_consumer(self):
-        # the constructor's n2d/n3d check, gather, kappa, the pnp entry points
-        # and inlier_ratio all raise the one ValueError text
+        # gather, kappa, the pnp entry points and inlier_ratio all raise
+        # the one ValueError text
         s = generate_scene(8, noise=NoiseSpec(seed=7))
         bad = CorrespondenceSet(np.arange(8), np.arange(8) + 5)
         message = "3D index 12 out of range for set of 8"
-        with pytest.raises(ValueError, match=message):
-            CorrespondenceSet(bad.idx2d, bad.idx3d, n2d=8, n3d=8)
         for call in (
             lambda: bad.gather(s.pixels, s.cloud),
             lambda: kappa(s.T_gt, bad, s.pixels, s.cloud, s.K),

@@ -20,6 +20,7 @@ from mincdpnp.geometry import (
     Z_MIN,
     _pair_sq_errors,
     _poses_pass_checks,
+    backproject,
     pinhole,
 )
 
@@ -106,6 +107,22 @@ class TestProjection:
         for (x, y, z), (u, v) in zip(cam.reshape(-1, 3).tolist(), q.reshape(-1, 2).tolist()):
             assert u == K.fu * x / z + K.cu
             assert v == K.fv * y / z + K.cv
+
+    def test_backproject_inverts_pinhole(self):
+        rng = np.random.default_rng(17)
+        cam = rng.normal(scale=3.0, size=(500, 3))
+        cam[:, 2] = rng.uniform(0.5, 10.0, size=500)
+        pix = pinhole(cam, K)
+        back = backproject(pix, cam[:, 2], K)
+        assert back[:, 2].tobytes() == cam[:, 2].tobytes()
+        # a few ulp of the pixel (u - c cancels down to ulp(c)) carried
+        # back to meters, plus a few ulp of the coordinate itself
+        for axis, (f, c) in enumerate(((K.fu, K.cu), (K.fv, K.cv))):
+            px_ulp = np.spacing(np.maximum(np.abs(pix[:, axis]), abs(c)))
+            bound = 4 * px_ulp / f * cam[:, 2] + 4 * np.spacing(np.abs(cam[:, axis]))
+            assert (np.abs(back[:, axis] - cam[:, axis]) <= bound).all()
+        rays = backproject(pix.reshape(5, 100, 2), 1.0, K)
+        assert rays.shape == (5, 100, 3) and (rays[..., 2] == 1.0).all()
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(3)
@@ -242,8 +259,15 @@ class TestPose:
 
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="orthonormal with determinant"):
             Pose(R, np.zeros(3))
+
+    def test_poses_close_has_no_relative_slack(self):
+        a = Pose(np.eye(3), [0.0, 0.0, 1.0 + 5e-6])
+        b = Pose(np.eye(3), [0.0, 0.0, 1.0])
+        assert not poses_close(a, b, atol=0.0)
+        assert poses_close(b, Pose(np.eye(3), [0.0, 0.0, 1.0]), atol=0.0)
+        assert poses_close(a, b, atol=1e-5)
 
     def test_stacked_checks_agree_with_constructor(self):
         rng = np.random.default_rng(29)
@@ -290,7 +314,7 @@ class TestPose:
             "inverse": (T1.inverse(), T1.R.T, -(T1.R.T @ T1.t)),
         }
         for name, (T, R, t) in made.items():
-            ref = Pose(R, t, check=False)
+            ref = Pose._owned(np.array(R), np.array(t))
             for a, b in ((T.R, ref.R), (T.t, ref.t)):
                 assert a.tobytes() == b.tobytes(), name
                 assert a.flags.c_contiguous and not a.flags.writeable, name

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mincdpnp.plyio import load_ply, save_ply
 from oracles import save_ply_ascii
@@ -50,6 +56,25 @@ class TestRoundTrip:
     def test_rejects_points_that_are_not_xyz(self, tmp_path):
         with pytest.raises(ValueError, match="must be"):
             save_ply(tmp_path / "c.ply", np.zeros((4, 2)))
+
+
+# every finite float64, with the signed zeros, subnormals and extremes
+# drawn often rather than by chance
+EDGES = [-0.0, 0.0, TINY, -TINY, np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max]
+FINITE = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoundTripProperty:
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=FINITE))
+    @example(np.zeros((0, 3)))
+    @example(edge_cloud()[1:2])
+    @settings(max_examples=60, deadline=None)
+    def test_any_finite_cloud_round_trips_bit_for_bit(self, pts):
+        with tempfile.TemporaryDirectory() as d:
+            save_ply(Path(d) / "c.ply", pts)
+            back = load_ply(Path(d) / "c.ply")
+        assert back.dtype == np.float64 and back.shape == pts.shape
+        assert back.tobytes() == pts.tobytes()
 
 
 class TestRejects:

@@ -1,7 +1,12 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mincdpnp import (
     KeypointSet2D,
@@ -169,6 +174,14 @@ class TestGenerateScene:
         assert back.pixels.pixels.tobytes() == scene.pixels.pixels.tobytes()
         assert back.depth.tobytes() == scene.depth.tobytes()
 
+    def test_depth_is_a_copy_of_the_callers_array(self):
+        scene = generate_scene(10, noise=NoiseSpec(seed=2))
+        depth = scene.depth.copy()
+        other = dataclasses.replace(scene, depth=depth)
+        depth[0] = -5.0
+        assert depth.flags.writeable and not other.depth.flags.writeable
+        assert other.depth.tobytes() == scene.depth.tobytes()
+
     def test_load_rejects_pixels_with_three_columns(self, tmp_path):
         scene = generate_scene(30, noise=NoiseSpec(seed=14))
         scene.save_dir(tmp_path / "scene")
@@ -244,6 +257,29 @@ class TestPerturbPose:
         monkeypatch.setattr(synth, "check_rot_deg", calls.append)
         perturb_pose(Pose.identity(), 5.0, 0.0, seed=0)
         assert calls == [5.0]
+
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+EDGES = [-0.0, 0.0, TINY, -TINY, np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max]
+FINITE = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+
+
+class TestArrayFiles:
+    @given(st.none() | hnp.arrays(np.float64, SHAPES, elements=FINITE))
+    @example(None)
+    @example(np.zeros(0))
+    @example(np.array([[-0.0, TINY, -np.finfo(float).max]]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_finite_array_or_none_round_trips_bit_for_bit(self, a):
+        with tempfile.TemporaryDirectory() as d:
+            synth._save_array(Path(d) / "a.npy", a)
+            back = synth._load_array(Path(d) / "a.npy")
+        if a is None:
+            assert back is None
+        else:
+            assert back.dtype == np.float64 and back.shape == a.shape
+            assert back.tobytes() == a.tobytes()
 
 
 def test_default_intrinsics_match_depth_sensor_convention():

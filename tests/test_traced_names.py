@@ -1,9 +1,10 @@
-"""Every name the benchmark traces still exists in the package.
+"""Every name the benchmark traces still exists in the package, and its
+result hooks still read what the package returns.
 
 perfbench/tracing.py wraps the functions its TARGETS table names, and
-its smoke test requires that none is skipped. This reads the table
-without importing perfbench as a package, so a deletion that would
-break that slow run fails here in milliseconds.
+its smoke test requires that none is skipped and no hook fails. This
+loads that module without importing perfbench as a package, so a change
+that would break that slow run fails here in under a second.
 """
 
 import functools
@@ -13,17 +14,21 @@ from pathlib import Path
 
 import pytest
 
+import mincdpnp
+from mincdpnp import NoiseSpec, RansacConfig, SolverConfig, generate_scene, perturb_pose
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.PACKAGE, tracing.TARGETS
+    return tracing
 
 
-PACKAGE, TARGETS = _targets()
+tracing = _tracing()
+PACKAGE, TARGETS = tracing.PACKAGE, tracing.TARGETS
 
 
 def test_targets_found():
@@ -34,3 +39,24 @@ def test_targets_found():
 def test_traced_name_resolves(module, path):
     layer = importlib.import_module(f"{PACKAGE}.{module}")
     assert callable(functools.reduce(getattr, path.split("."), layer))
+
+
+def test_result_hooks_read_the_solvers_results():
+    # the hooks take solve_pose_chamfer's cfg argument and (pose, trace)
+    # result, and pnp_ransac's (pose, mask) result
+    hooked = [t for t in TARGETS if t[3] is not None]
+    assert {t[0] for t in hooked} == {"chamfer.solve_pose_chamfer", "pnp.pnp_ransac"}
+    s = generate_scene(40, noise=NoiseSpec(seed=0, outlier_rate=0.2))
+    C = s.pairs_with_outliers()
+    T_init = perturb_pose(s.T_gt, 5.0, 0.1, seed=0)
+    tracer = tracing.Tracer().install(hooked)
+    try:
+        mincdpnp.pnp_ransac(C, s.pixels, s.cloud, s.K, RansacConfig(seed=0))
+        mincdpnp.solve_pose_chamfer(T_init, s.pixels, s.cloud, s.K, SolverConfig(max_iters=3))
+    finally:
+        tracer.uninstall()
+    assert tracer.skipped == [] and tracer.hook_errors == set()
+    assert sorted(span[0] for span in tracer.spans) == sorted(t[0] for t in hooked)
+    assert tracer.counters["pnp.ransac_pairs"] == len(C)
+    assert tracer.counters["chamfer.iterations"] == 3
+    assert tracer.counters["chamfer.solves_at_max_iters"] == 1
