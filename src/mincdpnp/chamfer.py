@@ -25,6 +25,7 @@ of the evaluation that accepted the step: one search per trial pose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .geometry import (
     Z_MIN,
     CameraIntrinsics,
     Pose,
+    _front_rows,
     pinhole,
     pose_difference,
     project_points,
@@ -95,10 +97,8 @@ def _projected_search(T, image_set, cloud_set, K):
     (index into them, squared distance) per pixel, (pixel index, squared
     distance) per visible projection)."""
     proj, in_front = project_points(cloud_set.points, T, K)
-    if not in_front.any():
-        raise AllPointsBehindCamera("no cloud point projects in front of the camera")
-    visible_idx = np.flatnonzero(in_front)
-    visible, pixels = proj[visible_idx], image_set.pixels
+    keep = _front_rows(in_front, "no cloud point projects in front of the camera")
+    visible_idx, visible, pixels = np.flatnonzero(in_front), proj[keep], image_set.pixels
     if len(pixels) * len(visible) > DENSE_CELLS:
         forward = nearest_points(cKDTree(visible), pixels)
         return visible_idx, forward, nearest_points(image_set.tree(), visible)
@@ -124,11 +124,13 @@ def chamfer_cost(
     visible_idx, (fwd_nearest, forward_terms), (bwd_nearest, bwd_sq) = _projected_search(
         T, image_set, cloud_set, K
     )
+    value = float(forward_terms.sum() + bwd_sq.sum())
+    if len(visible_idx) == len(cloud_set):  # every point in front: no gaps to fill
+        return ChamferReport(value, forward_terms, bwd_sq, (fwd_nearest, bwd_nearest))
     backward_terms = np.full(len(cloud_set), np.nan)
     backward_terms[visible_idx] = bwd_sq
     bwd_assign = np.full(len(cloud_set), -1, dtype=np.int64)
     bwd_assign[visible_idx] = bwd_nearest
-    value = float(forward_terms.sum() + bwd_sq.sum())
     assignment = (visible_idx[fwd_nearest], bwd_assign)
     return ChamferReport(value, forward_terms, backward_terms, assignment)
 
@@ -137,21 +139,21 @@ def _term_pairs(assignment, image_set, x0):
     """The pixel and pre-pose point of every cost term of an assignment,
     shared points repeated once per term."""
     fwd_assign, bwd_assign = assignment
-    visible = np.flatnonzero(bwd_assign >= 0)
-    q_idx = np.concatenate([np.arange(len(image_set)), bwd_assign[visible]])
-    p_idx = np.concatenate([fwd_assign, visible])
-    return image_set.pixels[q_idx], x0[p_idx]
+    pixels, points = image_set.pixels, x0.take(fwd_assign, axis=0)
+    visible = bwd_assign >= 0
+    if not visible.all():
+        x0, bwd_assign = x0[visible], bwd_assign[visible]
+    pixels = np.concatenate([pixels, pixels.take(bwd_assign, axis=0)])
+    return pixels, np.concatenate([points, x0])
 
 
 def _pair_residuals(pixels, x0, K):
     """Residuals pixel - pi(x0) (n, 2) over the pairs whose camera-frame
     point x0 is in front of the camera, and those points (n, 3), where
     both solvers linearize (_pair_jacobian)."""
-    in_front = x0[:, 2] > Z_MIN
-    if not in_front.any():
-        raise AllPointsBehindCamera("no paired point is in front of the camera")
-    y = x0[in_front]
-    return pixels[in_front] - pinhole(y, K), y
+    keep = _front_rows(x0[:, 2] > Z_MIN, "no paired point is in front of the camera")
+    y = x0[keep]
+    return pixels[keep] - pinhole(y, K), y
 
 
 def _pair_jacobian(cam, K):
@@ -163,7 +165,7 @@ def _pair_jacobian(cam, K):
     x, y, z = cam.T
     P = projection_jacobian(cam, K)
     a, b, c, d = P[:, 0, 0], P[:, 0, 2], P[:, 1, 1], P[:, 1, 2]
-    J = np.zeros((len(z), 2, 6))
+    J = np.empty((len(z), 2, 6))  # every entry is written below
     J[:, :, 3:] = P
     J[:, 0, 0], J[:, 0, 1], J[:, 0, 2] = b * y, a * z - b * x, -a * y
     J[:, 1, 0], J[:, 1, 1], J[:, 1, 2] = d * y - c * z, -d * x, c * x
@@ -230,6 +232,7 @@ def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
     """
     T = T_init
     cost, state = cost_fn(T)
+    damping = DAMPING * np.eye(6)
 
     def row(it, step_size):
         rot, trans = (None, None) if T_gt is None else pose_difference(T, T_gt)
@@ -243,8 +246,8 @@ def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
         Jf = _pair_jacobian(cam, K).reshape(-1, 6)
         g = Jf.T @ residuals.reshape(-1)
         grad = -2.0 * g
-        direction = np.linalg.solve(Jf.T @ Jf + DAMPING * np.eye(6), g)
-        grad_norm = float(np.linalg.norm(grad))
+        direction = np.linalg.solve(Jf.T @ Jf + damping, g)
+        grad_norm = math.sqrt(grad.dot(grad))  # np.linalg.norm's arithmetic
         if grad_norm <= GRAD_TOL:
             return T, trace, "grad_tol"
 

@@ -320,14 +320,16 @@ NEAREST_SLACK = 2.0**4 * 4 * np.finfo(np.float32).eps
 
 def _pair_distances(a, b, rows, cols):
     """cdist's Euclidean values at (rows, cols), in cdist's own arithmetic:
-    the squares summed in feature order, then the square root. Pairs go
-    in chunks of NEAREST_BLOCK_ROWS, so the gathered differences stay
-    one block's size however many pairs there are."""
+    the squares summed in feature order (down axis 0 of their transpose;
+    numpy would sum one column pairwise, so a lone pair is accumulated),
+    then the square root. Pairs go in chunks of NEAREST_BLOCK_ROWS, so the
+    gathered differences stay one block's size however many pairs there are."""
     out = np.empty(len(rows))
     for k in range(0, len(rows), NEAREST_BLOCK_ROWS):
         chunk = slice(k, k + NEAREST_BLOCK_ROWS)
         d = a[rows[chunk]] - b[cols[chunk]]
-        out[chunk] = np.sqrt(np.cumsum(d * d, axis=1)[:, -1])
+        sq = np.ascontiguousarray((d * d).T)
+        out[chunk] = np.sqrt(np.add.reduce(sq, axis=0) if sq.shape[1] > 1 else np.cumsum(sq)[-1:])
     return out
 
 

@@ -17,12 +17,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NearPiRotation
+from .errors import AllPointsBehindCamera, NearPiRotation
 
 Z_MIN = 1e-6
 SMALL_ANGLE = 1e-8
@@ -34,16 +35,17 @@ SMALL_ANGLE = 1e-8
 _TAYLOR_SWITCH = 1e-4
 
 _ORTHONORMALITY_TOL = 1e-9
+_I3 = np.eye(3)  # read-only: se3_exp adds to it
+_I3.setflags(write=False)
 
 
 def _as_float_array(values, shape, name: str) -> np.ndarray:
+    """values as a finite float array of the given shape, not copied."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:  # .all() costs twice as much
         raise ValueError(f"{name} must be finite")
-    arr = arr.copy()
-    arr.setflags(write=False)
     return arr
 
 
@@ -90,22 +92,25 @@ class Pose:
     __slots__ = ("R", "t")
 
     def __init__(self, rotation, translation):
-        R = _as_float_array(rotation, (3, 3), "rotation")
-        t = _as_float_array(translation, (3,), "translation")
+        R = _as_float_array(rotation, (3, 3), "rotation").copy()
+        t = _as_float_array(translation, (3,), "translation").copy()
         if not _poses_pass_checks(R[None], t[None])[0]:
             raise ValueError("rotation is not orthonormal with determinant +1 within 1e-9")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "t", t)
+        for attr, a in (("R", R), ("t", t)):
+            a.setflags(write=False)
+            object.__setattr__(self, attr, a)
 
     @classmethod
     def _owned(cls, R: np.ndarray, t: np.ndarray) -> "Pose":
         """A pose of computed arrays, R and t new C-contiguous float arrays
         that no one else holds: made read-only, not copied, and checked
         finite, but not checked for a rotation (their maker guarantees it)."""
+        if np.count_nonzero(np.isfinite(R)) < R.size:  # as in _as_float_array
+            raise ValueError("rotation must be finite")
+        if np.count_nonzero(np.isfinite(t)) < t.size:
+            raise ValueError("translation must be finite")
         pose = object.__new__(cls)
-        for attr, name, a in (("R", "rotation", R), ("t", "translation", t)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite")
+        for attr, a in (("R", R), ("t", t)):
             a.setflags(write=False)
             object.__setattr__(pose, attr, a)
         return pose
@@ -172,7 +177,7 @@ def dumps_json(data) -> str:
 
 
 def skew(w) -> np.ndarray:
-    x, y, z = np.asarray(w, dtype=np.float64)
+    x, y, z = np.asarray(w, dtype=np.float64).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -182,7 +187,8 @@ def pinhole(cam, K: CameraIntrinsics) -> np.ndarray:
     Every projection in the package goes through this expression, so the
     same point and pose give the same bits wherever they are projected.
     """
-    return np.stack(_pinhole_uv(cam[..., 0], cam[..., 1], cam[..., 2], K), axis=-1)
+    u, v = _pinhole_uv(cam[..., 0], cam[..., 1], cam[..., 2], K)
+    return np.concatenate((u[..., None], v[..., None]), axis=-1)
 
 
 def _pinhole_uv(x, y, z, K: CameraIntrinsics):
@@ -208,9 +214,20 @@ def project_points(points, T: Pose, K: CameraIntrinsics) -> tuple[np.ndarray, np
     cam = T.apply(np.atleast_2d(points))
     z = cam[:, 2]
     in_front = z > Z_MIN
+    if in_front.all():
+        return pinhole(cam, K), in_front
     u, v = _pinhole_uv(cam[:, 0], cam[:, 1], np.where(in_front, z, 1.0), K)
     pixels = np.where(in_front[:, None], np.stack([u, v], axis=-1), np.nan)
     return pixels, in_front
+
+
+def _front_rows(in_front: np.ndarray, message: str):
+    """Index of the rows an in-front mask keeps: a full slice (a view) when it
+    keeps all, else the mask; none, or no rows, raise AllPointsBehindCamera."""
+    kept = np.count_nonzero(in_front)
+    if not kept:
+        raise AllPointsBehindCamera(message)
+    return slice(None) if kept == len(in_front) else in_front
 
 
 def _pair_sq_errors(R, t, pixels, points, K: CameraIntrinsics) -> np.ndarray:
@@ -249,15 +266,15 @@ def _rotation_coefficients(theta: float) -> tuple[float, float, float]:
 
 
 def se3_exp(xi) -> Pose:
-    """Closed-form exponential map se(3) -> SE(3) of a twist (omega, v)."""
+    """Closed-form exponential map se(3) -> SE(3) of a twist (omega, v), read uncopied."""
     xi = _as_float_array(xi, (6,), "twist")
     omega = xi[:3]
-    theta = float(np.linalg.norm(omega))
+    theta = math.sqrt(omega.dot(omega))  # np.linalg.norm's arithmetic on a vector
     W = skew(omega)
     W2 = W @ W
     a1, a2, a3 = _rotation_coefficients(theta)
-    R = np.eye(3) + a1 * W + a2 * W2
-    V = np.eye(3) + a2 * W + a3 * W2
+    R = _I3 + a1 * W + a2 * W2
+    V = _I3 + a2 * W + a3 * W2
     return Pose._owned(R, V @ xi[3:])
 
 

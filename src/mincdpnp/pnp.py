@@ -40,6 +40,7 @@ from .features import CorrespondenceSet, KeypointSet2D, KeypointSet3D
 from .geometry import (
     CameraIntrinsics,
     Pose,
+    _front_rows,
     _pair_sq_errors,
     _poses_pass_checks,
     backproject,
@@ -162,8 +163,9 @@ def _p3p_batch(pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics):
             & (np.isfinite(depth) & (depth > 0)).all(axis=-1)
         )
     sample = np.nonzero(ok)[0]
-    world, cam = points[sample], depth[ok][..., None] * f[sample]
-    world_mean, cam_mean = world.mean(axis=1), cam.mean(axis=1)
+    world, cam = points.take(sample, axis=0), depth[ok][..., None] * f.take(sample, axis=0)
+    # np.mean's arithmetic, a sum over the three points then / 3, without its wrapper
+    world_mean, cam_mean = np.add.reduce(world, axis=1) / 3, np.add.reduce(cam, axis=1) / 3
     H = np.swapaxes(world - world_mean[:, None], -1, -2) @ (cam - cam_mean[:, None])
     U, _, Vt = np.linalg.svd(H)
     V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
@@ -240,12 +242,12 @@ def reprojection_cost(
 
 def _cost_from_arrays(T, pixels, points, K):
     """reprojection_cost on gathered pairs, and the in-front pairs'
-    residuals (n, 2) and mask, which the refine's next linearization reads."""
+    residuals (n, 2) and row index (geometry._front_rows), which the
+    refine's next linearization reads."""
     proj, in_front = project_points(points, T, K)
-    if not in_front.any():
-        raise AllPointsBehindCamera("no corresponded point is in front of the camera")
-    r = pixels[in_front] - proj[in_front]
-    return float(np.einsum("nd,nd->", r, r)), (r, in_front)
+    keep = _front_rows(in_front, "no corresponded point is in front of the camera")
+    r = pixels[keep] - proj[keep]
+    return float(np.einsum("nd,nd->", r, r)), (r, keep)
 
 
 def reprojection_grad_twist(

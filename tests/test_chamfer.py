@@ -113,6 +113,30 @@ class TestChamferCost:
         assert np.isnan(report.backward_terms[1])
         assert report.assignment[1][1] == -1
 
+    def test_cloud_partly_behind_is_its_in_front_part(self):
+        # the masked path against the all-in-front path on the points in
+        # front alone: the same value, term and assignment bits, with NaN
+        # backward terms and -1 assignments behind the camera
+        scene, T = partly_behind_instance()
+        _, in_front = project_points(scene.cloud.points, T, K)
+        assert 0 < np.count_nonzero(in_front) < len(in_front)
+        visible = np.flatnonzero(in_front)
+        report = chamfer_cost(T, scene.pixels, scene.cloud, K)
+        part = chamfer_cost(T, scene.pixels, KeypointSet3D(scene.cloud.points[visible]), K)
+        assert report.value.hex() == part.value.hex()
+        assert report.forward_terms.tobytes() == part.forward_terms.tobytes()
+        assert report.backward_terms[visible].tobytes() == part.backward_terms.tobytes()
+        assert np.isnan(report.backward_terms[~in_front]).all()
+        fwd, bwd = report.assignment
+        assert fwd.tobytes() == visible[part.assignment[0]].tobytes()
+        assert bwd[visible].tobytes() == part.assignment[1].tobytes()
+        assert (bwd[~in_front] == -1).all()
+        assert_reports_identical(report, chamfer_cost_dense(T, scene.pixels, scene.cloud, K))
+        want = chamfer_cost_bruteforce(
+            scene.pixels.pixels, scene.cloud.points, T.R, T.t, K.fu, K.fv, K.cu, K.cv
+        )
+        assert report.value == pytest.approx(want, rel=1e-12)
+
     def test_all_behind_raises(self):
         kp3d = KeypointSet3D(np.array([[0.0, 0.0, -2.0]]))
         kp2d = KeypointSet2D(np.array([[320.0, 240.0]]))
@@ -131,6 +155,13 @@ def assert_reports_identical(got, want):
     assert got.backward_terms.tobytes() == want.backward_terms.tobytes()
     for a, b in zip(got.assignment, want.assignment):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def partly_behind_instance():
+    """A scene and a pose that puts about half of its cloud behind the camera."""
+    scene = generate_scene(100, noise=NoiseSpec(seed=41, pixel_noise_sigma=0.5, outlier_rate=0.2))
+    depth = scene.T_gt.apply(scene.cloud.points)[:, 2]
+    return scene, Pose(np.eye(3), [0.0, 0.0, -float(np.median(depth))]).compose(scene.T_gt)
 
 
 def doubled(scene):
@@ -481,6 +512,29 @@ class TestGradient:
             J = chamfer._pair_jacobian(cam, K_)
             assert J.shape == (400, 2, 6)
             np.testing.assert_array_equal(J, pair_jacobian_product(cam, K_))
+
+    def test_solve_residuals_are_the_scalar_pinholes(self):
+        # the Chamfer linearization at a pose with part of the cloud behind
+        # the camera pairs points in front only; every pair's residual is
+        # the scalar pinhole's, and _pair_residuals drops pairs behind
+        scene, T = partly_behind_instance()
+        report = chamfer_cost(T, scene.pixels, scene.cloud, K)
+        x0 = T.apply(scene.cloud.points)
+        pixels, points = chamfer._term_pairs(report.assignment, scene.pixels, x0)
+        n_visible = np.count_nonzero(report.assignment[1] >= 0)
+        assert len(points) == len(scene.pixels) + n_visible < len(scene.pixels) + len(x0)
+        for behind in (np.zeros(len(points), dtype=bool), np.arange(len(points)) % 3 == 0):
+            cam = points.copy()
+            cam[behind, 2] *= -1.0
+            residuals, kept = chamfer._pair_residuals(pixels, cam, K)
+            front = cam[:, 2] > Z_MIN
+            assert kept.tobytes() == cam[front].tobytes()
+            assert front.tolist() == (~behind).tolist()
+            for r, q, (x, y, z) in zip(residuals, pixels[front], kept):
+                assert r[0] == q[0] - (K.fu * x / z + K.cu)
+                assert r[1] == q[1] - (K.fv * y / z + K.cv)
+        with pytest.raises(AllPointsBehindCamera):
+            chamfer._pair_residuals(np.zeros((0, 2)), np.zeros((0, 3)), K)
 
     def test_single_point_translation_block_by_hand(self):
         p = np.array([0.3, -0.2, 2.5])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mincdpnp import (
+    AllPointsBehindCamera,
     CameraIntrinsics,
     NearPiRotation,
     Pose,
@@ -18,6 +19,7 @@ from mincdpnp import (
 )
 from mincdpnp.geometry import (
     Z_MIN,
+    _front_rows,
     _pair_sq_errors,
     _poses_pass_checks,
     backproject,
@@ -27,6 +29,7 @@ from mincdpnp.geometry import (
 from oracles import (
     numeric_jacobian,
     poses_close,
+    project_scalar,
     rotation_rotvec,
     se3_exp_expm,
     zero_twist_jacobian,
@@ -138,6 +141,32 @@ class TestProjection:
                 assert not in_front[i]
                 assert np.isnan(pixels[i]).all()
 
+    def test_rows_in_front_are_the_all_in_front_bits(self):
+        # a cloud partly behind the camera takes the masked path; its rows
+        # in front are the all-in-front path's bits on those points alone,
+        # and the scalar pinhole's values
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            T = random_pose(rng)
+            pts = rng.normal(size=(60, 3)) * 2.0
+            pixels, in_front = project_points(pts, T, K)
+            assert 0 < np.count_nonzero(in_front) < len(pts)
+            assert np.isnan(pixels[~in_front]).all()
+            front, all_in_front = project_points(pts[in_front], T, K)
+            assert all_in_front.all() and front.tobytes() == pixels[in_front].tobytes()
+            for p, q in zip(pts[in_front], front):
+                np.testing.assert_allclose(
+                    q, project_scalar(p, T.R, T.t, K.fu, K.fv, K.cu, K.cv), rtol=1e-12
+                )
+
+    def test_front_rows_is_a_slice_a_mask_or_an_error(self):
+        assert _front_rows(np.ones(4, dtype=bool), "none") == slice(None)
+        some = np.array([True, False, True, True])
+        assert _front_rows(some, "none") is some
+        for none in (np.zeros(4, dtype=bool), np.zeros(0, dtype=bool)):
+            with pytest.raises(AllPointsBehindCamera, match="^none$"):
+                _front_rows(none, "none")
+
     def test_pair_sq_errors_are_project_then_gather_bit_for_bit(self):
         # points in front of, exactly at and behind Z_MIN (under the
         # identity the camera depth is the point's own z), then random
@@ -234,6 +263,13 @@ class TestExpLog:
         xi[4] = bad
         with pytest.raises(ValueError, match="twist must be finite"):
             se3_exp(xi)
+
+    def test_exp_reads_the_twist_in_place(self):
+        xi = np.array([0.1, -0.2, 0.3, 1.0, 2.0, 3.0])
+        T = se3_exp(xi)
+        assert xi.flags.writeable
+        assert not np.shares_memory(T.R, xi) and not np.shares_memory(T.t, xi)
+        assert se3_exp(xi.tolist()).t.tobytes() == T.t.tobytes()
 
     def test_log_returns_float64_six_vector(self):
         xi = se3_log(se3_exp(np.array([0.02, -0.05, 0.01, 0.1, 0.0, -0.2])))

@@ -87,6 +87,36 @@ class TestReprojectionCost:
             )
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_pairs_partly_behind_cost_their_in_front_part(self):
+        # the masked path against the all-in-front path on the pairs in
+        # front alone, for the cost and its gradient
+        s, C = scene_instance(17, n=60, pixel_noise_sigma=1.0)
+        depth = s.T_gt.apply(s.cloud.points)[:, 2]
+        T = Pose(np.eye(3), [0.0, 0.0, -float(np.median(depth))]).compose(s.T_gt)
+        _, in_front = project_points(C.gather(s.pixels, s.cloud)[1], T, s.K)
+        assert 0 < np.count_nonzero(in_front) < len(C)
+        front = CorrespondenceSet(C.idx2d[in_front], C.idx3d[in_front])
+        got = reprojection_cost(T, C, s.pixels, s.cloud, s.K)
+        assert got.hex() == reprojection_cost(T, front, s.pixels, s.cloud, s.K).hex()
+        grad = reprojection_grad_twist(T, C, s.pixels, s.cloud, s.K)
+        assert grad.tobytes() == reprojection_grad_twist(T, front, s.pixels, s.cloud, s.K).tobytes()
+        want = sum(
+            reprojection_error_scalar(
+                s.pixels.pixels[i], s.cloud.points[j], T.R, T.t, s.K.fu, s.K.fv, s.K.cu, s.K.cv
+            )
+            for i, j in zip(front.idx2d, front.idx3d)
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_no_pair_in_front_raises(self):
+        # every pair behind the camera, or no pair at all
+        s, C = scene_instance(19)
+        behind = Pose(np.eye(3), [0.0, 0.0, -1e3]).compose(s.T_gt)
+        for T, pairs in ((behind, C), (s.T_gt, CorrespondenceSet([], []))):
+            for f in (reprojection_cost, reprojection_grad_twist):
+                with pytest.raises(AllPointsBehindCamera):
+                    f(T, pairs, s.pixels, s.cloud, s.K)
+
     def test_zero_at_ground_truth_noiseless(self):
         s, C = scene_instance(13)
         assert reprojection_cost(s.T_gt, C, s.pixels, s.cloud, s.K) == 0.0

@@ -7,6 +7,7 @@ loads that module without importing perfbench as a package, so a change
 that would break that slow run fails here in under a second.
 """
 
+import collections
 import functools
 import importlib
 import importlib.util
@@ -60,3 +61,38 @@ def test_result_hooks_read_the_solvers_results():
     assert tracer.counters["pnp.ransac_pairs"] == len(C)
     assert tracer.counters["chamfer.iterations"] == 3
     assert tracer.counters["chamfer.solves_at_max_iters"] == 1
+
+
+def test_traced_call_counts_per_name():
+    # perfbench/tests/test_bench_tracing.py's traced_solves run under the
+    # full TARGETS tracer. Each per-layer `.calls` metric the benchmark
+    # reports is a count like these, so a speed-up that drops or adds a
+    # traced call fails here. The package is called through its names at
+    # call time, as the tracer rebinds them.
+    tracer = tracing.Tracer().install()
+    try:
+        scene = mincdpnp.generate_scene(
+            120, noise=NoiseSpec(seed=3, pixel_noise_sigma=0.5, outlier_rate=0.2)
+        )
+        C = mincdpnp.match_scene(scene, mincdpnp.MatchConfig(delta=2.0))
+        mincdpnp.pnp_ransac(C, scene.pixels, scene.cloud, scene.K, RansacConfig(seed=3))
+        T0 = mincdpnp.perturb_pose(scene.T_gt, 5.0, 0.1, 3)
+        mincdpnp.solve_pose_chamfer(
+            T0, scene.pixels, scene.cloud, scene.K, SolverConfig(max_iters=20)
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.skipped == []
+    assert collections.Counter(span[0] for span in tracer.spans) == {
+        "synth.generate_scene": 1,
+        "evaluation.match_scene": 1,
+        "pnp.pnp_ransac": 1,
+        "pnp.svd": 2,
+        "geometry.project_points": 37,
+        "geometry.projection_jacobian": 30,
+        "geometry.se3_exp": 33,
+        "synth.perturb_pose": 1,
+        "chamfer.solve_pose_chamfer": 1,
+        "chamfer.chamfer_cost": 21,
+    }
+    assert len(tracer.spans) == 128
