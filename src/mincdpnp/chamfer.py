@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -70,8 +71,8 @@ class SolverConfig:
     max_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:  # NumPy's too
+            raise ValueError("max_iters must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,18 @@ def _term_pairs(assignment, image_set, x0):
 def _pair_residuals(pixels, x0, K):
     """Residuals pixel - pi(x0) (n, 2) over the pairs whose camera-frame
     point x0 is in front of the camera, and those points (n, 3), where
-    both solvers linearize (_pair_jacobian)."""
+    _gradient linearizes."""
     keep = _front_rows(x0[:, 2] > Z_MIN, "no paired point is in front of the camera")
     y = x0[keep]
     return pixels[keep] - pinhole(y, K), y
+
+
+def _chamfer_terms(T, image_set, cloud_set, K):
+    """_minimize's Chamfer cost_fn: chamfer_cost's value at T, and the
+    residuals and camera-frame points of its frozen-assignment terms."""
+    report = chamfer_cost(T, image_set, cloud_set, K)
+    x0 = T.apply(cloud_set.points)
+    return (report.value, *_pair_residuals(*_term_pairs(report.assignment, image_set, x0), K))
 
 
 def _pair_jacobian(cam, K):
@@ -172,6 +181,14 @@ def _pair_jacobian(cam, K):
     return J
 
 
+def _gradient(residuals, cam, K):
+    """The twist gradient -2 J^T r of the summed squared residuals (n, 2)
+    at camera-frame points cam (n, 3), and the stacked pair Jacobian J
+    (2n, 6) that the Gauss-Newton step reuses."""
+    Jf = _pair_jacobian(cam, K).reshape(-1, 6)
+    return -2.0 * (Jf.T @ residuals.reshape(-1)), Jf
+
+
 def chamfer_grad_twist(
     T0: Pose,
     image_set: KeypointSet2D,
@@ -184,11 +201,8 @@ def chamfer_grad_twist(
     twist (omega, v); the returned 6-vector is the derivative at xi = 0
     through the projection, under the assignments of chamfer_cost at T0.
     """
-    report = chamfer_cost(T0, image_set, cloud_set, K)
-    x0 = T0.apply(cloud_set.points)
-    residuals, cam = _pair_residuals(*_term_pairs(report.assignment, image_set, x0), K)
-    # d/dxi sum ||q - pi(y)||^2 = -2 sum r^T J_pi J_exp
-    return -2.0 * np.einsum("ni,nik->k", residuals, _pair_jacobian(cam, K))
+    _, residuals, cam = _chamfer_terms(T0, image_set, cloud_set, K)
+    return _gradient(residuals, cam, K)[0]
 
 
 # An accepted step that lowers the cost by at most this fraction of it
@@ -210,28 +224,29 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
 
 
-def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
+def _minimize(cost_fn, T_init, K, cfg, T_gt=None):
     """Damped Gauss-Newton with Armijo backtracking.
 
-    cost_fn(T) gives the summed squared residual at pose T and a state for
-    residual_fn (the Chamfer assignment, or the PnP residuals and in-front
-    mask); at a trial pose it may raise AllPointsBehindCamera, which
-    shrinks the step. residual_fn(T, state) gives the residuals (n, 2) at
-    T and their camera-frame points (n, 3), where _pair_jacobian under K
-    linearizes. Steps T <- exp(alpha * direction) o T are accepted only
-    when the cost passes the Armijo test, so the trace is monotone
-    nonincreasing. Returns (pose, trace, reason), reason being one of
-    "cost_tol", "grad_tol", "converged" (an accepted step lowered the cost
-    by at most CONVERGED_RTOL of it), "stalled" (a line search that
-    accepts no step, at a gradient norm at most 10 GRAD_TOL; above it the
-    search raises Divergence) or "max_iters". A failed search leaves the
-    pose, cost and state as they were, so a retry would repeat its trials
-    bit for bit: the first one ends the solve. With T_gt the trace rows
-    carry the pose error against it. The module constants above are read
-    at call time.
+    cost_fn(T) is the one callback (_chamfer_terms, pnp._cost_from_arrays):
+    the summed squared residual at pose T, the residuals (n, 2) and their
+    camera-frame points (n, 3); at a trial pose it may raise
+    AllPointsBehindCamera, which shrinks the step. The accepted
+    evaluation's residuals are the next linearization: _gradient gives
+    the gradient -2 J^T r and the direction solves (J^T J + DAMPING I) d
+    = J^T r. Steps T <- exp(alpha * d) o T are accepted only when the
+    cost passes the Armijo test, so the trace is monotone nonincreasing.
+    Returns (pose, trace, reason), reason being one of "cost_tol",
+    "grad_tol", "converged" (an accepted step lowered the cost by at most
+    CONVERGED_RTOL of it), "stalled" (a line search that accepts no step,
+    at a gradient norm at most 10 GRAD_TOL; above it the search raises
+    Divergence) or "max_iters". A failed search leaves the pose, cost and
+    residuals as they were, so a retry would repeat its trials bit for
+    bit: the first one ends the solve. With T_gt the trace rows carry the
+    pose error against it. The module constants above are read at call
+    time.
     """
     T = T_init
-    cost, state = cost_fn(T)
+    cost, residuals, cam = cost_fn(T)
     damping = DAMPING * np.eye(6)
 
     def row(it, step_size):
@@ -242,11 +257,8 @@ def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
     for it in range(1, cfg.max_iters + 1):
         if cost <= COST_TOL:
             return T, trace, "cost_tol"
-        residuals, cam = residual_fn(T, state)
-        Jf = _pair_jacobian(cam, K).reshape(-1, 6)
-        g = Jf.T @ residuals.reshape(-1)
-        grad = -2.0 * g
-        direction = np.linalg.solve(Jf.T @ Jf + damping, g)
+        grad, Jf = _gradient(residuals, cam, K)
+        direction = np.linalg.solve(Jf.T @ Jf + damping, -0.5 * grad)  # J^T r, exactly
         grad_norm = math.sqrt(grad.dot(grad))  # np.linalg.norm's arithmetic
         if grad_norm <= GRAD_TOL:
             return T, trace, "grad_tol"
@@ -258,12 +270,12 @@ def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
         for _ in range(MAX_BACKTRACKS):
             T_try = se3_exp(alpha * direction).compose(T)
             try:
-                trial, trial_state = cost_fn(T_try)
+                trial = cost_fn(T_try)
             except AllPointsBehindCamera:
                 alpha *= BACKTRACK_FACTOR
                 continue
-            if trial <= cost + ARMIJO_C * alpha * decrease:
-                T, cost, state, accepted = T_try, trial, trial_state, True
+            if trial[0] <= cost + ARMIJO_C * alpha * decrease:
+                T, (cost, residuals, cam), accepted = T_try, trial, True
                 break
             alpha *= BACKTRACK_FACTOR
         trace.append(row(it, alpha if accepted else 0.0))
@@ -278,16 +290,7 @@ def _minimize(cost_fn, residual_fn, T_init, K, cfg, T_gt=None):
 
 def _solve_chamfer(T_init, image_set, cloud_set, K, cfg, T_gt=None):
     """solve_pose_chamfer that also returns _minimize's stop reason."""
-
-    def cost(T):  # chamfer_cost looked up by name, so a wrapper sees each call
-        report = chamfer_cost(T, image_set, cloud_set, K)
-        return report.value, report.assignment
-
-    def residuals(T, assignment):
-        x0 = T.apply(cloud_set.points)
-        return _pair_residuals(*_term_pairs(assignment, image_set, x0), K)
-
-    return _minimize(cost, residuals, T_init, K, cfg, T_gt)
+    return _minimize(lambda T: _chamfer_terms(T, image_set, cloud_set, K), T_init, K, cfg, T_gt)
 
 
 def solve_pose_chamfer(

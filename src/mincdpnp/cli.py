@@ -248,7 +248,8 @@ def cmd_grad_check(args) -> int:
         # fixed-pair gradient is smooth everywhere, check it always
         C = scene.gt_pairs
         got = reprojection_grad_twist(T0, C, *sets)
-        worst = max(worst, rel_error(got, stencil(lambda T: reprojection_cost(T, C, *sets))))
+        pairs = stencil(lambda T: reprojection_cost(T, C, *sets))
+        worst = np.maximum(worst, rel_error(got, pairs))  # keeps a NaN; max() drops it
 
         # the chamfer cost is only differentiable while no nearest-neighbor
         # assignment flips inside the stencil
@@ -258,7 +259,7 @@ def cmd_grad_check(args) -> int:
             skipped += 1
             continue
         got = chamfer_grad_twist(T0, *sets)
-        worst = max(worst, rel_error(got, [[r.value for r in pair] for pair in reports]))
+        worst = np.maximum(worst, rel_error(got, [[r.value for r in pair] for pair in reports]))
 
     ok = worst <= args.tol
     print(

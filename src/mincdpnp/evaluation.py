@@ -145,11 +145,11 @@ def run_pipeline(
 ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
     """match -> solve -> metrics over a batch of (scene_id, scene).
 
-    solver is "pnp", "chamfer", or "both"; each scene is matched once
-    and the match serves every solver. Scene failures (the package's
-    MinCDError family) are collected as (scene_id, message naming the
-    exception class) instead of aborting the batch, one per solver when
-    the match fails; any other exception is a bug and propagates.
+    solver is "pnp", "chamfer", or "both"; each scene's match, and its
+    inlier ratio once a solve needs it, are computed once for every
+    solver. Scene failures (the MinCDError family) are collected as
+    (scene_id, message naming the exception class) instead of aborting
+    the batch, one per solver when the match fails; bugs propagate.
     Records come back sorted by (scene_id, solver), whatever order
     scenes arrive or complete in, so output is canonical.
     """
@@ -166,6 +166,7 @@ def run_pipeline(
             errors += [(scene_id, f"{name}: {type(exc).__name__}: {exc}") for name in solvers]
             continue
         match_s = time.perf_counter() - t0
+        ir = None  # the match's inlier ratio, or the MinCDError it raised, once solved
         for name in solvers:
             timings: dict = {"match_s": match_s}
             try:
@@ -174,7 +175,13 @@ def run_pipeline(
                     init_rot_deg, init_trans_m, timings,
                 )
                 t0 = time.perf_counter()
-                ir = inlier_ratio(C, scene)
+                if ir is None:
+                    try:
+                        ir = inlier_ratio(C, scene)
+                    except MinCDError as exc:
+                        ir = exc
+                if isinstance(ir, MinCDError):
+                    raise ir
                 rmse, success = registration_success(T_est, scene)
                 rot, trans = pose_difference(T_est, scene.T_gt)
                 timings["metrics_s"] = time.perf_counter() - t0

@@ -25,11 +25,12 @@ before the adaptive stop reads its count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .blindpnp import DEFAULT_TAU
-from .chamfer import SolverConfig, _minimize, _pair_jacobian, _pair_residuals
+from .chamfer import SolverConfig, _gradient, _minimize
 from .errors import (
     AllPointsBehindCamera,
     Divergence,
@@ -91,10 +92,10 @@ class RansacConfig:
     threshold: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
+        if not isinstance(self.seed, Integral) or self.seed < 0:  # NumPy's too
             raise ValueError("seed must be a nonnegative integer")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        if not isinstance(self.iterations, Integral) or self.iterations < 1:
+            raise ValueError("iterations must be an integer of at least 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
 
@@ -236,18 +237,16 @@ def reprojection_cost(
     Pairs whose point falls behind the camera are excluded; if every
     pair does, there is nothing to measure and the call raises.
     """
-    pixels, points = C.gather(image_set, cloud_set)
-    return _cost_from_arrays(T, pixels, points, K)[0]
+    return _cost_from_arrays(T, *C.gather(image_set, cloud_set), K)[0]
 
 
 def _cost_from_arrays(T, pixels, points, K):
-    """reprojection_cost on gathered pairs, and the in-front pairs'
-    residuals (n, 2) and row index (geometry._front_rows), which the
-    refine's next linearization reads."""
+    """_minimize's PnP cost_fn: reprojection_cost on gathered pairs, and
+    the in-front pairs' residuals (n, 2) and camera-frame points (n, 3)."""
     proj, in_front = project_points(points, T, K)
     keep = _front_rows(in_front, "no corresponded point is in front of the camera")
     r = pixels[keep] - proj[keep]
-    return float(np.einsum("nd,nd->", r, r)), (r, keep)
+    return float(np.einsum("nd,nd->", r, r)), r, T.apply(points)[keep]
 
 
 def reprojection_grad_twist(
@@ -259,18 +258,13 @@ def reprojection_grad_twist(
 ) -> np.ndarray:
     """Exact gradient of reprojection_cost in the (6,) twist xi = (omega, v)
     of se3_exp(xi) composed with T0, at xi = 0."""
-    pixels, points = C.gather(image_set, cloud_set)
-    residuals, cam = _pair_residuals(pixels, T0.apply(points), K)
-    return -2.0 * np.einsum("ni,nik->k", residuals, _pair_jacobian(cam, K))
+    _, residuals, cam = _cost_from_arrays(T0, *C.gather(image_set, cloud_set), K)
+    return _gradient(residuals, cam, K)[0]
 
 
 def _refine_from_arrays(T_init, pixels, points, K, cfg):
     """pnp_refine on gathered pairs: (pose, trace, stop reason)."""
-    return _minimize(
-        lambda T: _cost_from_arrays(T, pixels, points, K),
-        lambda T, state: (state[0], T.apply(points)[state[1]]),
-        T_init, K, cfg,
-    )
+    return _minimize(lambda T: _cost_from_arrays(T, pixels, points, K), T_init, K, cfg)
 
 
 def pnp_refine(

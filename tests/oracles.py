@@ -213,22 +213,20 @@ def kappa_star_dense(T, image_set, cloud_set, K, cfg):
 
 
 def solve_chamfer_dense(T_init, image_set, cloud_set, K, cfg):
-    """The Chamfer solve with chamfer_cost_dense at every evaluation and a
-    new dense search at every linearization, run on the points moved into
-    the current pose's frame. Returns (pose, trace, stop reason)."""
+    """The Chamfer solve with chamfer_cost_dense at every evaluation and,
+    for the residuals it returns, a second dense search run on the points
+    moved into that pose's frame. Returns (pose, trace, stop reason)."""
 
-    def residuals(T, _):
+    def cost(T):
+        value = chamfer_cost_dense(T, image_set, cloud_set, K).value
         x0 = cloud_set.points @ T.R.T + T.t
         fwd, bwd = chamfer_cost_dense(Pose.identity(), image_set, KeypointSet3D(x0), K).assignment
         visible = np.flatnonzero(bwd >= 0)
         q_idx = np.concatenate([np.arange(len(image_set)), bwd[visible]])
         p_idx = np.concatenate([fwd, visible])
-        return _pair_residuals(image_set.pixels[q_idx], x0[p_idx], K)
+        return (value, *_pair_residuals(image_set.pixels[q_idx], x0[p_idx], K))
 
-    return _minimize(
-        lambda T: (chamfer_cost_dense(T, image_set, cloud_set, K).value, None),
-        residuals, T_init, K, cfg,
-    )
+    return _minimize(cost, T_init, K, cfg)
 
 
 def nearest_match_bruteforce(feats2d, feats3d):

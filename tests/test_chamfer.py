@@ -496,6 +496,26 @@ class TestGradient:
             checked += 1
         assert checked >= 20
 
+    def test_the_solver_steps_along_the_public_gradient(self, monkeypatch):
+        # the first gradient _minimize steps along is chamfer_grad_twist at
+        # the start, bit for bit, so grad-check audits the stepped gradient
+        gradient, stepped = chamfer._gradient, []
+
+        def recorded(*args):
+            out = gradient(*args)
+            stepped.append(out[0])
+            return out
+
+        for seed, n in ((0, 60), (1, 60), (2, 300)):  # N=300: the k-d tree search
+            scene = generate_scene(n, noise=NoiseSpec(seed=seed, pixel_noise_sigma=1.0))
+            T0 = perturb_pose(scene.T_gt, 5.0, 0.1, seed)
+            stepped.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(chamfer, "_gradient", recorded)
+                _solve_chamfer(T0, scene.pixels, scene.cloud, K, SolverConfig(max_iters=3))
+            want = chamfer_grad_twist(T0, scene.pixels, scene.cloud, K)
+            assert stepped[0].tobytes() == want.tobytes()
+
     def test_pair_jacobian_is_the_chain_rule_product(self):
         # random camera-frame points, with x = 0, y = 0 (also -0.0) or
         # both on some, at depths from just above Z_MIN to far; equal
@@ -684,3 +704,12 @@ class TestSolver:
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", None])
+    def test_solver_config_refuses_a_non_integer_cap(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_solver_config_takes_python_and_numpy_integers(self, value):
+        assert SolverConfig(max_iters=value).max_iters == 3

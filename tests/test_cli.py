@@ -330,6 +330,13 @@ class TestDiagnostics:
         assert run(["grad-check", "--n-instances", 5]) == 0
         assert "worst relative error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["reprojection_grad_twist", "chamfer_grad_twist"])
+    def test_grad_check_fails_on_a_nan_gradient(self, name, monkeypatch, capsys):
+        # a NaN relative error is a failure, not an error of zero
+        monkeypatch.setattr(cli, name, lambda *args: np.full(6, np.nan))
+        assert run(["grad-check", "--seed", 3, "--n-instances", 5]) == 1
+        assert "worst relative error nan > 1e-05" in capsys.readouterr().out
+
     def test_bound_check(self, capsys):
         assert run(["bound-check", "--n-instances", 20]) == 0
         assert "0 bound violations" in capsys.readouterr().out

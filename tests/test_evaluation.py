@@ -10,6 +10,7 @@ from mincdpnp import (
     EmptySet,
     EvalRecord,
     KeypointSet3D,
+    MatchConfig,
     MissingDepth,
     NoiseSpec,
     Pose,
@@ -46,6 +47,18 @@ def count_matches(monkeypatch):
 
     monkeypatch.setattr(evaluation, "match_scene", logged)
     return matched
+
+
+def count_inlier_ratios(monkeypatch):
+    """Patch the pipeline's inlier_ratio to log each scene it grades."""
+    graded = []
+
+    def logged(C, scene):
+        graded.append(scene)
+        return inlier_ratio(C, scene)
+
+    monkeypatch.setattr(evaluation, "inlier_ratio", logged)
+    return graded
 
 
 class TestInlierRatio:
@@ -223,6 +236,33 @@ class TestRunPipeline:
         recs, errs = run_pipeline(scenes, solver="both")
         assert errs == [] and len(recs) == 4
         assert matched == [scene for _, scene in scenes]
+
+    def test_both_grades_each_match_once(self, monkeypatch):
+        graded = count_inlier_ratios(monkeypatch)
+        scenes = batch(range(4), outlier_rate=0.2)
+        recs, errs = run_pipeline(scenes, solver="both")
+        assert errs == [] and len(recs) == 8
+        assert graded == [scene for _, scene in scenes]
+        assert [r.ir for r in recs[0::2]] == [r.ir for r in recs[1::2]]
+
+    def test_failed_grade_gives_one_error_row_per_solved_solver(self, monkeypatch):
+        graded = count_inlier_ratios(monkeypatch)
+        scene = batch([0])[0][1]
+        no_depth = dataclasses.replace(scene, depth=np.full(len(scene.depth), np.nan))
+        recs, errs = run_pipeline([("scene_0000", no_depth)], solver="both")
+        msg = "MissingDepth: a matched pixel has no depth"
+        assert recs == []
+        assert errs == [("scene_0000", f"pnp: {msg}"), ("scene_0000", f"chamfer: {msg}")]
+        assert graded == [no_depth]
+        # an empty match: pnp fails to solve, so only chamfer reaches the grade
+        unmatched = batch([0], feature_noise_sigma=0.5)
+        recs, errs = run_pipeline(unmatched, solver="both", match_cfg=MatchConfig(delta=1e-9))
+        assert recs == []
+        assert errs == [
+            ("scene_0000", "pnp: TooFewPoints: need at least 6 correspondences, got 0"),
+            ("scene_0000", "chamfer: EmptySet: inlier_ratio needs at least one correspondence"),
+        ]
+        assert graded == [no_depth, unmatched[0][1]]
 
     def test_failed_match_gives_one_error_row_per_solver(self, monkeypatch):
         matched = count_matches(monkeypatch)

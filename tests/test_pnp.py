@@ -34,7 +34,7 @@ from mincdpnp import (
 from mincdpnp.geometry import Z_MIN
 from mincdpnp.synth import DEFAULT_INTRINSICS, random_pose
 
-from mincdpnp import pnp
+from mincdpnp import chamfer, pnp
 from mincdpnp.pnp import _local_opt, _p3p_batch, _ransac_from_arrays, _refine_from_arrays, _samples
 
 from oracles import (
@@ -187,6 +187,27 @@ class TestPnpRefine:
                 if row.step_size > 0:
                     assert row.cost < prev.cost
 
+    def test_the_refine_steps_along_the_public_gradient(self, monkeypatch):
+        # the first gradient the refine steps along is reprojection_grad_twist
+        # at the start, bit for bit, so grad-check audits the stepped gradient
+        gradient, stepped = chamfer._gradient, []
+
+        def recorded(*args):
+            out = gradient(*args)
+            stepped.append(out[0])
+            return out
+
+        for seed in range(4):
+            s = generate_scene(40, noise=NoiseSpec(seed=seed, pixel_noise_sigma=1.0))
+            T0 = perturb_pose(s.T_gt, rot_deg=5.0, trans_m=0.1, seed=seed)
+            pixels, points = s.gt_pairs.gather(s.pixels, s.cloud)
+            stepped.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(chamfer, "_gradient", recorded)
+                _refine_from_arrays(T0, pixels, points, s.K, SolverConfig(max_iters=3))
+            want = reprojection_grad_twist(T0, s.gt_pairs, s.pixels, s.cloud, s.K)
+            assert stepped[0].tobytes() == want.tobytes()
+
     def test_noisy_refine_converges_within_ten_iterations(self):
         for seed in range(10):
             s = generate_scene(100, noise=NoiseSpec(seed=seed, pixel_noise_sigma=0.5))
@@ -333,6 +354,17 @@ class TestPnpRansac:
             RansacConfig(seed=0, iterations=0)
         with pytest.raises(ValueError):
             RansacConfig(seed=0, threshold=0.0)
+
+    @pytest.mark.parametrize("field", ["seed", "iterations"])
+    @pytest.mark.parametrize("value", [0.5, 2.5, 3.0, np.float64(3.0), "3", None])
+    def test_config_refuses_a_non_integer_count_or_seed(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a.* integer"):
+            RansacConfig(**{"seed": 0, field: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint64(3), np.int32(3)])
+    def test_config_takes_python_and_numpy_integers(self, value):
+        cfg = RansacConfig(seed=value, iterations=value)
+        assert cfg.seed == 3 and cfg.iterations == 3
 
 
 def blocked_and_sequential(C, image_set, cloud_set, K, cfg):
